@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .cmaes import cma_run
-from .fitness import FitnessContext, error_reduction_pct, evaluate
+from .fitness import FitnessContext, error_reduction_pct, evaluate, exact_propagator
 from .model import ChainInstance, TermOrdering, merged_gate_count, unmerged_gate_count
 from .records import (
     PURPOSE_APPEND,
@@ -334,6 +334,7 @@ def perms_study(
     if not r_grid:
         raise ValueError("r grid must be non-empty")
     seed_vec = suzuki_seed(k)
+    exact = exact_propagator(instance)  # shared by every ordering and r
     rng = derive_generator(master_seed, PURPOSE_PERMS)
     random_orderings = [
         TermOrdering.explicit(rng.permutation(4 * instance.n)) for _ in range(n_random)
@@ -342,7 +343,7 @@ def perms_study(
     for r in r_grid:
         for name, ordering in (("grouped", TermOrdering.grouped()), ("canonical", TermOrdering.canonical())):
             spec = DecompositionSpec(k, r, ordering)
-            ctx = FitnessContext.create(instance, spec)
+            ctx = FitnessContext.create(instance, spec, exact=exact)
             rows.append(
                 {
                     "ordering": name,
@@ -355,7 +356,7 @@ def perms_study(
         counts, errors = [], []
         for ordering in random_orderings:
             spec = DecompositionSpec(k, r, ordering)
-            ctx = FitnessContext.create(instance, spec)
+            ctx = FitnessContext.create(instance, spec, exact=exact)
             counts.append(merged_gate_count(instance, ordering, k, r))
             errors.append(evaluate(ctx, seed_vec))
         rows.append(

@@ -60,9 +60,9 @@ class FitnessContext:
 def evaluate(ctx: FitnessContext, p: CoefficientVector) -> float:
     """Spectral-norm error of the circuit built from ``p``.
 
-    Deterministic: identical inputs give bit-identical values, cache warm or
-    cold. Non-finite components signal a diverged search and raise rather
-    than scoring.
+    Deterministic: identical inputs give bit-identical values; no S2 block
+    is cached, each is rebuilt from its phase in closed form. Non-finite
+    components signal a diverged search and raise rather than scoring.
     """
     comps = np.asarray(p.components, dtype=float)
     if not np.all(np.isfinite(comps)):

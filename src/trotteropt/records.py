@@ -11,7 +11,10 @@ payload is fully deterministic given the command's seed; meta carries wall
 -clock timestamps plus a SHA-256 digest of the canonical payload encoding,
 so byte-level reproducibility can be checked while timestamps stay out of
 the hashed content. Each JSON record gets a flat CSV twin for plotting
-(same stem, .csv suffix); column meanings live in FORMATS.md.
+(same stem, .csv suffix); column meanings live in FORMATS.md. Every file
+is written to a temporary file in the same directory and then moved over
+its target, so a write that fails partway (a NaN refused by the JSON
+encoder, say) leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -75,6 +80,22 @@ def payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+@contextmanager
+def _replacing(path, newline: str | None = None):
+    """Yield a text file that replaces ``path`` once the block completes;
+    if the block raises, ``path`` is untouched and the temporary file is
+    removed."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_record(path, payload: dict) -> dict:
     """Write {"payload", "meta"} JSON; returns the full record."""
     record = {
@@ -84,9 +105,7 @@ def write_record(path, payload: dict) -> dict:
             "payload_sha256": payload_digest(payload),
         },
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return record
@@ -104,9 +123,7 @@ def read_record(path) -> dict:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -126,9 +143,7 @@ def instance_from_dict(d: dict) -> ChainInstance:
 
 
 def save_instance(path, instance: ChainInstance) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(instance_to_dict(instance), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -11,28 +11,28 @@ meaning plain S2 slicing.
 
 The evolution parameter is factored as -i * t: phases are stored as real
 fractions and the -i * t is applied at exponentiation time.
+
+Every chain term is a Pauli string, so S2 comes from closed forms, not from
+numerical exponentials: a grouped-basis kernel when the term kinds come as
+XX, YY, then ZZ and Z, and a Pauli-rotation product otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .linalg import expm_scaled_hermitian, kron, matrix_power
+from .linalg import matrix_power
 from .model import (
-    COUPLING_KINDS,
     ChainInstance,
     LocalTerm,
-    Pauli,
     TermKind,
     TermOrdering,
-    COUPLING_PAULI,
     commutation_table,
     merge_gates,
     ordered_terms,
-    pauli,
-    term_matrix,
 )
 
 __all__ = [
@@ -147,120 +147,119 @@ def expand_phases(p: CoefficientVector, r: int) -> np.ndarray:
     return np.tile(slice_phases(p) / r, r)
 
 
-_LOCAL_BLOCKS = {
-    kind: kron(pauli(COUPLING_PAULI[kind]), pauli(COUPLING_PAULI[kind]))
-    for kind in COUPLING_KINDS
-}
+def _z_string(term: LocalTerm, n: int) -> tuple[int, np.ndarray]:
+    """Bit mask of a term's qubits (qubit 1 is the most significant bit, as
+    in the kron order of ``term_matrix``) and the diagonal of its Z string."""
+    sites = np.array([term.site] if term.kind is TermKind.Z else [term.site, term.site % n + 1])
+    bits = (np.arange(2**n)[:, None] >> (n - sites)) & 1
+    return int(np.sum(1 << (n - sites))), np.prod(1.0 - 2.0 * bits, axis=1)
 
 
-def _is_wrap(term: LocalTerm, n: int) -> bool:
-    return term.kind in COUPLING_KINDS and term.site == n
+def _pauli_string(term: LocalTerm, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The term's Pauli string P, coefficient left out, as a signed
+    permutation: P|b> = sign[b] |perm[b]>. X flips a bit, Z contributes
+    (-1)^bit and Y = iXZ does both, so YY picks up i * i = -1: the signs
+    of every chain term are real."""
+    mask, z_signs = _z_string(term, n)
+    basis = np.arange(2**n)
+    if term.kind is TermKind.XX:
+        return basis ^ mask, np.ones(2**n)
+    if term.kind is TermKind.YY:
+        return basis ^ mask, -z_signs
+    return basis, z_signs
 
 
 def fast_local_expm(term: LocalTerm, n: int, c: complex) -> np.ndarray:
-    """exp(c * H_term) built from the 2x2 or 4x4 local block.
+    """exp(c * H_term) in closed form.
 
-    exp(I x A x I) = I x exp(A) x I, so only the local block is
-    exponentiated and the result is Kronecker-embedded. The identity does
-    not apply to the wrap-around couplings (site n with site 1), which fall
-    back to exponentiation at full dimension.
+    H_term is its coefficient a times a Pauli string P with P^2 = I, so
+    exp(c * a * P) = cosh(c * a) * I + sinh(c * a) * P. Wrap-around
+    couplings (site n with site 1) need no special case.
     """
-    if _is_wrap(term, n):
-        return expm_scaled_hermitian(term_matrix(term, n), c)
-    if term.kind is TermKind.Z:
-        block = term.coefficient * pauli(Pauli.Z)
-        width = 1
-    else:
-        block = term.coefficient * _LOCAL_BLOCKS[term.kind]
-        width = 2
-    local = expm_scaled_hermitian(block, c)
-    left = np.eye(2 ** (term.site - 1), dtype=complex)
-    right = np.eye(2 ** (n - term.site - width + 1), dtype=complex)
-    return kron(kron(left, local), right)
+    perm, sign = _pauli_string(term, n)
+    ca = c * term.coefficient
+    out = np.cosh(ca) * np.eye(2**n, dtype=complex)
+    out[perm, np.arange(2**n)] += np.sinh(ca) * sign
+    return out
 
 
-class _TermExp:
-    """Per-term exponentiator with the eigendecomposition precomputed."""
-
-    def __init__(self, term: LocalTerm, n: int):
-        self.term = term
-        self.n = n
-        self.wrap = _is_wrap(term, n)
-        if self.wrap:
-            mat = term_matrix(term, n)
-        elif term.kind is TermKind.Z:
-            mat = term.coefficient * pauli(Pauli.Z)
-        else:
-            mat = term.coefficient * _LOCAL_BLOCKS[term.kind]
-        self.values, self.vectors = np.linalg.eigh(mat)
-        if not self.wrap:
-            width = 1 if term.kind is TermKind.Z else 2
-            self.left = np.eye(2 ** (term.site - 1), dtype=complex)
-            self.right = np.eye(2 ** (n - term.site - width + 1), dtype=complex)
-
-    def __call__(self, c: complex) -> np.ndarray:
-        local = (self.vectors * np.exp(c * self.values)) @ self.vectors.conj().T
-        if self.wrap:
-            return local
-        return kron(kron(self.left, local), self.right)
+# Group of each kind in the grouped ordering: ZZ and Z are both diagonal.
+_GROUP = {TermKind.XX: 0, TermKind.YY: 1, TermKind.ZZ: 2, TermKind.Z: 2}
 
 
 class S2Evaluator:
-    """Builds symmetric second-order blocks for a fixed term sequence,
-    caching results per phase.
+    """Builds symmetric second-order blocks for a fixed term sequence.
 
-    The cache is keyed on the exact phase value, so hits are bit-identical
-    to misses; entries are evicted oldest-first once ``max_cache`` is
-    reached. Lookups and stores are plain dict operations on idempotent
-    values, so concurrent readers are safe.
+    Every term is a real symmetric Pauli string, so each term exponential
+    is symmetric, the reversed half-product is the transpose of the forward
+    half-product F, and S2 = F @ F^T. Which kernel computes F depends on
+    the term sequence:
+
+    - Grouped: kinds come as XX, then YY, then ZZ and Z in any mix (the
+      grouped ordering). Each group commutes and is diagonal in a fixed
+      basis, so F = H^n D_xx H^n . V D_yy V^dag . D_zz+z with V = (SH)^n
+      and the diagonals built from spin signs. H^n D H^n has entry
+      g[a ^ b], g being the Walsh-Hadamard transform of D's diagonal, and
+      S^n is diagonal, so F costs one dense matmul.
+    - Any other sequence (canonical, explicit): the Pauli-rotation product,
+      one term exponential cosh(ca) I + sinh(ca) P at a time, where the
+      product with P is a signed permutation.
     """
 
-    def __init__(self, terms, n: int, t: float, max_cache: int = 1024):
+    def __init__(self, terms, n: int, t: float):
         self.terms = tuple(terms)
         self.n = n
         self.t = float(t)
-        self._exps = [_TermExp(term, n) for term in self.terms]
-        # Every chain generator is an exactly symmetric matrix (Y x Y is
-        # real), making each exponential symmetric too, so the reversed
-        # half-product is the transpose of the forward one.
-        self._symmetric = all(
-            np.array_equal(m := term_matrix(term, n), m.T) for term in self.terms
-        )
-        self._cache: dict[float, np.ndarray] = {}
-        self._max_cache = max_cache
+        self._rotations = [(*_pauli_string(term, n), term.coefficient) for term in self.terms]
+        assert all(np.array_equal(sign[perm], sign) for perm, sign, _ in self._rotations), (
+            "F^T is the reversed half-product only for symmetric generators")
+        groups = [_GROUP[term.kind] for term in self.terms]
+        self._grouped = groups == sorted(groups)
+        if not self._grouped:
+            return
+        self._diagonals = np.zeros((3, 2**n))
+        for term, group in zip(self.terms, groups):
+            self._diagonals[group] += term.coefficient * _z_string(term, n)[1]
+        basis = np.arange(2**n)
+        self._xor = basis[:, None] ^ basis[None, :]
+        # (self._walsh @ d)[self._xor] is H^n diag(d) H^n.
+        self._walsh = reduce(np.kron, [np.array([[0.5, 0.5], [0.5, -0.5]])] * n)
+        self._s = reduce(np.kron, [np.array([1, 1j])] * n)  # diagonal of S^n
 
     @classmethod
     def for_instance(cls, instance: ChainInstance, ordering: TermOrdering) -> "S2Evaluator":
         return cls(ordered_terms(instance, ordering), instance.n, instance.t)
 
-    def _product(self, c: complex, reverse_too: bool) -> np.ndarray:
-        mats = [exp(c) for exp in self._exps]
-        acc = mats[0]
-        for m in mats[1:]:
-            acc = acc @ m
-        if reverse_too:
-            if self._symmetric:
-                return acc @ acc.T
-            for m in reversed(mats):
-                acc = acc @ m
-        return acc
+    def _forward(self, c: complex) -> np.ndarray:
+        return self._grouped_forward(c) if self._grouped else self._pauli_forward(c)
+
+    def _grouped_forward(self, c: complex) -> np.ndarray:
+        dxx, dyy, dzz = np.exp(c * self._diagonals)
+        yy = (self._walsh @ dyy)[self._xor]
+        yy *= self._s[:, None]
+        yy *= self._s.conj() * dzz
+        return (self._walsh @ dxx)[self._xor] @ yy
+
+    def _pauli_forward(self, c: complex) -> np.ndarray:
+        # Builds F^T = E_L ... E_1, since numpy gathers rows faster than columns.
+        acc = np.eye(2**self.n, dtype=complex)
+        rotated = np.empty_like(acc)
+        for perm, sign, a in self._rotations:
+            np.take(acc, perm, axis=0, out=rotated)
+            rotated *= (np.sinh(c * a) * sign)[:, None]
+            acc *= np.cosh(c * a)
+            acc += rotated
+        return acc.T
 
     def s2(self, phase: float) -> np.ndarray:
         """S2 at the given fraction of the evolution parameter: forward
         half-phase product times the reversed half-phase product."""
-        key = float(phase)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._product(-0.5j * self.t * key, reverse_too=True)
-        if len(self._cache) >= self._max_cache:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = result
-        return result
+        forward = self._forward(-0.5j * self.t * float(phase))
+        return forward @ forward.T
 
     def s1(self, phase: float) -> np.ndarray:
         """First-order block: the single forward full-phase product."""
-        return self._product(-1j * self.t * float(phase), reverse_too=False)
+        return self._forward(-1j * self.t * float(phase))
 
 
 def build_s2(instance: ChainInstance, ordering: TermOrdering, phase: float) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 complete. The optimization-heavy criteria (4, 5, 6, 9) share one session
-fixture that fans the runs out across CPU cores; expect a few minutes.
+fixture that fans the runs out across CPU cores and are marked ``slow``, so
+``pytest -m "not slow"`` leaves them out.
 
 Instance generator seeds and CMA seeds are frozen; every number asserted
 here was derived by running this implementation and cross-checked against
@@ -127,6 +128,7 @@ def test_criterion_3_gate_count_formulas():
             f"grouped == (5M+1)n and unmerged == 2L*M on all 24 grid cells{failures or ''}")
 
 
+@pytest.mark.slow
 def test_criterion_4_error_reduction(heavy_runs):
     medians = {
         seed: float(np.median([p["reduction_pct"] for p in runs]))
@@ -137,6 +139,7 @@ def test_criterion_4_error_reduction(heavy_runs):
     _report(4, "error reduction", ok, detail + " (want all >= 40%, one >= 50%)")
 
 
+@pytest.mark.slow
 def test_criterion_5_run_robustness(heavy_runs):
     reds = [p["reduction_pct"] for p in heavy_runs["headline"][ROBUSTNESS_INSTANCE]]
     spread = max(reds) - min(reds)
@@ -144,6 +147,7 @@ def test_criterion_5_run_robustness(heavy_runs):
             f"instance {ROBUSTNESS_INSTANCE}: spread {spread:.3f} pp over {len(reds)} seeds (want < 5)")
 
 
+@pytest.mark.slow
 def test_criterion_6_generalization(heavy_runs):
     record = heavy_runs["generalize"]
     over_v = generalize(record, "v", [10])["rows"]
@@ -224,6 +228,7 @@ def test_criterion_8_cmaes_standalone():
             f"best-so-far monotone: {monotone}; covariance PD with 0 repairs: {pd_ok}")
 
 
+@pytest.mark.slow
 def test_criterion_9_k3_path(heavy_runs):
     rows = {r: p["reduction_pct"] for r, p in sorted(heavy_runs["k3"].items())}
     ok = all(v > 0 for v in rows.values())

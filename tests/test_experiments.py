@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trotteropt import experiments, fitness
 from trotteropt.experiments import (
     baseline_report,
     default_generations,
@@ -12,9 +13,10 @@ from trotteropt.experiments import (
     perms_study,
     sweep_r,
 )
+from trotteropt.fitness import FitnessContext, evaluate, exact_propagator
 from trotteropt.model import OrderingMode, TermOrdering
 from trotteropt.records import payload_digest
-from trotteropt.trotter import DecompositionSpec
+from trotteropt.trotter import DecompositionSpec, suzuki_seed
 
 GROUPED = TermOrdering.grouped()
 
@@ -200,3 +202,22 @@ class TestPerms:
         a = perms_study(tiny, 2, [2], n_random=3, master_seed=8)
         b = perms_study(tiny, 2, [2], n_random=3, master_seed=8)
         assert payload_digest(a) == payload_digest(b)
+
+    def test_exact_propagator_built_once(self, tiny, monkeypatch):
+        calls = []
+
+        def counting(instance):
+            calls.append(instance)
+            return exact_propagator(instance)
+
+        monkeypatch.setattr(experiments, "exact_propagator", counting)
+        monkeypatch.setattr(fitness, "exact_propagator", counting)
+        payload = perms_study(tiny, 2, [2, 3], n_random=3, master_seed=8)
+        assert calls == [tiny]
+        # Same errors, bit for bit, as contexts that build their own propagator.
+        monkeypatch.undo()
+        for row in payload["rows"]:
+            if row["ordering"] != "random":
+                ordering = make_ordering(row["ordering"], tiny)
+                ctx = FitnessContext.create(tiny, DecompositionSpec(2, row["r"], ordering))
+                assert row["error"] == evaluate(ctx, suzuki_seed(2))

@@ -60,6 +60,37 @@ class TestRecords:
         assert path.read_text() == "a,b\n1,2.5\n3,x\n"
 
 
+class TestCrashSafeWrites:
+    def test_nan_payload_keeps_old_record(self, tmp_path):
+        path = tmp_path / "rec.json"
+        write_record(path, {"error": 0.5})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_record(path, {"error": float("nan")})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.json"]
+
+    def test_csv_failing_partway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a"], [[1], [2]])
+        before = path.read_bytes()
+
+        def rows():
+            yield [3]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            write_csv(path, ["a"], rows())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_new_file_in_new_directory(self, tmp_path):
+        path = tmp_path / "sub" / "inst.json"
+        save_instance(path, ChainInstance(3, (0.25, -0.5, 0.75), 6.0, seed=9))
+        assert load_instance(path).seed == 9
+        assert sorted(p.name for p in path.parent.iterdir()) == ["inst.json"]
+
+
 class TestInstanceIO:
     def test_roundtrip_preserves_doubles(self, tmp_path):
         inst = ChainInstance.random(4, np.random.default_rng(5), seed=5)

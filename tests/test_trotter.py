@@ -10,6 +10,7 @@ from trotteropt.model import (
     TermOrdering,
     hamiltonian,
     merged_gate_count,
+    ordered_terms,
     term_matrix,
     unmerged_gate_count,
 )
@@ -160,11 +161,57 @@ class TestS2:
         s2 = build_s2(inst, GROUPED, phase)
         assert np.max(np.abs(s2 @ s2.conj().T - np.eye(8))) <= 1e-9
 
-    def test_cache_hit_is_bit_identical(self):
-        inst = small_instance()
+
+def oracle_product(terms, n, c, symmetric):
+    """Forward (and, for S2, reversed) product of full-dimension term
+    exponentials exp(c * H_term)."""
+    mats = [expm_scaled_hermitian(term_matrix(term, n), c) for term in terms]
+    if symmetric:
+        mats += mats[::-1]
+    acc = np.eye(2**n, dtype=complex)
+    for m in mats:
+        acc = acc @ m
+    return acc
+
+
+ORDERINGS = {
+    "grouped": lambda n: GROUPED,
+    "canonical": lambda n: TermOrdering.canonical(),
+    "explicit": lambda n: TermOrdering.explicit(np.random.default_rng(10 + n).permutation(4 * n)),
+}
+
+
+class TestKernels:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
+    def test_s2_and_s1_match_oracle(self, n, ordering):
+        inst = small_instance(seed=n, n=n, t=2.0 * n)
+        terms = ordered_terms(inst, ORDERINGS[ordering](n))
+        ev = S2Evaluator(terms, n, inst.t)
+        for phase in (-0.41449, 0.3, 1.7):
+            expected = oracle_product(terms, n, -0.5j * inst.t * phase, symmetric=True)
+            assert spectral_norm(ev.s2(phase) - expected) <= 1e-12
+            expected = oracle_product(terms, n, -1j * inst.t * phase, symmetric=False)
+            assert spectral_norm(ev.s1(phase) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_kernels_agree_on_grouped_sequence(self, n):
+        inst = small_instance(seed=n, n=n, t=2.0 * n)
         ev = S2Evaluator.for_instance(inst, GROUPED)
-        first = ev.s2(0.33).copy()
-        npt.assert_array_equal(ev.s2(0.33), first)
+        for c in (-0.5j * inst.t * -0.41449, -0.5j * inst.t * 1.7, 0.3 - 0.2j):
+            assert spectral_norm(ev._grouped_forward(c) - ev._pauli_forward(c)) <= 1e-12
+
+    def test_kernel_follows_term_sequence(self):
+        def grouped(terms, n=3):
+            return S2Evaluator(terms, n, 1.0)._grouped
+
+        inst = small_instance()
+        assert grouped(ordered_terms(inst, GROUPED))
+        assert not grouped(ordered_terms(inst, TermOrdering.canonical()))
+        assert not grouped(ordered_terms(inst, ORDERINGS["explicit"](3)))
+        # ZZ and Z may interleave; YY ahead of XX leaves the grouped form.
+        assert grouped(commuting_toy_terms()[::-1])
+        assert not grouped((LocalTerm(TermKind.YY, 1), LocalTerm(TermKind.XX, 2)))
 
 
 class TestS1:
