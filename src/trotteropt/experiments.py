@@ -298,9 +298,11 @@ def generalize(
     else:
         raise ValueError(f"unknown axis {axis!r}")
 
+    # Every r point shares the source instance, and so its propagator.
+    exact = exact_propagator(base_instance) if axis == "r" else None
     rows = []
     for value, inst, point_spec in points:
-        ctx = FitnessContext.create(inst, point_spec)
+        ctx = FitnessContext.create(inst, point_spec, exact=exact)
         baseline = evaluate(ctx, p_seed)
         optimized = evaluate(ctx, p_opt)
         rows.append(

@@ -226,12 +226,44 @@ def term_matrix(term: LocalTerm, n: int) -> np.ndarray:
     return term.coefficient * reduce(kron, factors)
 
 
+def _z_string(term: LocalTerm, n: int) -> tuple[int, np.ndarray]:
+    """Bit mask of a term's qubits (qubit 1 is the most significant bit, as
+    in the kron order of ``term_matrix``) and the diagonal of its Z string."""
+    sites = np.array([term.site] if term.kind is TermKind.Z else [term.site, term.site % n + 1])
+    bits = (np.arange(2**n)[:, None] >> (n - sites)) & 1
+    return int(np.sum(1 << (n - sites))), np.prod(1.0 - 2.0 * bits, axis=1)
+
+
+def _pauli_string(term: LocalTerm, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The term's Pauli string P, coefficient left out, as a signed
+    permutation: P|b> = sign[b] |perm[b]>. X flips a bit, Z contributes
+    (-1)^bit and Y = iXZ does both, so YY picks up i * i = -1: the signs
+    of every chain term are real."""
+    mask, z_signs = _z_string(term, n)
+    basis = np.arange(2**n)
+    if term.kind is TermKind.XX:
+        return basis ^ mask, np.ones(2**n)
+    if term.kind is TermKind.YY:
+        return basis ^ mask, -z_signs
+    return basis, z_signs
+
+
 def hamiltonian(instance: ChainInstance) -> np.ndarray:
     """Sum of all 4n term matrices (a fixed summation order keeps this
-    independent of any TermOrdering)."""
-    total = np.zeros((2**instance.n, 2**instance.n), dtype=complex)
+    independent of any TermOrdering).
+
+    Each term adds its coefficient times the signed permutation of its
+    Pauli string, one nonzero entry per column, with no Kronecker chain.
+    The entries left out are zeros of ``term_matrix``. Partial sums start
+    at +0 and never hold -0, and adding a signed zero leaves them as they
+    are, so the result is bit-identical to summing ``term_matrix``.
+    """
+    dim = 2**instance.n
+    total = np.zeros((dim, dim), dtype=complex)
+    columns = np.arange(dim)
     for term in instance.terms():
-        total += term_matrix(term, instance.n)
+        perm, sign = _pauli_string(term, instance.n)
+        total[perm, columns] += term.coefficient * sign
     return total
 
 
@@ -280,15 +312,9 @@ def merge_gates(
     return out
 
 
-def _product_formula_stream(num_terms: int, repetitions: int) -> list[tuple[int, float]]:
-    # One symmetric block = forward then reverse pass; phases are irrelevant
-    # for counting, so each gate carries 1.0.
-    forward = [(i, 1.0) for i in range(num_terms)]
-    block = forward + forward[::-1]
-    return block * repetitions
-
-
 def commutation_table(terms: tuple[LocalTerm, ...], n: int) -> np.ndarray:
+    """``table[i, j]`` says whether terms i and j commute (``merge_gates``'
+    input)."""
     table = np.zeros((len(terms), len(terms)), dtype=bool)
     for i, a in enumerate(terms):
         for j, b in enumerate(terms):
@@ -304,12 +330,62 @@ def unmerged_gate_count(instance: ChainInstance, k: int, r: int) -> int:
     return 2 * 4 * instance.n * r * 5 ** (k - 1)
 
 
+def _anticommutation_masks(terms: tuple[LocalTerm, ...], n: int) -> list[int]:
+    """Bit h of entry g is set when terms g and h anticommute.
+
+    As in ``terms_commute``, two Pauli strings anticommute iff they carry
+    different letters on an odd number of shared sites, so toggling bit h
+    of g once per such site leaves exactly that parity. Only terms on a
+    common site are paired, which keeps this linear in the chain length.
+    """
+    on_site: dict[int, list[tuple[int, str]]] = {}
+    for g, term in enumerate(terms):
+        for site, letter in _pauli_sites(term, n).items():
+            on_site.setdefault(site, []).append((g, letter))
+    anti = [0] * len(terms)
+    for acting in on_site.values():
+        for g, a in acting:
+            for h, b in acting:
+                if a != b:
+                    anti[g] ^= 1 << h
+    return anti
+
+
 def merged_gate_count(instance: ChainInstance, ordering: TermOrdering, k: int, r: int) -> int:
     """Gate count of the order-2k, r-slice product formula after merging
-    same-generator exponentials across commuting neighbours."""
+    same-generator exponentials across commuting neighbours; the same
+    integer as ``merge_gates`` gives on the full gate stream.
+
+    The formula is r * 5^(k-1) symmetric blocks, each the L terms forward
+    then reversed. Merging never moves or removes a gate, it only adds
+    phases, so an incoming gate g merges exactly when, reading the output
+    from the right, a copy of g comes before any gate that anticommutes
+    with g. One "open" bit per generator tracks that: a gate whose bit is
+    set merges; otherwise it is appended, which clears the bits of every
+    generator it anticommutes with and sets its own.
+
+    The open generators always commute pairwise, so when g is open the
+    append rule O -> (O - A(g)) | {g} (A(g): the generators anticommuting
+    with g) leaves the open set O as it is, like the merge. Every gate thus
+    applies that map, and a block composes them into O -> (O & K) | C, K
+    being the generators that commute with every term and C the set one
+    block leaves from empty. That map is idempotent, so every block after
+    the first starts and ends at C and appends the same number of gates:
+    two blocks give the count for any r and k.
+    """
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
     terms = ordered_terms(instance, ordering)
-    table = commutation_table(terms, instance.n)
-    stream = _product_formula_stream(len(terms), r * 5 ** (k - 1))
-    return len(merge_gates(stream, table))
+    anti = _anticommutation_masks(terms, instance.n)
+    block = [*range(len(terms)), *reversed(range(len(terms)))]
+    state = 0
+    appended = []  # gates appended by the first block and by each later one
+    for _ in range(2):
+        added = 0
+        for g in block:
+            if not (state >> g) & 1:
+                added += 1
+                state = (state & ~anti[g]) | (1 << g)
+        appended.append(added)
+    first, later = appended
+    return first + (r * 5 ** (k - 1) - 1) * later

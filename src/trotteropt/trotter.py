@@ -30,6 +30,8 @@ from .model import (
     LocalTerm,
     TermKind,
     TermOrdering,
+    _pauli_string,
+    _z_string,
     commutation_table,
     merge_gates,
     ordered_terms,
@@ -145,28 +147,6 @@ def expand_phases(p: CoefficientVector, r: int) -> np.ndarray:
     if r < 1:
         raise ValueError("r must be >= 1")
     return np.tile(slice_phases(p) / r, r)
-
-
-def _z_string(term: LocalTerm, n: int) -> tuple[int, np.ndarray]:
-    """Bit mask of a term's qubits (qubit 1 is the most significant bit, as
-    in the kron order of ``term_matrix``) and the diagonal of its Z string."""
-    sites = np.array([term.site] if term.kind is TermKind.Z else [term.site, term.site % n + 1])
-    bits = (np.arange(2**n)[:, None] >> (n - sites)) & 1
-    return int(np.sum(1 << (n - sites))), np.prod(1.0 - 2.0 * bits, axis=1)
-
-
-def _pauli_string(term: LocalTerm, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The term's Pauli string P, coefficient left out, as a signed
-    permutation: P|b> = sign[b] |perm[b]>. X flips a bit, Z contributes
-    (-1)^bit and Y = iXZ does both, so YY picks up i * i = -1: the signs
-    of every chain term are real."""
-    mask, z_signs = _z_string(term, n)
-    basis = np.arange(2**n)
-    if term.kind is TermKind.XX:
-        return basis ^ mask, np.ones(2**n)
-    if term.kind is TermKind.YY:
-        return basis ^ mask, -z_signs
-    return basis, z_signs
 
 
 def fast_local_expm(term: LocalTerm, n: int, c: complex) -> np.ndarray:

@@ -16,7 +16,7 @@ from trotteropt.experiments import (
 from trotteropt.fitness import FitnessContext, evaluate, exact_propagator
 from trotteropt.model import OrderingMode, TermOrdering
 from trotteropt.records import payload_digest
-from trotteropt.trotter import DecompositionSpec, suzuki_seed
+from trotteropt.trotter import CoefficientVector, DecompositionSpec, suzuki_seed
 
 GROUPED = TermOrdering.grouped()
 
@@ -175,6 +175,25 @@ class TestGeneralize:
         # At the training r the optimized error matches the record.
         train = next(row for row in r_rows if row["value"] == 2.0)
         assert train["optimized_error"] == pytest.approx(tiny_run["error_final"], abs=1e-15)
+
+    def test_axis_r_builds_one_propagator(self, tiny, tiny_run, monkeypatch):
+        calls = []
+
+        def counting(instance):
+            calls.append(instance)
+            return exact_propagator(instance)
+
+        monkeypatch.setattr(experiments, "exact_propagator", counting)
+        monkeypatch.setattr(fitness, "exact_propagator", counting)
+        rows = generalize(tiny_run, "r", [1, 2, 3, 5])["rows"]
+        assert calls == [tiny]
+        # Same errors, bit for bit, as contexts that build their own propagator.
+        monkeypatch.undo()
+        p_opt = CoefficientVector(2, tuple(tiny_run["p_final"]))
+        for row in rows:
+            ctx = FitnessContext.create(tiny, DecompositionSpec(2, int(row["value"]), GROUPED))
+            assert row["baseline_error"] == evaluate(ctx, suzuki_seed(2))
+            assert row["optimized_error"] == evaluate(ctx, p_opt)
 
     def test_unknown_axis(self, tiny_run):
         with pytest.raises(ValueError):

@@ -11,8 +11,11 @@ from trotteropt.model import (
     Pauli,
     TermKind,
     TermOrdering,
+    _anticommutation_masks,
+    commutation_table,
     embed,
     hamiltonian,
+    merge_gates,
     merged_gate_count,
     ordered_terms,
     pauli,
@@ -134,6 +137,18 @@ class TestHamiltonian:
         h = hamiltonian(ChainInstance(3, (1.0, 1.0, 1.0), 1.0))
         assert h[0, 0] == pytest.approx(6.0, abs=0)
 
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            pytest.param(ChainInstance.random(n, np.random.default_rng(20 + n)), id=f"n{n}")
+            for n in range(3, 9)
+        ]
+        + [pytest.param(ChainInstance(4, (0.0, -0.0, 0.5, -1.0), 1.0), id="signed_zero_fields")],
+    )
+    def test_bit_identical_to_term_matrix_sum(self, inst):
+        reference = sum(term_matrix(term, inst.n) for term in inst.terms())
+        assert hamiltonian(inst).tobytes() == reference.tobytes()
+
     def test_ordering_independent(self):
         # Dyadic disorder makes every partial sum exact, so the permuted sum
         # reproduces the canonical one bit for bit.
@@ -246,3 +261,47 @@ class TestGateCounts:
             ordering = TermOrdering.explicit(rng.permutation(16))
             count = merged_gate_count(inst, ordering, 2, 3)
             assert grouped <= count <= unmerged_gate_count(inst, 2, 3)
+
+
+def _oracle_orderings(n: int) -> list[TermOrdering]:
+    rng = np.random.default_rng(100 + n)
+    return [TermOrdering.grouped(), TermOrdering.canonical()] + [
+        TermOrdering.explicit(rng.permutation(4 * n)) for _ in range(10)
+    ]
+
+
+class TestMergedGateCountOracle:
+    """The open-bit counter against the brute-force merge of the full stream."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_merge_walk(self, n):
+        inst = ChainInstance.random(n, np.random.default_rng(n))
+        for ordering in _oracle_orderings(n):
+            terms = ordered_terms(inst, ordering)
+            table = commutation_table(terms, n)
+            block = [(i, 1.0) for i in range(len(terms))]
+            block += block[::-1]
+            for k in (1, 2, 3):
+                for r in (1, 2, 3, 7):
+                    expected = len(merge_gates(block * (r * 5 ** (k - 1)), table))
+                    assert merged_gate_count(inst, ordering, k, r) == expected, (ordering, k, r)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_masks_match_commutation_table(self, n):
+        inst = ChainInstance.random(n, np.random.default_rng(n))
+        for ordering in _oracle_orderings(n):
+            terms = ordered_terms(inst, ordering)
+            anti = _anticommutation_masks(terms, n)
+            commute = [[not (mask >> h) & 1 for h in range(len(terms))] for mask in anti]
+            npt.assert_array_equal(np.array(commute), commutation_table(terms, n))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_large_r_is_linear_and_grouped_closed_form(self, k):
+        # Only a counter whose cost does not grow with r finishes at R = 10**6.
+        big = 10**6
+        inst = ChainInstance.random(5, np.random.default_rng(11))
+        for ordering in _oracle_orderings(5):
+            c1, c2, c3 = (merged_gate_count(inst, ordering, k, m * big) for m in (1, 2, 3))
+            assert c2 - c1 == c3 - c2
+        m = big * 5 ** (k - 1)
+        assert merged_gate_count(inst, TermOrdering.grouped(), k, big) == (5 * m + 1) * 5
