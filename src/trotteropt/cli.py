@@ -83,8 +83,10 @@ def _cmd_optimize(args) -> str:
     instance = load_instance(args.instance)
     ordering = experiments.make_ordering(args.ordering, instance, args.seed)
     spec = DecompositionSpec(args.k, args.r, ordering)
-    generations = args.generations if args.generations else experiments.default_generations(args.k)
-    sigma0 = args.sigma0 if args.sigma0 else experiments.default_sigma0(args.k)
+    generations = (
+        experiments.default_generations(args.k) if args.generations is None else args.generations
+    )
+    sigma0 = experiments.default_sigma0(args.k) if args.sigma0 is None else args.sigma0
     payload = experiments.optimize_instance(instance, spec, generations, sigma0, args.seed)
     _emit(
         args,

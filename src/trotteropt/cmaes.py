@@ -15,7 +15,7 @@ deterministic given a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,24 +181,14 @@ def cma_step(state: CmaState, objective, rng: np.random.Generator) -> tuple[CmaS
     )
 
     best_idx = int(order[0])
-    new_state = CmaState(
-        dim=d,
+    new_state = replace(
+        state,
         mean=mean,
         sigma=sigma_new,
         cov=cov_new,
         p_sigma=p_sigma,
         p_cov=p_cov,
         generation=state.generation + 1,
-        popsize=state.popsize,
-        mu=state.mu,
-        weights=state.weights,
-        mueff=state.mueff,
-        c_sigma=state.c_sigma,
-        d_sigma=state.d_sigma,
-        c_cov=state.c_cov,
-        c1=state.c1,
-        cmu=state.cmu,
-        chi_n=state.chi_n,
         repair_count=repair_count,
     )
     return new_state, StepResult(

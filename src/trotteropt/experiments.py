@@ -11,11 +11,18 @@ parallelism never changes the output.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from .cmaes import cma_run
-from .fitness import FitnessContext, error_reduction_pct, evaluate, exact_propagator
+from .fitness import (
+    FitnessContext,
+    error_reduction_pct,
+    evaluate,
+    evaluate_components,
+    exact_propagator,
+)
 from .model import ChainInstance, TermOrdering, merged_gate_count, unmerged_gate_count
 from .records import (
     PURPOSE_APPEND,
@@ -127,13 +134,9 @@ def optimize_instance(
         raise ValueError("generations must be >= 1")
     ctx = FitnessContext.create(instance, spec)
     seed_vec = suzuki_seed(spec.k)
-
-    def objective(x):
-        return evaluate(ctx, CoefficientVector(spec.k, tuple(float(c) for c in x)))
-
     result = cma_run(
         seed_vec.components,
-        objective,
+        partial(evaluate_components, ctx),
         generations=generations,
         sigma0=sigma0,
         rng_seed=derive_seed_sequence(master_seed, *rng_key),
@@ -177,7 +180,7 @@ def _sweep_cell(args: tuple) -> dict:
         row["optimized_error"] = run["error_final"]
         row["p_final"] = run["p_final"]
     elif mode == "evaluate":
-        row["optimized_error"] = evaluate(ctx, CoefficientVector(spec.k, tuple(p_fixed)))
+        row["optimized_error"] = evaluate_components(ctx, p_fixed)
     if "optimized_error" in row:
         row["reduction_pct"] = error_reduction_pct(baseline, row["optimized_error"])
     return row
@@ -335,6 +338,8 @@ def perms_study(
     random term orderings, per r."""
     if not r_grid:
         raise ValueError("r grid must be non-empty")
+    if n_random < 1:
+        raise ValueError("n_random must be >= 1")
     seed_vec = suzuki_seed(k)
     exact = exact_propagator(instance)  # shared by every ordering and r
     rng = derive_generator(master_seed, PURPOSE_PERMS)

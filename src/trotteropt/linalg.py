@@ -9,35 +9,19 @@ scaling-and-squaring routine: for Hermitian ``h`` with ``h = V diag(w) V†``,
 For purely imaginary ``c`` this is unitary up to roundoff, which matters
 because fitness values are spectral-norm distances between unitaries.
 Matrices here never exceed a few hundred rows, so dense eigensolvers are
-cheap and deterministic.
+cheap and deterministic. Kronecker and plain matrix products need no
+wrapper: callers use ``np.kron`` and ``@``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
-    "HermitianEig",
     "expm_scaled_hermitian",
-    "hermitian_eig",
-    "kron",
-    "matmul",
     "matrix_power",
     "spectral_norm",
 ]
-
-
-class HermitianEig(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``values`` are real and ascending; the columns of ``vectors`` are the
-    matching orthonormal eigenvectors.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _as_square(a) -> np.ndarray:
@@ -47,40 +31,18 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker (tensor) product: block (i, j) of the result is a[i, j] * b."""
-    return np.kron(_as_square(a), _as_square(b))
+def expm_scaled_hermitian(h, c: complex) -> np.ndarray:
+    """exp(c * h) for Hermitian h, via eigendecomposition.
 
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two equally sized square matrices."""
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def hermitian_eig(h) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises ``ValueError`` if ``h`` deviates from Hermiticity by more than
-    1e-12 relative to its largest entry.
+    Unitary (up to roundoff) whenever ``c`` is purely imaginary. Raises
+    ``ValueError`` if ``h`` deviates from Hermiticity by more than 1e-12
+    relative to its largest entry.
     """
     h = _as_square(h)
     scale = max(1.0, float(np.max(np.abs(h))))
     if float(np.max(np.abs(h - h.conj().T))) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
     values, vectors = np.linalg.eigh(h)
-    return HermitianEig(values, vectors)
-
-
-def expm_scaled_hermitian(h, c: complex) -> np.ndarray:
-    """exp(c * h) for Hermitian h, via eigendecomposition.
-
-    Unitary (up to roundoff) whenever ``c`` is purely imaginary.
-    """
-    values, vectors = hermitian_eig(h)
     return (vectors * np.exp(c * values)) @ vectors.conj().T
 
 

@@ -4,10 +4,15 @@ The Hamiltonian is the sum of 4n local terms: XX, YY and ZZ couplings on each
 bond (j, j+1) — indices wrap, so qubit n couples back to qubit 1 — plus a Z
 field of strength v_j on each site. Sites are 1-based throughout.
 
+Every term is a Pauli string. ``hamiltonian`` adds the terms as signed
+permutations; ``term_matrix`` builds one term as a Kronecker chain, an
+independent form kept as a check on the first.
+
 Besides building operators, this module owns term orderings (the order of
 exponential gates in a product formula is a free choice) and the gate count
 after merging exponentials of identical generators that can be brought next
-to each other by commutation.
+to each other by commutation. ``merge_gates`` walks an explicit gate stream
+and is the brute-force check on ``merged_gate_count``.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import kron
-
 __all__ = [
     "ChainInstance",
     "LocalTerm",
@@ -27,12 +30,10 @@ __all__ = [
     "Pauli",
     "TermKind",
     "TermOrdering",
-    "embed",
     "hamiltonian",
     "merge_gates",
     "merged_gate_count",
     "ordered_terms",
-    "pauli",
     "term_matrix",
     "terms_commute",
     "unmerged_gate_count",
@@ -52,11 +53,6 @@ _PAULI_MATS = {
 }
 
 
-def pauli(kind: Pauli) -> np.ndarray:
-    """The 2x2 Pauli matrix for ``kind``."""
-    return _PAULI_MATS[Pauli(kind)].copy()
-
-
 class TermKind(str, Enum):
     """Kinds of local Hamiltonian terms; Z is the single-site field term."""
 
@@ -64,11 +60,6 @@ class TermKind(str, Enum):
     YY = "yy"
     ZZ = "zz"
     Z = "z"
-
-
-COUPLING_KINDS = (TermKind.XX, TermKind.YY, TermKind.ZZ)
-
-COUPLING_PAULI = {TermKind.XX: Pauli.X, TermKind.YY: Pauli.Y, TermKind.ZZ: Pauli.Z}
 
 
 @dataclass(frozen=True)
@@ -192,38 +183,19 @@ def ordered_terms(instance: ChainInstance, ordering: TermOrdering) -> tuple[Loca
     return tuple(base[i] for i in perm)
 
 
-def embed(op, site: int, n: int) -> np.ndarray:
-    """Place a 2x2 (or 4x4, spanning site and site+1) operator at a tensor
-    position in an n-qubit space; qubit 1 is the leftmost factor."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape == (2, 2):
-        width = 1
-    elif op.shape == (4, 4):
-        width = 2
-    else:
-        raise ValueError(f"can only embed 2x2 or 4x4 operators, got {op.shape}")
-    if not 1 <= site <= n - width + 1:
-        raise ValueError(f"site {site} out of range for width-{width} operator on {n} qubits")
-    left = np.eye(2 ** (site - 1), dtype=complex)
-    right = np.eye(2 ** (n - site - width + 1), dtype=complex)
-    return kron(kron(left, op), right)
-
-
 def term_matrix(term: LocalTerm, n: int) -> np.ndarray:
-    """The 2^n-dimensional Hermitian matrix for one local term.
+    """The 2^n-dimensional Hermitian matrix for one local term, as a
+    Kronecker chain of 2x2 factors with qubit 1 leftmost.
 
     Wrap-around couplings (site = n) put operators at tensor positions n
-    and 1 of the kron chain.
+    and 1 of the chain. This is independent of the signed-permutation form
+    that ``hamiltonian`` and the S2 kernels use, so tests check one
+    against the other.
     """
-    if term.kind is TermKind.Z:
-        return term.coefficient * embed(pauli(Pauli.Z), term.site, n)
-    p = pauli(COUPLING_PAULI[term.kind])
-    j = term.site
-    k = j % n + 1
     factors = [np.eye(2, dtype=complex)] * n
-    factors[j - 1] = p
-    factors[k - 1] = p
-    return term.coefficient * reduce(kron, factors)
+    for site, letter in _pauli_sites(term, n).items():
+        factors[site - 1] = _PAULI_MATS[Pauli(letter)]
+    return term.coefficient * reduce(np.kron, factors)
 
 
 def _z_string(term: LocalTerm, n: int) -> tuple[int, np.ndarray]:

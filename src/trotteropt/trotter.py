@@ -4,8 +4,10 @@ second-order block evaluation.
 The order-2k formula is built recursively from the symmetric second-order
 block S2; a coefficient vector holds one 5-entry block per recursion level
 (levels 2..k), the Suzuki values being (p, p, 1-4p, p, p). Expanding the
-levels turns a coefficient vector into per-slice S2 phases; time slicing
-divides the phases by r and repeats the slice r times. The order parameter
+levels turns a coefficient vector into per-slice S2 phases
+(``slice_phases``); ``build_approximation`` divides them by r, multiplies
+the slice's S2 blocks and raises the product to the r-th power. That is
+the only path from coefficients to an approximation. The order parameter
 k = 1 is admitted as the degenerate case with an empty coefficient vector,
 meaning plain S2 slicing.
 
@@ -32,21 +34,14 @@ from .model import (
     TermOrdering,
     _pauli_string,
     _z_string,
-    commutation_table,
-    merge_gates,
     ordered_terms,
 )
 
 __all__ = [
-    "Circuit",
     "CoefficientVector",
     "DecompositionSpec",
     "S2Evaluator",
     "build_approximation",
-    "build_circuit",
-    "build_s1",
-    "build_s2",
-    "expand_phases",
     "fast_local_expm",
     "slice_phases",
     "suzuki_coefficient",
@@ -77,10 +72,6 @@ class CoefficientVector:
                 f"k={self.k} needs {5 * (self.k - 1)} components, got {len(self.components)}"
             )
 
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
     def block(self, level: int) -> tuple[float, ...]:
         """The 5-entry block for one recursion level (2 <= level <= k)."""
         if not 2 <= level <= self.k:
@@ -102,11 +93,6 @@ class DecompositionSpec:
             raise ValueError("k must be an integer >= 1")
         if not isinstance(self.r, int) or self.r < 1:
             raise ValueError("r must be an integer >= 1")
-
-    @property
-    def slices_per_step(self) -> int:
-        """S2 blocks per time slice: 5^(k-1)."""
-        return 5 ** (self.k - 1)
 
 
 def suzuki_coefficient(k: int) -> float:
@@ -139,14 +125,6 @@ def slice_phases(p: CoefficientVector) -> np.ndarray:
         block = p.block(level)
         phases = np.concatenate([coeff * phases for coeff in block])
     return phases
-
-
-def expand_phases(p: CoefficientVector, r: int) -> np.ndarray:
-    """The full phase vector of the r-slice formula: the single-slice
-    expansion divided by r, repeated r times (length r * 5^(k-1))."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return np.tile(slice_phases(p) / r, r)
 
 
 def fast_local_expm(term: LocalTerm, n: int, c: complex) -> np.ndarray:
@@ -237,20 +215,6 @@ class S2Evaluator:
         forward = self._forward(-0.5j * self.t * float(phase))
         return forward @ forward.T
 
-    def s1(self, phase: float) -> np.ndarray:
-        """First-order block: the single forward full-phase product."""
-        return self._forward(-1j * self.t * float(phase))
-
-
-def build_s2(instance: ChainInstance, ordering: TermOrdering, phase: float) -> np.ndarray:
-    """Symmetric second-order block for one instance at one phase."""
-    return S2Evaluator.for_instance(instance, ordering).s2(phase)
-
-
-def build_s1(instance: ChainInstance, ordering: TermOrdering, phase: float) -> np.ndarray:
-    """First-order product block for one instance at one phase."""
-    return S2Evaluator.for_instance(instance, ordering).s1(phase)
-
 
 def build_approximation(
     instance: ChainInstance,
@@ -273,41 +237,3 @@ def build_approximation(
         acc = block if acc is None else acc @ block
     assert acc is not None
     return matrix_power(acc, spec.r)
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """An explicit gate list: (term, phase) pairs, phase being the fraction
-    of the evolution parameter applied to that generator."""
-
-    gates: tuple[tuple[LocalTerm, float], ...]
-    k: int
-    r: int
-    ordering: TermOrdering
-    n: int
-
-
-def build_circuit(
-    instance: ChainInstance,
-    spec: DecompositionSpec,
-    p: CoefficientVector,
-    merged: bool = False,
-) -> Circuit:
-    """The gate sequence of the product formula; ``merged`` collapses
-    same-generator exponentials that commutation can bring together."""
-    terms = ordered_terms(instance, spec.ordering)
-    gates: list[tuple[int, float]] = []
-    for block_phase in expand_phases(p, spec.r):
-        half = float(block_phase) / 2.0
-        forward = [(i, half) for i in range(len(terms))]
-        gates.extend(forward)
-        gates.extend(forward[::-1])
-    if merged:
-        gates = merge_gates(gates, commutation_table(terms, instance.n))
-    return Circuit(
-        gates=tuple((terms[i], phase) for i, phase in gates),
-        k=spec.k,
-        r=spec.r,
-        ordering=spec.ordering,
-        n=instance.n,
-    )

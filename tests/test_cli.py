@@ -74,6 +74,17 @@ class TestOptimize:
         assert pa["meta"]["payload_sha256"] == pb["meta"]["payload_sha256"]
         assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--generations", "--sigma0"])
+    def test_zero_is_rejected_not_defaulted(self, tmp_path, instance_path, capsys, flag):
+        out = tmp_path / "run.json"
+        code = run([
+            "optimize", "--instance", instance_path, "--k", "2", "--r", "2",
+            flag, "0", "--seed", "5", "--out", out,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestSample:
     def test_csv_columns(self, tmp_path, instance_path):
@@ -127,6 +138,14 @@ class TestGeneralizeAndPerms:
         assert code == 0
         rows = read_record(out)["rows"]
         assert {row["ordering"] for row in rows} == {"grouped", "canonical", "random"}
+
+    def test_perms_rejects_zero_random(self, tmp_path, instance_path, capsys):
+        out = tmp_path / "perms.json"
+        code = run(["perms", "--instance", instance_path, "--k", "2",
+                    "--r-grid", "2", "--n-random", "0", "--seed", "2", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: n_random must be >= 1\n"
+        assert not out.exists()
 
 
 class TestErrors:

@@ -82,6 +82,16 @@ class TestStep:
             assert eigvals[0] > 0
         assert state.repair_count == 0
 
+    def test_floored_eigenvalue_counted_and_constants_carried(self):
+        state = cma_init(np.zeros(5), 0.5)
+        state.cov = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
+        new, _ = cma_step(state, sphere, np.random.default_rng(3))
+        assert new.repair_count == 1
+        assert new.generation == 1
+        for name in ("dim", "popsize", "mu", "mueff", "c_sigma", "d_sigma", "c_cov", "c1", "cmu", "chi_n"):
+            assert getattr(new, name) == getattr(state, name)
+        assert new.weights is state.weights
+
 
 class TestRun:
     def test_sphere_convergence(self):

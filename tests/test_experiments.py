@@ -222,6 +222,13 @@ class TestPerms:
         b = perms_study(tiny, 2, [2], n_random=3, master_seed=8)
         assert payload_digest(a) == payload_digest(b)
 
+    def test_zero_random_rejected_before_any_work(self, tiny, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "exact_propagator", calls.append)
+        with pytest.raises(ValueError, match="n_random must be >= 1"):
+            perms_study(tiny, 2, [2], n_random=0, master_seed=8)
+        assert calls == []
+
     def test_exact_propagator_built_once(self, tiny, monkeypatch):
         calls = []
 

@@ -2,14 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from trotteropt.linalg import (
-    expm_scaled_hermitian,
-    hermitian_eig,
-    kron,
-    matmul,
-    matrix_power,
-    spectral_norm,
-)
+from trotteropt.linalg import expm_scaled_hermitian, matrix_power, spectral_norm
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -19,82 +12,6 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def random_complex(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
-class TestKron:
-    def test_identity(self):
-        npt.assert_array_equal(kron(I2, I2), np.eye(4))
-
-    def test_x_on_first_qubit(self):
-        # X (x) I expanded by hand: flips the high bit.
-        m = kron(X, I2)
-        assert m[0, 2] == 1
-        assert m[1, 3] == 1
-        assert m[0, 1] == 0
-
-    def test_zz_diagonal(self):
-        npt.assert_array_equal(kron(Z, Z), np.diag([1, -1, -1, 1]).astype(complex))
-
-    def test_associative_exact_entries(self):
-        # Entrywise products of Pauli/dyadic entries are exact, so the two
-        # groupings agree bit for bit.
-        for a, b, c in [(X, Y, Z), (Z, X, X), (np.diag([0.5, -0.25]), Y, I2)]:
-            npt.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-    def test_associative_generic(self):
-        rng = np.random.default_rng(0)
-        a, b, c = (random_complex(rng, 2) for _ in range(3))
-        npt.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), rtol=1e-15, atol=1e-15)
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        a = random_complex(rng, 4)
-        npt.assert_array_equal(matmul(np.eye(4), a), a)
-
-    def test_pauli_involution(self):
-        npt.assert_allclose(matmul(X, X), I2, atol=0)
-
-    def test_xy_is_iz(self):
-        npt.assert_allclose(matmul(X, Y), 1j * Z, atol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
-
-
-class TestHermitianEig:
-    def test_diagonal_input(self):
-        values, _ = hermitian_eig(Z)
-        npt.assert_allclose(values, [-1, 1], atol=1e-15)
-
-    def test_x_eigensystem(self):
-        # Characteristic polynomial of X gives eigenvalues -1, 1 and
-        # eigenvectors (1, -+1)/sqrt(2).
-        values, vectors = hermitian_eig(X)
-        npt.assert_allclose(values, [-1, 1], atol=1e-15)
-        npt.assert_allclose(np.abs(vectors), np.full((2, 2), 1 / np.sqrt(2)), atol=1e-15)
-
-    def test_identity(self):
-        values, _ = hermitian_eig(np.eye(4))
-        npt.assert_allclose(values, np.ones(4), atol=0)
-
-    @pytest.mark.parametrize("dim", [2, 5, 16])
-    def test_reconstruction_and_orthonormality(self, dim):
-        rng = np.random.default_rng(dim)
-        a = random_complex(rng, dim)
-        h = a + a.conj().T
-        values, vectors = hermitian_eig(h)
-        scale = spectral_norm(h)
-        recon = (vectors * values) @ vectors.conj().T
-        assert spectral_norm(recon - h) <= 1e-10 * scale
-        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim))) <= 1e-10
-        assert np.all(np.diff(values) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestExpm:
@@ -136,6 +53,29 @@ class TestExpm:
         lhs = expm_scaled_hermitian(X + Y, 1j)
         rhs = expm_scaled_hermitian(X, 1j) @ expm_scaled_hermitian(Y, 1j)
         assert spectral_norm(lhs - rhs) > 0.1
+
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    def test_matches_taylor_series(self, dim):
+        # Independent of the eigendecomposition: scale c*h below norm 1/2,
+        # sum 30 Taylor terms, then square back up.
+        rng = np.random.default_rng(dim)
+        a = random_complex(rng, dim)
+        h = a + a.conj().T
+        c = -0.7j
+        squarings = max(0, int(np.ceil(np.log2(2 * abs(c) * spectral_norm(h)))))
+        m = c * h / 2**squarings
+        term = np.eye(dim, dtype=complex)
+        expected = term.copy()
+        for j in range(1, 30):
+            term = term @ m / j
+            expected += term
+        for _ in range(squarings):
+            expected = expected @ expected
+        assert spectral_norm(expm_scaled_hermitian(h, c) - expected) <= 1e-10
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            expm_scaled_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1j)
 
 
 def power_iteration_norm(a, iterations=2000):

@@ -1,73 +1,37 @@
-from functools import reduce
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from trotteropt.linalg import kron, spectral_norm
+from trotteropt.linalg import spectral_norm
 from trotteropt.model import (
     ChainInstance,
     LocalTerm,
     Pauli,
     TermKind,
     TermOrdering,
+    _PAULI_MATS,
     _anticommutation_masks,
     commutation_table,
-    embed,
     hamiltonian,
     merge_gates,
     merged_gate_count,
     ordered_terms,
-    pauli,
     term_matrix,
     terms_commute,
     unmerged_gate_count,
 )
+from trotteropt.trotter import slice_phases, suzuki_seed
 
 
 class TestPauli:
     def test_x(self):
-        npt.assert_array_equal(pauli(Pauli.X), [[0, 1], [1, 0]])
+        npt.assert_array_equal(_PAULI_MATS[Pauli.X], [[0, 1], [1, 0]])
 
     def test_y(self):
-        npt.assert_array_equal(pauli(Pauli.Y), [[0, -1j], [1j, 0]])
+        npt.assert_array_equal(_PAULI_MATS[Pauli.Y], [[0, -1j], [1j, 0]])
 
     def test_z(self):
-        npt.assert_array_equal(pauli(Pauli.Z), [[1, 0], [0, -1]])
-
-
-class TestEmbed:
-    def test_single_qubit(self):
-        npt.assert_array_equal(embed(pauli(Pauli.X), 1, 1), pauli(Pauli.X))
-
-    def test_second_of_two(self):
-        npt.assert_array_equal(
-            embed(pauli(Pauli.Z), 2, 2), np.diag([1, -1, 1, -1]).astype(complex)
-        )
-
-    @pytest.mark.parametrize("site", [1, 2, 3])
-    def test_identity_embeds_to_identity(self, site):
-        npt.assert_array_equal(embed(np.eye(2), site, 3), np.eye(8))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            embed(pauli(Pauli.X), 4, 3)
-        with pytest.raises(ValueError):
-            embed(np.eye(4), 3, 3)  # two-qubit operator needs site < n
-
-    def test_commutation_of_embedded_paulis(self):
-        n = 3
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for p in Pauli:
-                    for q in Pauli:
-                        a = embed(pauli(p), i, n)
-                        b = embed(pauli(q), j, n)
-                        norm = spectral_norm(a @ b - b @ a)
-                        if i == j and p != q:
-                            assert norm >= 1.0
-                        else:
-                            assert norm <= 1e-12
+        npt.assert_array_equal(_PAULI_MATS[Pauli.Z], [[1, 0], [0, -1]])
 
 
 class TestTermMatrix:
@@ -75,18 +39,19 @@ class TestTermMatrix:
         npt.assert_array_equal(term_matrix(LocalTerm(TermKind.Z, 1, 0.0), 3), np.zeros((8, 8)))
 
     def test_interior_coupling(self):
-        x = pauli(Pauli.X)
-        expected = reduce(kron, [x, x, np.eye(2)])
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        expected = np.kron(np.kron(x, x), np.eye(2))
         npt.assert_array_equal(term_matrix(LocalTerm(TermKind.XX, 1), 3), expected)
 
     def test_wraparound_coupling(self):
-        x = pauli(Pauli.X)
-        expected = reduce(kron, [x, np.eye(2), x])
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        expected = np.kron(np.kron(x, np.eye(2)), x)
         npt.assert_array_equal(term_matrix(LocalTerm(TermKind.XX, 3), 3), expected)
 
     def test_field_coefficient(self):
         m = term_matrix(LocalTerm(TermKind.Z, 2, -0.375), 3)
-        npt.assert_array_equal(m, -0.375 * embed(pauli(Pauli.Z), 2, 3))
+        z = np.diag([1.0, -1.0])
+        npt.assert_array_equal(m, -0.375 * np.kron(np.kron(np.eye(2), z), np.eye(2)))
 
 
 class TestChainInstance:
@@ -270,6 +235,11 @@ def _oracle_orderings(n: int) -> list[TermOrdering]:
     ]
 
 
+def _phase_per_generator(gates, count: int) -> np.ndarray:
+    ids, phases = zip(*gates)
+    return np.bincount(ids, weights=phases, minlength=count)
+
+
 class TestMergedGateCountOracle:
     """The open-bit counter against the brute-force merge of the full stream."""
 
@@ -279,12 +249,23 @@ class TestMergedGateCountOracle:
         for ordering in _oracle_orderings(n):
             terms = ordered_terms(inst, ordering)
             table = commutation_table(terms, n)
-            block = [(i, 1.0) for i in range(len(terms))]
-            block += block[::-1]
+            block = [*range(len(terms)), *reversed(range(len(terms)))]
             for k in (1, 2, 3):
                 for r in (1, 2, 3, 7):
-                    expected = len(merge_gates(block * (r * 5 ** (k - 1)), table))
-                    assert merged_gate_count(inst, ordering, k, r) == expected, (ordering, k, r)
+                    # The Suzuki gate stream: every S2 phase of the r slices,
+                    # halved over the forward and the reversed pass.
+                    phases = np.tile(slice_phases(suzuki_seed(k)) / r, r)
+                    stream = [(g, x / 2) for x in phases for g in block]
+                    assert len(stream) == unmerged_gate_count(inst, k, r)
+                    merged = merge_gates(stream, table)
+                    assert merged_gate_count(inst, ordering, k, r) == len(merged), (ordering, k, r)
+                    # Merging only moves phase weight between gates of one generator.
+                    npt.assert_allclose(
+                        _phase_per_generator(merged, len(terms)),
+                        _phase_per_generator(stream, len(terms)),
+                        rtol=0,
+                        atol=1e-12,
+                    )
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_masks_match_commutation_table(self, n):

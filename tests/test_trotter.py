@@ -2,13 +2,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from trotteropt.linalg import expm_scaled_hermitian, spectral_norm
+from trotteropt.linalg import expm_scaled_hermitian, matrix_power, spectral_norm
 from trotteropt.model import (
     ChainInstance,
     LocalTerm,
     TermKind,
     TermOrdering,
+    commutation_table,
     hamiltonian,
+    merge_gates,
     merged_gate_count,
     ordered_terms,
     term_matrix,
@@ -19,10 +21,6 @@ from trotteropt.trotter import (
     DecompositionSpec,
     S2Evaluator,
     build_approximation,
-    build_circuit,
-    build_s1,
-    build_s2,
-    expand_phases,
     fast_local_expm,
     slice_phases,
     suzuki_coefficient,
@@ -85,12 +83,17 @@ class TestSuzukiSeed:
 class TestPhaseExpansion:
     def test_k2_r3_pattern(self):
         # Five entries divided by 3, repeated three times.
+        inst = small_instance()
+        ev = S2Evaluator.for_instance(inst, GROUPED)
         p = suzuki_coefficient(2)
-        expected = np.tile(np.array([p, p, 1 - 4 * p, p, p]) / 3, 3)
-        npt.assert_allclose(expand_phases(suzuki_seed(2), 3), expected, atol=0)
+        expected = np.eye(8, dtype=complex)
+        for x in np.tile(np.array([p, p, 1 - 4 * p, p, p]) / 3, 3):
+            expected = expected @ ev.s2(x)
+        got = build_approximation(inst, DecompositionSpec(2, 3, GROUPED), suzuki_seed(2), ev)
+        assert spectral_norm(got - expected) <= 1e-12
 
     def test_k2_r1_unchanged(self):
-        npt.assert_array_equal(expand_phases(suzuki_seed(2), 1), suzuki_seed(2).components)
+        npt.assert_array_equal(slice_phases(suzuki_seed(2)), suzuki_seed(2).components)
 
     def test_k3_outer_product(self):
         phases = slice_phases(suzuki_seed(3))
@@ -102,12 +105,17 @@ class TestPhaseExpansion:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_sum_is_one_across_r(self, k):
-        seed = suzuki_seed(k)
+        # r slices at the phases divided by r cover the whole evolution.
+        phases = slice_phases(suzuki_seed(k))
         for r in list(range(1, 21)) + [50, 125, 200]:
-            assert float(expand_phases(seed, r).sum()) == pytest.approx(1.0, abs=1e-12)
+            assert float(np.tile(phases / r, r).sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_k1_plain_slicing(self):
-        npt.assert_array_equal(expand_phases(suzuki_seed(1), 4), np.full(4, 0.25))
+        npt.assert_array_equal(slice_phases(suzuki_seed(1)), [1.0])
+        inst = small_instance()
+        ev = S2Evaluator.for_instance(inst, GROUPED)
+        got = build_approximation(inst, DecompositionSpec(1, 4, GROUPED), suzuki_seed(1), ev)
+        npt.assert_array_equal(got, matrix_power(ev.s2(0.25), 4))
 
 
 class TestFastLocalExpm:
@@ -140,7 +148,7 @@ def commuting_toy_terms(n=3):
 class TestS2:
     def test_zero_phase_is_identity(self):
         inst = small_instance()
-        npt.assert_allclose(build_s2(inst, GROUPED, 0.0), np.eye(8), atol=1e-14)
+        npt.assert_allclose(S2Evaluator.for_instance(inst, GROUPED).s2(0.0), np.eye(8), atol=1e-14)
 
     def test_single_term_is_exact_exponential(self):
         term = LocalTerm(TermKind.XX, 1)
@@ -158,7 +166,7 @@ class TestS2:
     @pytest.mark.parametrize("phase", [0.2, -0.41449, 3.7])
     def test_unitary_at_any_phase(self, phase):
         inst = small_instance()
-        s2 = build_s2(inst, GROUPED, phase)
+        s2 = S2Evaluator.for_instance(inst, GROUPED).s2(phase)
         assert np.max(np.abs(s2 @ s2.conj().T - np.eye(8))) <= 1e-9
 
 
@@ -191,8 +199,10 @@ class TestKernels:
         for phase in (-0.41449, 0.3, 1.7):
             expected = oracle_product(terms, n, -0.5j * inst.t * phase, symmetric=True)
             assert spectral_norm(ev.s2(phase) - expected) <= 1e-12
+            # The forward half-product F that S2 = F F^T is built from is,
+            # at the full phase, the first-order product S1.
             expected = oracle_product(terms, n, -1j * inst.t * phase, symmetric=False)
-            assert spectral_norm(ev.s1(phase) - expected) <= 1e-12
+            assert spectral_norm(ev._forward(-1j * inst.t * phase) - expected) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_kernels_agree_on_grouped_sequence(self, n):
@@ -212,25 +222,6 @@ class TestKernels:
         # ZZ and Z may interleave; YY ahead of XX leaves the grouped form.
         assert grouped(commuting_toy_terms()[::-1])
         assert not grouped((LocalTerm(TermKind.YY, 1), LocalTerm(TermKind.XX, 2)))
-
-
-class TestS1:
-    def test_zero_phase_is_identity(self):
-        inst = small_instance()
-        npt.assert_allclose(build_s1(inst, GROUPED, 0.0), np.eye(8), atol=1e-14)
-
-    def test_commuting_terms_exact(self):
-        terms = commuting_toy_terms()
-        ev = S2Evaluator(terms, n=3, t=1.0)
-        total = sum(term_matrix(term, 3) for term in terms)
-        assert spectral_norm(ev.s1(0.9) - expm_scaled_hermitian(total, -0.9j)) <= 1e-9
-
-    def test_first_order_is_worse_than_second(self):
-        inst = small_instance()
-        exact = expm_scaled_hermitian(hamiltonian(inst), -1j * inst.t)
-        err1 = spectral_norm(build_s1(inst, GROUPED, 1.0) - exact)
-        err2 = spectral_norm(build_s2(inst, GROUPED, 1.0) - exact)
-        assert err1 > err2
 
 
 class TestBuildApproximation:
@@ -303,34 +294,48 @@ class TestBuildApproximation:
             build_approximation(inst, DecompositionSpec(3, 1, GROUPED), suzuki_seed(2))
 
 
+def gate_stream(inst, spec, coeffs):
+    """The (generator id, phase) gates of the product formula in time order:
+    each S2 phase of the r slices, halved over a forward and a reversed pass
+    of the ordered terms."""
+    count = len(ordered_terms(inst, spec.ordering))
+    block = [*range(count), *reversed(range(count))]
+    phases = np.tile(slice_phases(coeffs) / spec.r, spec.r)
+    return [(g, x / 2) for x in phases for g in block]
+
+
+def merged_stream(inst, spec, coeffs):
+    table = commutation_table(ordered_terms(inst, spec.ordering), inst.n)
+    return merge_gates(gate_stream(inst, spec, coeffs), table)
+
+
 class TestCircuit:
     def test_unmerged_gate_count(self):
         inst = small_instance()
         spec = DecompositionSpec(2, 2, GROUPED)
-        circuit = build_circuit(inst, spec, suzuki_seed(2))
-        assert len(circuit.gates) == unmerged_gate_count(inst, 2, 2)
+        assert len(gate_stream(inst, spec, suzuki_seed(2))) == unmerged_gate_count(inst, 2, 2)
 
     def test_merged_gate_count_matches(self):
         inst = small_instance()
         for ordering in (GROUPED, TermOrdering.canonical()):
             spec = DecompositionSpec(2, 2, ordering)
-            circuit = build_circuit(inst, spec, suzuki_seed(2), merged=True)
-            assert len(circuit.gates) == merged_gate_count(inst, ordering, 2, 2)
+            merged = merged_stream(inst, spec, suzuki_seed(2))
+            assert len(merged) == merged_gate_count(inst, ordering, 2, 2)
 
     def test_merged_phases_conserved(self):
         # Merging only moves phase weight between gates of one generator.
         inst = small_instance()
         spec = DecompositionSpec(2, 3, GROUPED)
-        plain = build_circuit(inst, spec, suzuki_seed(2))
-        merged = build_circuit(inst, spec, suzuki_seed(2), merged=True)
+        plain = gate_stream(inst, spec, suzuki_seed(2))
+        merged = merged_stream(inst, spec, suzuki_seed(2))
 
-        def weight(circuit):
+        def weight(gates):
             acc = {}
-            for term, phase in circuit.gates:
-                acc[term] = acc.get(term, 0.0) + phase
+            for gid, phase in gates:
+                acc[gid] = acc.get(gid, 0.0) + phase
             return acc
 
         w_plain, w_merged = weight(plain), weight(merged)
         assert set(w_plain) == set(w_merged)
-        for term in w_plain:
-            assert w_plain[term] == pytest.approx(w_merged[term], abs=1e-12)
+        for gid in w_plain:
+            assert w_plain[gid] == pytest.approx(w_merged[gid], abs=1e-12)
