@@ -23,7 +23,7 @@ from .fitness import (
     evaluate_components,
     exact_propagator,
 )
-from .model import ChainInstance, TermOrdering, merged_gate_count, unmerged_gate_count
+from .model import ChainInstance, OrderingMode, TermOrdering, merged_gate_count, unmerged_gate_count
 from .records import (
     PURPOSE_APPEND,
     PURPOSE_CMA,
@@ -275,11 +275,18 @@ def generalize(
     points: list[tuple[float, ChainInstance, DecompositionSpec]] = []
     if axis == "v":
         count = int(grid[0]) if len(grid) == 1 else len(grid)
+        if count < 1:
+            raise ValueError("axis=v hold-out count must be >= 1")
         for i in range(1, count + 1):
             rng = derive_generator(record_seed, PURPOSE_HOLDOUT, i)
             inst = ChainInstance.random(base_instance.n, rng, t=base_instance.t)
             points.append((float(i), inst, spec))
     elif axis == "n":
+        if spec.ordering.mode is OrderingMode.EXPLICIT:
+            raise ValueError(
+                "axis=n cannot extend an explicit term ordering to more sites: the record's "
+                f"permutation orders the {4 * base_instance.n} terms of n={base_instance.n}"
+            )
         for n_new in grid:
             n_new = int(n_new)
             if n_new <= base_instance.n:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small operator matrices.
+"""Dense complex linear algebra for small operator matrices and stacks of them.
 
 Every exponent in this package is a scalar multiple of a Hermitian matrix, so
 matrix exponentials go through an eigendecomposition instead of a general
@@ -8,9 +8,16 @@ scaling-and-squaring routine: for Hermitian ``h`` with ``h = V diag(w) V†``,
 
 For purely imaginary ``c`` this is unitary up to roundoff, which matters
 because fitness values are spectral-norm distances between unitaries.
-Matrices here never exceed a few hundred rows, so dense eigensolvers are
-cheap and deterministic. Kronecker and plain matrix products need no
-wrapper: callers use ``np.kron`` and ``@``.
+
+Every function takes a square matrix or a ``(..., m, m)`` stack of them and
+acts block by block. The fitness path carries each operator as the stack
+of its two parity-sector blocks (every chain term commutes with Z^n), so a
+stack stands for the block-diagonal operator: products and powers act per
+block, and the spectral norm of a stack is the largest over its blocks,
+which is the norm of that operator. At the chain sizes used here (n <= 8)
+a sector block has at most 128 rows, so dense eigensolvers are cheap and
+deterministic. Kronecker and plain matrix products need no wrapper:
+callers use ``np.kron`` and ``@``.
 """
 
 from __future__ import annotations
@@ -26,9 +33,14 @@ __all__ = [
 
 def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each block (``.T`` would reverse the stack axes too)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def expm_scaled_hermitian(h, c: complex) -> np.ndarray:
@@ -36,31 +48,32 @@ def expm_scaled_hermitian(h, c: complex) -> np.ndarray:
 
     Unitary (up to roundoff) whenever ``c`` is purely imaginary. Raises
     ``ValueError`` if ``h`` deviates from Hermiticity by more than 1e-12
-    relative to its largest entry.
+    relative to its largest entry (over the whole stack).
     """
     h = _as_square(h)
     scale = max(1.0, float(np.max(np.abs(h))))
-    if float(np.max(np.abs(h - h.conj().T))) > 1e-12 * scale:
+    if float(np.max(np.abs(h - _adjoint(h)))) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
     values, vectors = np.linalg.eigh(h)
-    return (vectors * np.exp(c * values)) @ vectors.conj().T
+    return (vectors * np.exp(c * values)[..., None, :]) @ _adjoint(vectors)
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value, as sqrt of the top eigenvalue of a†a."""
+    """Largest singular value, as sqrt of the top eigenvalue of a†a; for a
+    stack, the largest over its blocks."""
     a = _as_square(a)
-    top = float(np.linalg.eigvalsh(a.conj().T @ a)[-1])
+    top = float(np.max(np.linalg.eigvalsh(_adjoint(a) @ a)[..., -1]))
     return float(np.sqrt(max(top, 0.0)))
 
 
 def matrix_power(a, r: int) -> np.ndarray:
-    """a**r by binary exponentiation; r = 0 returns the identity."""
+    """a**r by binary exponentiation, block by block; r = 0 returns the identity."""
     a = _as_square(a)
     r = int(r)
     if r < 0:
         raise ValueError("negative powers are not supported")
     if r == 0:
-        return np.eye(a.shape[0], dtype=complex)
+        return np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
     result: np.ndarray | None = None
     base = a
     while r:

@@ -6,7 +6,9 @@ field of strength v_j on each site. Sites are 1-based throughout.
 
 Every term is a Pauli string. ``hamiltonian`` adds the terms as signed
 permutations; ``term_matrix`` builds one term as a Kronecker chain, an
-independent form kept as a check on the first.
+independent form kept as a check on the first. Both are dense; the fitness
+path restricts operators to the two parity sectors of ``_sectors``, since
+every term flips an even number of spins.
 
 Besides building operators, this module owns term orderings (the order of
 exponential gates in a product formula is a free choice) and the gate count
@@ -201,9 +203,12 @@ def term_matrix(term: LocalTerm, n: int) -> np.ndarray:
 def _z_string(term: LocalTerm, n: int) -> tuple[int, np.ndarray]:
     """Bit mask of a term's qubits (qubit 1 is the most significant bit, as
     in the kron order of ``term_matrix``) and the diagonal of its Z string."""
-    sites = np.array([term.site] if term.kind is TermKind.Z else [term.site, term.site % n + 1])
-    bits = (np.arange(2**n)[:, None] >> (n - sites)) & 1
-    return int(np.sum(1 << (n - sites))), np.prod(1.0 - 2.0 * bits, axis=1)
+    sites = [term.site] if term.kind is TermKind.Z else [term.site, term.site % n + 1]
+    basis = np.arange(2**n)
+    parity = np.zeros_like(basis)
+    for site in sites:
+        parity ^= basis >> (n - site)
+    return sum(1 << (n - site) for site in sites), 1.0 - 2.0 * (parity & 1)
 
 
 def _pauli_string(term: LocalTerm, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,6 +223,26 @@ def _pauli_string(term: LocalTerm, n: int) -> tuple[np.ndarray, np.ndarray]:
     if term.kind is TermKind.YY:
         return basis ^ mask, -z_signs
     return basis, z_signs
+
+
+def _sectors(n: int) -> np.ndarray:
+    """The basis states split by parity, shape (2, 2^(n-1)): the states of
+    even popcount, then those of odd popcount, each ascending.
+
+    Every chain term flips an even number of bits (XX and YY two, ZZ and Z
+    none), so it commutes with the parity Z^n and never maps a state of
+    one sector into the other. Every operator built from the terms is
+    block-diagonal in these two sectors.
+    """
+    return np.argsort(_parity(np.arange(2**n), n), kind="stable").reshape(2, -1)
+
+
+def _parity(values: np.ndarray, n: int) -> np.ndarray:
+    """Popcount parity of each entry of an integer array below 2^n."""
+    parity = np.zeros_like(values)
+    for bit in range(n):
+        parity ^= values >> bit
+    return parity & 1
 
 
 def hamiltonian(instance: ChainInstance) -> np.ndarray:

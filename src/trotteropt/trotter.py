@@ -17,6 +17,12 @@ fractions and the -i * t is applied at exponentiation time.
 Every chain term is a Pauli string, so S2 comes from closed forms, not from
 numerical exponentials: a grouped-basis kernel when the term kinds come as
 XX, YY, then ZZ and Z, and a Pauli-rotation product otherwise.
+
+Every term also flips an even number of spins, so it commutes with the
+parity Z^n, and so do S2, the slice and its r-th power. They are exactly
+block-diagonal in the even- and odd-popcount sectors, and are built and
+carried as ``(2, 2^(n-1), 2^(n-1))`` stacks of those two blocks, never at
+the full dimension 2^n.
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ from .model import (
     LocalTerm,
     TermKind,
     TermOrdering,
+    _parity,
     _pauli_string,
+    _sectors,
     _z_string,
     ordered_terms,
 )
@@ -148,28 +156,45 @@ _GROUP = {TermKind.XX: 0, TermKind.YY: 1, TermKind.ZZ: 2, TermKind.Z: 2}
 class S2Evaluator:
     """Builds symmetric second-order blocks for a fixed term sequence.
 
+    Every term flips an even number of spins, so it commutes with the
+    parity Z^n, and so does every product of term exponentials: S2 is
+    exactly block-diagonal in the even- and odd-popcount sectors
+    (``model._sectors``). The evaluator builds and returns only those two
+    blocks, as a ``(2, 2^(n-1), 2^(n-1))`` stack, which halves every
+    dimension and quarters every matmul.
+
     Every term is a real symmetric Pauli string, so each term exponential
     is symmetric, the reversed half-product is the transpose of the forward
-    half-product F, and S2 = F @ F^T. Which kernel computes F depends on
-    the term sequence:
+    half-product F, and S2 = F @ F^T block by block. Which kernel computes
+    F depends on the term sequence:
 
     - Grouped: kinds come as XX, then YY, then ZZ and Z in any mix (the
       grouped ordering). Each group commutes and is diagonal in a fixed
       basis, so F = H^n D_xx H^n . V D_yy V^dag . D_zz+z with V = (SH)^n
       and the diagonals built from spin signs. H^n D H^n has entry
-      g[a ^ b], g being the Walsh-Hadamard transform of D's diagonal, and
-      S^n is diagonal, so F costs one dense matmul.
+      g[a ^ b], g being the Walsh-Hadamard transform of D's diagonal;
+      within a sector a ^ b has even popcount, so only g's even-popcount
+      entries are needed. S^n is diagonal, so F costs one batched matmul.
     - Any other sequence (canonical, explicit): the Pauli-rotation product,
       one term exponential cosh(ca) I + sinh(ca) P at a time, where the
-      product with P is a signed permutation.
+      product with P is a signed permutation of the rows of the two blocks
+      laid one above the other.
     """
 
     def __init__(self, terms, n: int, t: float):
         self.terms = tuple(terms)
         self.n = n
         self.t = float(t)
-        self._rotations = [(*_pauli_string(term, n), term.coefficient) for term in self.terms]
-        assert all(np.array_equal(sign[perm], sign) for perm, sign, _ in self._rotations), (
+        self._states = _sectors(n)
+        states = self._states.reshape(-1)
+        flat = np.empty_like(states)
+        flat[states] = np.arange(states.size)  # row of each state in the (2M, M) stack
+        strings = [_pauli_string(term, n) for term in self.terms]
+        # P restricted to the sectors: P|states[i]> = signs[i] |states[perms[i]]>.
+        self._perms = flat[np.array([perm for perm, _ in strings])[:, states]]
+        self._signs = np.array([sign for _, sign in strings])[:, states]
+        self._coefficients = tuple(term.coefficient for term in self.terms)
+        assert np.array_equal(np.take_along_axis(self._signs, self._perms, axis=1), self._signs), (
             "F^T is the reversed half-product only for symmetric generators")
         groups = [_GROUP[term.kind] for term in self.terms]
         self._grouped = groups == sorted(groups)
@@ -178,11 +203,14 @@ class S2Evaluator:
         self._diagonals = np.zeros((3, 2**n))
         for term, group in zip(self.terms, groups):
             self._diagonals[group] += term.coefficient * _z_string(term, n)[1]
+        # Within a sector a ^ b is an even state, stored at row flat[a ^ b] < M.
+        self._xor = flat[self._states[:, :, None] ^ self._states[:, None, :]]
+        # (self._walsh @ d)[self._xor] is H^n diag(d) H^n, block by block:
+        # the Walsh matrix (-1)^popcount(a & b) / 2^n, on its even rows a.
         basis = np.arange(2**n)
-        self._xor = basis[:, None] ^ basis[None, :]
-        # (self._walsh @ d)[self._xor] is H^n diag(d) H^n.
-        self._walsh = reduce(np.kron, [np.array([[0.5, 0.5], [0.5, -0.5]])] * n)
-        self._s = reduce(np.kron, [np.array([1, 1j])] * n)  # diagonal of S^n
+        parity = _parity(basis, n)
+        self._walsh = np.where(parity[self._states[0][:, None] & basis], -0.5**n, 0.5**n)
+        self._s = reduce(np.kron, [np.array([1, 1j])] * n)[self._states]  # diagonal of S^n
 
     @classmethod
     def for_instance(cls, instance: ChainInstance, ordering: TermOrdering) -> "S2Evaluator":
@@ -194,26 +222,29 @@ class S2Evaluator:
     def _grouped_forward(self, c: complex) -> np.ndarray:
         dxx, dyy, dzz = np.exp(c * self._diagonals)
         yy = (self._walsh @ dyy)[self._xor]
-        yy *= self._s[:, None]
-        yy *= self._s.conj() * dzz
+        yy *= self._s[:, :, None]
+        yy *= (self._s.conj() * dzz[self._states])[:, None, :]
         return (self._walsh @ dxx)[self._xor] @ yy
 
     def _pauli_forward(self, c: complex) -> np.ndarray:
-        # Builds F^T = E_L ... E_1, since numpy gathers rows faster than columns.
-        acc = np.eye(2**self.n, dtype=complex)
+        # Builds F^T = E_L ... E_1 on the two blocks stacked as (2M, M) rows,
+        # since numpy gathers rows faster than columns.
+        half = self._states.shape[1]
+        acc = np.tile(np.eye(half, dtype=complex), (2, 1))
         rotated = np.empty_like(acc)
-        for perm, sign, a in self._rotations:
+        for perm, sign, a in zip(self._perms, self._signs, self._coefficients):
             np.take(acc, perm, axis=0, out=rotated)
             rotated *= (np.sinh(c * a) * sign)[:, None]
             acc *= np.cosh(c * a)
             acc += rotated
-        return acc.T
+        return acc.reshape(2, half, half).swapaxes(-1, -2)
 
     def s2(self, phase: float) -> np.ndarray:
-        """S2 at the given fraction of the evolution parameter: forward
-        half-phase product times the reversed half-phase product."""
+        """S2 at the given fraction of the evolution parameter, as its two
+        sector blocks: forward half-phase product times the reversed
+        half-phase product."""
         forward = self._forward(-0.5j * self.t * float(phase))
-        return forward @ forward.T
+        return forward @ forward.swapaxes(-1, -2)
 
 
 def build_approximation(
@@ -222,7 +253,8 @@ def build_approximation(
     p: CoefficientVector,
     evaluator: S2Evaluator | None = None,
 ) -> np.ndarray:
-    """The full product-formula approximation to exp(-i t H).
+    """The full product-formula approximation to exp(-i t H), as the stack
+    of its two parity-sector blocks (see ``S2Evaluator``).
 
     One time slice is the product of S2 blocks at the expanded phases
     divided by r; the slice is then raised to the r-th power. For the Suzuki

@@ -131,6 +131,33 @@ class TestGeneralizeAndPerms:
         payload = read_record(out)
         assert [row["value"] for row in payload["rows"]] == [2.0, 3.0]
 
+    def test_generalize_n_rejects_random_ordering_record(self, tmp_path, capsys):
+        instance = tmp_path / "inst4.json"
+        run(["generate-instance", "--n", "4", "--seed", "4", "--out", instance])
+        record = tmp_path / "run.json"
+        run(["optimize", "--instance", instance, "--k", "2", "--r", "2", "--ordering", "random",
+             "--generations", "2", "--seed", "3", "--out", record])
+        capsys.readouterr()
+        out = tmp_path / "gen.json"
+        code = run(["generalize", "--record", record, "--axis", "n", "--grid", "5,6", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: axis=n cannot extend an explicit term ordering to more sites")
+        assert "bijection" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_generalize_v_rejects_count_below_one(self, tmp_path, instance_path, capsys, count):
+        record = tmp_path / "run.json"
+        run(["optimize", "--instance", instance_path, "--k", "2", "--r", "2",
+             "--generations", "2", "--seed", "3", "--out", record])
+        capsys.readouterr()
+        out = tmp_path / "gen.json"
+        code = run(["generalize", "--record", record, "--axis", "v", "--grid", count, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: axis=v hold-out count must be >= 1\n"
+        assert not out.exists()
+
     def test_perms_table(self, tmp_path, instance_path):
         out = tmp_path / "perms.json"
         code = run(["perms", "--instance", instance_path, "--k", "2",

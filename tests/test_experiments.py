@@ -161,6 +161,20 @@ class TestGeneralize:
         payload = generalize(tiny_run, "n", [4, 5])
         assert [row["value"] for row in payload["rows"]] == [4.0, 5.0]
 
+    def test_axis_n_rejects_explicit_ordering_before_any_work(self, tiny_run, monkeypatch):
+        run = dict(tiny_run, spec=dict(tiny_run["spec"], ordering={
+            "mode": "explicit", "permutation": list(range(12))[::-1]}))
+        calls = []
+        monkeypatch.setattr(experiments, "exact_propagator", calls.append)
+        with pytest.raises(ValueError, match="explicit term ordering"):
+            generalize(run, "n", [4, 5])
+        assert calls == []
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_axis_v_rejects_count_below_one(self, tiny_run, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            generalize(tiny_run, "v", [count])
+
     def test_axis_n_cap(self, tiny_run):
         with pytest.raises(ValueError, match="cap"):
             generalize(tiny_run, "n", [9])

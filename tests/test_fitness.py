@@ -9,9 +9,11 @@ from trotteropt.fitness import (
     evaluate_components,
     exact_propagator,
 )
-from trotteropt.linalg import spectral_norm
-from trotteropt.model import ChainInstance, TermOrdering, hamiltonian
-from trotteropt.trotter import CoefficientVector, DecompositionSpec, suzuki_seed
+from trotteropt.linalg import expm_scaled_hermitian, spectral_norm
+from trotteropt.model import ChainInstance, TermOrdering, hamiltonian, ordered_terms, term_matrix
+from trotteropt.trotter import CoefficientVector, DecompositionSpec, slice_phases, suzuki_seed
+
+from sectors import dense
 
 GROUPED = TermOrdering.grouped()
 
@@ -24,18 +26,18 @@ class TestExactPropagator:
     def test_zero_time_limit(self):
         # t must stay positive; a tiny t gives the identity to first order.
         inst = ChainInstance(3, (0.1, 0.2, 0.3), 1e-12)
-        npt.assert_allclose(exact_propagator(inst), np.eye(8), atol=1e-10)
+        npt.assert_allclose(dense(exact_propagator(inst)), np.eye(8), atol=1e-10)
 
     def test_eigenphases(self):
         inst = ChainInstance(3, (0.0, 0.0, 0.0), 0.83)
         h = hamiltonian(inst)
         w, vecs = np.linalg.eigh(h)
         expected = (vecs * np.exp(-1j * inst.t * w)) @ vecs.conj().T
-        npt.assert_allclose(exact_propagator(inst), expected, atol=1e-12)
+        npt.assert_allclose(dense(exact_propagator(inst)), expected, atol=1e-12)
 
     def test_unitarity(self):
         inst = instance(seed=7, n=4, t=8.0)
-        u = exact_propagator(inst)
+        u = dense(exact_propagator(inst))
         assert np.max(np.abs(u @ u.conj().T - np.eye(16))) <= 1e-9
 
 
@@ -53,7 +55,7 @@ class TestEvaluate:
         inst = instance(seed=3, n=3, t=6.0)
         ctx = FitnessContext.create(inst, DecompositionSpec(2, 4, GROUPED))
         value = evaluate(ctx, CoefficientVector(2, (0.0,) * 5))
-        assert value == pytest.approx(spectral_norm(ctx.exact - np.eye(8)), abs=1e-12)
+        assert value == pytest.approx(spectral_norm(dense(ctx.exact) - np.eye(8)), abs=1e-12)
         assert 1.0 < value <= 2.0
 
     def test_range_bound(self):
@@ -105,6 +107,31 @@ class TestEvaluate:
         base = evaluate_components(ctx, p)
         bumped = evaluate_components(ctx, p * (1 + 1e-9))
         assert abs(bumped - base) < 1e-6
+
+
+class TestFullDimensionOracle:
+    def test_n8_grouped_evaluate(self):
+        # Everything at 2^8 = 256 rows: term exponentials, the slice, numpy's
+        # own matrix power and its SVD-based 2-norm.
+        inst = instance(seed=12, n=8, t=16.0)
+        spec = DecompositionSpec(2, 125, GROUPED)
+        p = suzuki_seed(2)
+        terms = ordered_terms(inst, GROUPED)
+        mats = [term_matrix(term, inst.n) for term in terms]
+        blocks = {}
+        for x in set(slice_phases(p)):
+            half = [expm_scaled_hermitian(m, -0.5j * inst.t * x / spec.r) for m in mats]
+            block = np.eye(2**inst.n, dtype=complex)
+            for e in half + half[::-1]:
+                block = block @ e
+            blocks[x] = block
+        step = np.eye(2**inst.n, dtype=complex)
+        for x in slice_phases(p):
+            step = step @ blocks[x]
+        exact = expm_scaled_hermitian(sum(mats), -1j * inst.t)
+        expected = np.linalg.norm(exact - np.linalg.matrix_power(step, spec.r), 2)
+        got = evaluate(FitnessContext.create(inst, spec), p)
+        assert abs(got - expected) <= 1e-9 * expected
 
 
 class TestConcurrentEvaluate:

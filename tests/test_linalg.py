@@ -4,6 +4,8 @@ import pytest
 
 from trotteropt.linalg import expm_scaled_hermitian, matrix_power, spectral_norm
 
+from sectors import dense
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -139,3 +141,56 @@ class TestMatrixPower:
         for _ in range(r - 1):
             expected = expected @ a
         assert spectral_norm(matrix_power(a, r) - expected) <= 1e-9
+
+
+def random_stack(rng, blocks, dim, hermitian=False):
+    a = rng.standard_normal((blocks, dim, dim)) + 1j * rng.standard_normal((blocks, dim, dim))
+    return a + a.conj().swapaxes(-1, -2) if hermitian else a
+
+
+class TestStacks:
+    """A (..., m, m) stack stands for its block-diagonal operator."""
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 16), (3, 5)])
+    @pytest.mark.parametrize("r", [0, 1, 2, 7, 125])
+    def test_matrix_power_block_by_block(self, shape, r):
+        rng = np.random.default_rng(r + shape[1])
+        stack = random_stack(rng, *shape)
+        stack /= np.array([spectral_norm(block) for block in stack])[:, None, None]
+        got = matrix_power(stack, r)
+        assert got.shape == stack.shape
+        for block, value in zip(stack, got):
+            npt.assert_array_equal(value, matrix_power(block, r))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 16), (3, 5)])
+    @pytest.mark.parametrize("c", [-1.7j, 0.3j, 0.25])
+    def test_expm_block_by_block(self, shape, c):
+        rng = np.random.default_rng(shape[1])
+        stack = random_stack(rng, *shape, hermitian=True)
+        got = expm_scaled_hermitian(stack, c)
+        assert got.shape == stack.shape
+        for block, value in zip(stack, got):
+            npt.assert_array_equal(value, expm_scaled_hermitian(block, c))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spectral_norm_of_block_diagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        stack = random_stack(rng, 2, 8)
+        stack[seed % 2] *= 3.0  # the largest norm sits in either block
+        full = dense(stack)
+        assert abs(spectral_norm(stack) - spectral_norm(full)) <= 1e-12 * spectral_norm(full)
+        assert abs(spectral_norm(stack) - np.linalg.norm(full, 2)) <= 1e-12 * spectral_norm(full)
+
+    def test_one_non_hermitian_block_raises(self):
+        rng = np.random.default_rng(6)
+        stack = random_stack(rng, 2, 4, hermitian=True)
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            expm_scaled_hermitian(stack, 1j)
+        expm_scaled_hermitian(stack[:1], 1j)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (0, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        for fn in (lambda a: matrix_power(a, 2), spectral_norm, lambda a: expm_scaled_hermitian(a, 1j)):
+            with pytest.raises(ValueError, match="square"):
+                fn(np.zeros(shape))

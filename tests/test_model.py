@@ -11,6 +11,9 @@ from trotteropt.model import (
     TermOrdering,
     _PAULI_MATS,
     _anticommutation_masks,
+    _pauli_string,
+    _sectors,
+    _z_string,
     commutation_table,
     hamiltonian,
     merge_gates,
@@ -134,6 +137,46 @@ class TestHamiltonian:
         for term in ordered_terms(inst, TermOrdering.grouped()):
             total += term_matrix(term, inst.n)
         assert spectral_norm(total - h) <= 1e-13 * spectral_norm(h)
+
+
+def popcount_parity(states):
+    return np.array([bin(int(b)).count("1") % 2 for b in np.ravel(states)]).reshape(np.shape(states))
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_sector_index(self, n):
+        states = _sectors(n)
+        assert states.shape == (2, 2 ** (n - 1))
+        npt.assert_array_equal(np.sort(states.ravel()), np.arange(2**n))
+        npt.assert_array_equal(popcount_parity(states), [[0] * 2 ** (n - 1), [1] * 2 ** (n - 1)])
+        assert all(np.all(np.diff(row) > 0) for row in states)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("kind", list(TermKind))
+    def test_pauli_strings_keep_parity(self, n, kind):
+        # Every site, so the wrap-around bond (n, 1) is included.
+        basis = np.arange(2**n)
+        for site in range(1, n + 1):
+            perm, sign = _pauli_string(LocalTerm(kind, site, 0.7), n)
+            npt.assert_array_equal(np.sort(perm), basis)
+            npt.assert_array_equal(popcount_parity(perm), popcount_parity(basis))
+            assert set(np.abs(sign)) == {1.0}
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_z_string_signs(self, n):
+        basis = np.arange(2**n)
+        for site in range(1, n + 1):
+            for kind in (TermKind.ZZ, TermKind.Z):
+                mask, signs = _z_string(LocalTerm(kind, site), n)
+                npt.assert_array_equal(signs, 1.0 - 2.0 * popcount_parity(basis & mask))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_hamiltonian_has_no_cross_sector_entries(self, n):
+        h = hamiltonian(ChainInstance.random(n, np.random.default_rng(40 + n)))
+        even, odd = _sectors(n)
+        assert not np.any(h[np.ix_(even, odd)])
+        assert not np.any(h[np.ix_(odd, even)])
 
 
 class TestOrderedTerms:

@@ -27,6 +27,8 @@ from trotteropt.trotter import (
     suzuki_seed,
 )
 
+from sectors import dense
+
 GROUPED = TermOrdering.grouped()
 
 # Closed form evaluated at 40-digit precision with mpmath.
@@ -88,9 +90,9 @@ class TestPhaseExpansion:
         p = suzuki_coefficient(2)
         expected = np.eye(8, dtype=complex)
         for x in np.tile(np.array([p, p, 1 - 4 * p, p, p]) / 3, 3):
-            expected = expected @ ev.s2(x)
+            expected = expected @ dense(ev.s2(x))
         got = build_approximation(inst, DecompositionSpec(2, 3, GROUPED), suzuki_seed(2), ev)
-        assert spectral_norm(got - expected) <= 1e-12
+        assert spectral_norm(dense(got) - expected) <= 1e-12
 
     def test_k2_r1_unchanged(self):
         npt.assert_array_equal(slice_phases(suzuki_seed(2)), suzuki_seed(2).components)
@@ -148,25 +150,25 @@ def commuting_toy_terms(n=3):
 class TestS2:
     def test_zero_phase_is_identity(self):
         inst = small_instance()
-        npt.assert_allclose(S2Evaluator.for_instance(inst, GROUPED).s2(0.0), np.eye(8), atol=1e-14)
+        npt.assert_allclose(dense(S2Evaluator.for_instance(inst, GROUPED).s2(0.0)), np.eye(8), atol=1e-14)
 
     def test_single_term_is_exact_exponential(self):
         term = LocalTerm(TermKind.XX, 1)
         ev = S2Evaluator((term,), n=3, t=1.3)
         expected = expm_scaled_hermitian(term_matrix(term, 3), -1.3j * 0.7)
-        assert spectral_norm(ev.s2(0.7) - expected) <= 1e-12
+        assert spectral_norm(dense(ev.s2(0.7)) - expected) <= 1e-12
 
     def test_commuting_terms_factor_exactly(self):
         terms = commuting_toy_terms()
         ev = S2Evaluator(terms, n=3, t=2.1)
         total = sum(term_matrix(term, 3) for term in terms)
         expected = expm_scaled_hermitian(total, -2.1j * 0.4)
-        assert spectral_norm(ev.s2(0.4) - expected) <= 1e-9
+        assert spectral_norm(dense(ev.s2(0.4)) - expected) <= 1e-9
 
     @pytest.mark.parametrize("phase", [0.2, -0.41449, 3.7])
     def test_unitary_at_any_phase(self, phase):
         inst = small_instance()
-        s2 = S2Evaluator.for_instance(inst, GROUPED).s2(phase)
+        s2 = dense(S2Evaluator.for_instance(inst, GROUPED).s2(phase))
         assert np.max(np.abs(s2 @ s2.conj().T - np.eye(8))) <= 1e-9
 
 
@@ -198,11 +200,11 @@ class TestKernels:
         ev = S2Evaluator(terms, n, inst.t)
         for phase in (-0.41449, 0.3, 1.7):
             expected = oracle_product(terms, n, -0.5j * inst.t * phase, symmetric=True)
-            assert spectral_norm(ev.s2(phase) - expected) <= 1e-12
+            assert spectral_norm(dense(ev.s2(phase)) - expected) <= 1e-12
             # The forward half-product F that S2 = F F^T is built from is,
             # at the full phase, the first-order product S1.
             expected = oracle_product(terms, n, -1j * inst.t * phase, symmetric=False)
-            assert spectral_norm(ev._forward(-1j * inst.t * phase) - expected) <= 1e-12
+            assert spectral_norm(dense(ev._forward(-1j * inst.t * phase)) - expected) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_kernels_agree_on_grouped_sequence(self, n):
@@ -234,19 +236,19 @@ class TestBuildApproximation:
         for x in slice_phases(suzuki_seed(2)):
             block = ev.s2(x)
             acc = block if acc is None else acc @ block
-        assert spectral_norm(acc - expm_scaled_hermitian(total, -1.7j)) <= 1e-9
+        assert spectral_norm(dense(acc) - expm_scaled_hermitian(total, -1.7j)) <= 1e-9
 
     def test_zero_vector_gives_identity(self):
         inst = small_instance()
         spec = DecompositionSpec(2, 3, GROUPED)
         approx = build_approximation(inst, spec, CoefficientVector(2, (0.0,) * 5))
-        npt.assert_allclose(approx, np.eye(8), atol=1e-12)
+        npt.assert_allclose(dense(approx), np.eye(8), atol=1e-12)
 
     def test_error_decreases_with_r(self):
         inst = small_instance()
         exact = expm_scaled_hermitian(hamiltonian(inst), -1j * inst.t)
         errs = [
-            spectral_norm(exact - build_approximation(inst, DecompositionSpec(2, r, GROUPED), suzuki_seed(2)))
+            spectral_norm(exact - dense(build_approximation(inst, DecompositionSpec(2, r, GROUPED), suzuki_seed(2))))
             for r in (2, 4, 8)
         ]
         assert errs[0] > errs[1] > errs[2]
@@ -259,7 +261,7 @@ class TestBuildApproximation:
         exact = expm_scaled_hermitian(hamiltonian(inst), -1j * inst.t)
         rs = [1, 2, 4, 8, 16]
         errs = [
-            spectral_norm(exact - build_approximation(inst, DecompositionSpec(k, r, GROUPED), suzuki_seed(k)))
+            spectral_norm(exact - dense(build_approximation(inst, DecompositionSpec(k, r, GROUPED), suzuki_seed(k))))
             for r in rs
         ]
         slope = np.polyfit(np.log(rs), np.log(errs), 1)[0]
@@ -270,7 +272,7 @@ class TestBuildApproximation:
         # or from full-dimension exponentiation of each term.
         inst = small_instance(seed=5)
         spec = DecompositionSpec(2, 2, GROUPED)
-        fast = build_approximation(inst, spec, suzuki_seed(2))
+        fast = dense(build_approximation(inst, spec, suzuki_seed(2)))
 
         from trotteropt.model import ordered_terms
 
