@@ -38,7 +38,7 @@ from .records import (
     instance_to_dict,
 )
 from .sampler import SamplingPlan, run_sampling
-from .trotter import CoefficientVector, DecompositionSpec, suzuki_seed
+from .trotter import CoefficientVector, DecompositionSpec, S2Evaluator, suzuki_seed
 
 __all__ = [
     "baseline_report",
@@ -54,7 +54,11 @@ __all__ = [
     "sweep_r",
 ]
 
-GENERALIZE_N_CAP = 8  # 2^8-dim matrices keep a sweep in desk-scale minutes
+# Each added site multiplies matmul work by ~8 and memory by ~4 (dense
+# 2^(n-1)-row sector blocks). An n=8 grid point takes well under a second;
+# beyond that the reach is opt-in: --n-cap 10 scores n=10 in a few seconds
+# and ~100 MB.
+GENERALIZE_N_CAP = 8
 
 
 def default_generations(k: int) -> int:
@@ -263,8 +267,13 @@ def generalize(
     parameter (v / n / t / r), everything else frozen from the run.
 
     Hold-out disorder vectors and appended components derive from the run's
-    seed lineage, so the study is reproducible from the record alone.
+    seed lineage, so the study is reproducible from the record alone. The v,
+    n and r grids count things and must hold integers; only t is real.
     """
+    if axis in ("v", "n", "r"):
+        for value in grid:
+            if not float(value).is_integer():
+                raise ValueError(f"axis={axis} grid values must be integers, got {value}")
     base_instance = instance_from_dict(run_payload["instance"])
     spec = _spec_from_dict(run_payload["spec"])
     k = spec.k
@@ -353,11 +362,17 @@ def perms_study(
     random_orderings = [
         TermOrdering.explicit(rng.permutation(4 * instance.n)) for _ in range(n_random)
     ]
+    # The evaluator of an ordering does not depend on r: one serves every r.
+    named = [
+        (name, ordering, S2Evaluator.for_instance(instance, ordering))
+        for name, ordering in (("grouped", TermOrdering.grouped()), ("canonical", TermOrdering.canonical()))
+    ]
+    randoms = [(ordering, S2Evaluator.for_instance(instance, ordering)) for ordering in random_orderings]
     rows = []
     for r in r_grid:
-        for name, ordering in (("grouped", TermOrdering.grouped()), ("canonical", TermOrdering.canonical())):
+        for name, ordering, evaluator in named:
             spec = DecompositionSpec(k, r, ordering)
-            ctx = FitnessContext.create(instance, spec, exact=exact)
+            ctx = FitnessContext.create(instance, spec, exact=exact, evaluator=evaluator)
             rows.append(
                 {
                     "ordering": name,
@@ -368,9 +383,9 @@ def perms_study(
                 }
             )
         counts, errors = [], []
-        for ordering in random_orderings:
+        for ordering, evaluator in randoms:
             spec = DecompositionSpec(k, r, ordering)
-            ctx = FitnessContext.create(instance, spec, exact=exact)
+            ctx = FitnessContext.create(instance, spec, exact=exact, evaluator=evaluator)
             counts.append(merged_gate_count(instance, ordering, k, r))
             errors.append(evaluate(ctx, seed_vec))
         rows.append(

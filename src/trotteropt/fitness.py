@@ -2,8 +2,10 @@
 propagator exp(-i t H) and the product-formula circuit.
 
 Both operators are unitary, so every fitness value lies in [0, 2]. The exact
-propagator is the single most expensive object per instance and is computed
-once per context, never inside an optimization loop.
+propagator depends only on the instance and is computed once per context,
+or shared by the callers that score one instance many ways, never inside an
+optimization loop. H also conserves the popcount, so it is diagonalized
+in blocks of at most C(n, n/2) rows (70 at n=8).
 
 Every chain term commutes with the parity Z^n, so H, exp(-i t H), the
 circuit and their difference are block-diagonal in the even- and
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import expm_scaled_hermitian, spectral_norm
-from .model import ChainInstance, _sectors, hamiltonian
+from .model import ChainInstance, _popcount, _sectors, hamiltonian
 from .trotter import CoefficientVector, DecompositionSpec, S2Evaluator, build_approximation
 
 __all__ = [
@@ -34,17 +36,31 @@ __all__ = [
 
 
 def exact_propagator(instance: ChainInstance) -> np.ndarray:
-    """exp(-i t H) as its two sector blocks, through the eigendecomposition
-    of each block of H."""
-    states = _sectors(instance.n)
-    blocks = hamiltonian(instance)[states[:, :, None], states[:, None, :]]
-    return expm_scaled_hermitian(blocks, -1j * instance.t)
+    """exp(-i t H) as its two sector blocks.
+
+    XX + YY on a bond swaps its two spins and Z strings are diagonal, so H
+    also conserves the popcount: each sector block of H splits into the
+    blocks of the popcounts of its parity, at most C(n, n/2) rows each (70
+    at n=8). Each one is exponentiated through its own eigendecomposition.
+    """
+    h = hamiltonian(instance)
+    out = np.zeros(h.shape, dtype=complex)
+    weight = _popcount(_sectors(instance.n), instance.n)
+    for m in range(instance.n + 1):
+        states = np.flatnonzero(weight[m % 2] == m)
+        block = np.ix_(states, states)
+        out[m % 2][block] = expm_scaled_hermitian(h[m % 2][block], -1j * instance.t)
+    return out
 
 
 @dataclass
 class FitnessContext:
     """Everything reused across evaluations on one (instance, spec) pair;
-    ``exact`` is the sector stack of ``exact_propagator``."""
+    ``exact`` is the sector stack of ``exact_propagator``.
+
+    Neither ``exact`` nor the evaluator depends on r, so a caller that
+    scores one instance at several r may build them once and pass them to
+    ``create``; the evaluator must be built for ``spec.ordering``."""
 
     instance: ChainInstance
     spec: DecompositionSpec
@@ -57,22 +73,21 @@ class FitnessContext:
         instance: ChainInstance,
         spec: DecompositionSpec,
         exact: np.ndarray | None = None,
+        evaluator: S2Evaluator | None = None,
     ) -> "FitnessContext":
         if exact is None:
             exact = exact_propagator(instance)
-        return cls(
-            instance=instance,
-            spec=spec,
-            exact=exact,
-            evaluator=S2Evaluator.for_instance(instance, spec.ordering),
-        )
+        if evaluator is None:
+            evaluator = S2Evaluator.for_instance(instance, spec.ordering)
+        return cls(instance=instance, spec=spec, exact=exact, evaluator=evaluator)
 
 
 def evaluate(ctx: FitnessContext, p: CoefficientVector) -> float:
     """Spectral-norm error of the circuit built from ``p``.
 
-    Deterministic: identical inputs give bit-identical values; no S2 block
-    is cached, each is rebuilt from its phase in closed form. Non-finite
+    Deterministic: identical inputs give bit-identical values. No S2 block
+    is kept from one evaluation to the next; within one, a block reused for
+    a repeated phase is the block a rebuild would give. Non-finite
     components signal a diverged search and raise rather than scoring.
     """
     comps = np.asarray(p.components, dtype=float)

@@ -4,11 +4,13 @@ The Hamiltonian is the sum of 4n local terms: XX, YY and ZZ couplings on each
 bond (j, j+1) — indices wrap, so qubit n couples back to qubit 1 — plus a Z
 field of strength v_j on each site. Sites are 1-based throughout.
 
-Every term is a Pauli string. ``hamiltonian`` adds the terms as signed
-permutations; ``term_matrix`` builds one term as a Kronecker chain, an
-independent form kept as a check on the first. Both are dense; the fitness
-path restricts operators to the two parity sectors of ``_sectors``, since
-every term flips an even number of spins.
+Every term is a Pauli string. ``_pauli_strings`` gives the strings of a
+term sequence as rows of signed permutations, from which the fitness path
+builds every operator; ``term_matrix`` builds one term as a dense Kronecker
+chain, an independent form kept as a check on the first. Every term flips
+an even number of spins, so the fitness path restricts operators to the
+two parity sectors of ``_sectors``; ``hamiltonian`` builds H as its two
+real sector blocks, never at the full dimension.
 
 Besides building operators, this module owns term orderings (the order of
 exponential gates in a product formula is a free choice) and the gate count
@@ -200,29 +202,28 @@ def term_matrix(term: LocalTerm, n: int) -> np.ndarray:
     return term.coefficient * reduce(np.kron, factors)
 
 
-def _z_string(term: LocalTerm, n: int) -> tuple[int, np.ndarray]:
-    """Bit mask of a term's qubits (qubit 1 is the most significant bit, as
-    in the kron order of ``term_matrix``) and the diagonal of its Z string."""
-    sites = [term.site] if term.kind is TermKind.Z else [term.site, term.site % n + 1]
-    basis = np.arange(2**n)
-    parity = np.zeros_like(basis)
-    for site in sites:
-        parity ^= basis >> (n - site)
-    return sum(1 << (n - site) for site in sites), 1.0 - 2.0 * (parity & 1)
+def _z_strings(terms, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit masks of the terms' qubits (qubit 1 is the most significant bit,
+    as in the kron order of ``term_matrix``), shape (L,), and the diagonals
+    of their Z strings, one row per term: shape (L, 2^n)."""
+    masks = np.array(
+        [sum(1 << (n - site) for site in _pauli_sites(term, n)) for term in terms], dtype=np.int64
+    )
+    return masks, 1.0 - 2.0 * _parity(np.arange(2**n) & masks[:, None], n)
 
 
-def _pauli_string(term: LocalTerm, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The term's Pauli string P, coefficient left out, as a signed
-    permutation: P|b> = sign[b] |perm[b]>. X flips a bit, Z contributes
-    (-1)^bit and Y = iXZ does both, so YY picks up i * i = -1: the signs
-    of every chain term are real."""
-    mask, z_signs = _z_string(term, n)
-    basis = np.arange(2**n)
-    if term.kind is TermKind.XX:
-        return basis ^ mask, np.ones(2**n)
-    if term.kind is TermKind.YY:
-        return basis ^ mask, -z_signs
-    return basis, z_signs
+def _pauli_strings(terms, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The terms' Pauli strings P, coefficients left out, as rows of signed
+    permutations, shape (L, 2^n) each: P|b> = sign[b] |perm[b]>. X flips a
+    bit, Z contributes (-1)^bit and Y = iXZ does both, so YY picks up
+    i * i = -1: the signs of every chain term are real."""
+    masks, signs = _z_strings(terms, n)
+    xx = np.array([term.kind is TermKind.XX for term in terms], dtype=bool)
+    yy = np.array([term.kind is TermKind.YY for term in terms], dtype=bool)
+    perms = np.arange(2**n) ^ np.where(xx | yy, masks, 0)[:, None]
+    signs[xx] = 1.0
+    signs[yy] *= -1.0
+    return perms, signs
 
 
 def _sectors(n: int) -> np.ndarray:
@@ -237,6 +238,19 @@ def _sectors(n: int) -> np.ndarray:
     return np.argsort(_parity(np.arange(2**n), n), kind="stable").reshape(2, -1)
 
 
+def _stack_rows(n: int) -> np.ndarray:
+    """Row of each basis state in the (2M, M) stack of the two sectors:
+    ``_sectors(n)`` flattened, inverted."""
+    rows = np.empty(2**n, dtype=np.int64)
+    rows[_sectors(n).reshape(-1)] = np.arange(2**n)
+    return rows
+
+
+def _popcount(values: np.ndarray, n: int) -> np.ndarray:
+    """Popcount of each entry of an integer array below 2^n."""
+    return sum((values >> bit) & 1 for bit in range(n))
+
+
 def _parity(values: np.ndarray, n: int) -> np.ndarray:
     """Popcount parity of each entry of an integer array below 2^n."""
     parity = np.zeros_like(values)
@@ -246,22 +260,24 @@ def _parity(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def hamiltonian(instance: ChainInstance) -> np.ndarray:
-    """Sum of all 4n term matrices (a fixed summation order keeps this
-    independent of any TermOrdering).
+    """H as the real ``(2, 2^(n-1), 2^(n-1))`` stack of its two
+    parity-sector blocks (``_sectors``).
 
     Each term adds its coefficient times the signed permutation of its
-    Pauli string, one nonzero entry per column, with no Kronecker chain.
-    The entries left out are zeros of ``term_matrix``. Partial sums start
-    at +0 and never hold -0, and adding a signed zero leaves them as they
-    are, so the result is bit-identical to summing ``term_matrix``.
+    Pauli string, one entry per column, with no Kronecker chain. The entries
+    are summed in term order from +0, so each block is bit-identical to the
+    real part of the summed ``term_matrix`` on its sector, whose imaginary
+    part is zero.
     """
-    dim = 2**instance.n
-    total = np.zeros((dim, dim), dtype=complex)
-    columns = np.arange(dim)
-    for term in instance.terms():
-        perm, sign = _pauli_string(term, instance.n)
-        total[perm, columns] += term.coefficient * sign
-    return total
+    n = instance.n
+    terms = instance.terms()
+    perms, signs = _pauli_strings(terms, n)
+    rows = _stack_rows(n)
+    half = 2 ** (n - 1)
+    positions = rows[perms] * half + rows % half  # of each entry in the flat stack
+    weights = np.array([term.coefficient for term in terms])[:, None] * signs
+    flat = np.bincount(positions.reshape(-1), weights.reshape(-1), minlength=2 * half * half)
+    return flat.reshape(2, half, half)
 
 
 def _pauli_sites(term: LocalTerm, n: int) -> dict[int, str]:

@@ -6,8 +6,9 @@ block S2; a coefficient vector holds one 5-entry block per recursion level
 (levels 2..k), the Suzuki values being (p, p, 1-4p, p, p). Expanding the
 levels turns a coefficient vector into per-slice S2 phases
 (``slice_phases``); ``build_approximation`` divides them by r, multiplies
-the slice's S2 blocks and raises the product to the r-th power. That is
-the only path from coefficients to an approximation. The order parameter
+the slice's S2 blocks and raises the product to the r-th power; a block
+asked for twice in a row is built once (``S2Evaluator.s2``). That is the
+only path from coefficients to an approximation. The order parameter
 k = 1 is admitted as the degenerate case with an empty coefficient vector,
 meaning plain S2 slicing.
 
@@ -22,13 +23,15 @@ Every term also flips an even number of spins, so it commutes with the
 parity Z^n, and so do S2, the slice and its r-th power. They are exactly
 block-diagonal in the even- and odd-popcount sectors, and are built and
 carried as ``(2, 2^(n-1), 2^(n-1))`` stacks of those two blocks, never at
-the full dimension 2^n.
+the full dimension 2^n. The sector index depends only on n and is built
+once per n.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -39,9 +42,10 @@ from .model import (
     TermKind,
     TermOrdering,
     _parity,
-    _pauli_string,
+    _pauli_strings,
     _sectors,
-    _z_string,
+    _stack_rows,
+    _z_strings,
     ordered_terms,
 )
 
@@ -142,11 +146,21 @@ def fast_local_expm(term: LocalTerm, n: int, c: complex) -> np.ndarray:
     exp(c * a * P) = cosh(c * a) * I + sinh(c * a) * P. Wrap-around
     couplings (site n with site 1) need no special case.
     """
-    perm, sign = _pauli_string(term, n)
+    (perm,), (sign,) = _pauli_strings((term,), n)
     ca = c * term.coefficient
     out = np.cosh(ca) * np.eye(2**n, dtype=complex)
     out[perm, np.arange(2**n)] += np.sinh(ca) * sign
     return out
+
+
+@lru_cache(maxsize=None)
+def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_sectors(n)`` and the row of each state in the (2M, M) stack of the
+    two sectors, built once per n and read-only."""
+    tables = (_sectors(n), _stack_rows(n))
+    for array in tables:
+        array.flags.writeable = False
+    return tables
 
 
 # Group of each kind in the grouped ordering: ZZ and Z are both diagonal.
@@ -185,14 +199,13 @@ class S2Evaluator:
         self.terms = tuple(terms)
         self.n = n
         self.t = float(t)
-        self._states = _sectors(n)
-        states = self._states.reshape(-1)
-        flat = np.empty_like(states)
-        flat[states] = np.arange(states.size)  # row of each state in the (2M, M) stack
-        strings = [_pauli_string(term, n) for term in self.terms]
+        self._last: tuple[float, weakref.ref] | None = None  # see s2
+        self._states, flat = _sector_index(n)
+        perms, signs = _pauli_strings(self.terms, n)
         # P restricted to the sectors: P|states[i]> = signs[i] |states[perms[i]]>.
-        self._perms = flat[np.array([perm for perm, _ in strings])[:, states]]
-        self._signs = np.array([sign for _, sign in strings])[:, states]
+        states = self._states.reshape(-1)
+        self._perms = flat[perms[:, states]]
+        self._signs = signs[:, states]
         self._coefficients = tuple(term.coefficient for term in self.terms)
         assert np.array_equal(np.take_along_axis(self._signs, self._perms, axis=1), self._signs), (
             "F^T is the reversed half-product only for symmetric generators")
@@ -200,9 +213,10 @@ class S2Evaluator:
         self._grouped = groups == sorted(groups)
         if not self._grouped:
             return
+        weighted = np.array(self._coefficients)[:, None] * _z_strings(self.terms, n)[1]
         self._diagonals = np.zeros((3, 2**n))
-        for term, group in zip(self.terms, groups):
-            self._diagonals[group] += term.coefficient * _z_string(term, n)[1]
+        for group, row in zip(groups, weighted):
+            self._diagonals[group] += row
         # Within a sector a ^ b is an even state, stored at row flat[a ^ b] < M.
         self._xor = flat[self._states[:, :, None] ^ self._states[:, None, :]]
         # (self._walsh @ d)[self._xor] is H^n diag(d) H^n, block by block:
@@ -242,9 +256,24 @@ class S2Evaluator:
     def s2(self, phase: float) -> np.ndarray:
         """S2 at the given fraction of the evolution parameter, as its two
         sector blocks: forward half-phase product times the reversed
-        half-phase product."""
-        forward = self._forward(-0.5j * self.t * float(phase))
-        return forward @ forward.swapaxes(-1, -2)
+        half-phase product.
+
+        The block is read-only. Asked again for the phase it built last,
+        while that block is still referenced, the evaluator returns the
+        same block instead of rebuilding it: the Suzuki slice
+        (p, p, 1-4p, p, p) takes 3 builds, not 5. Only a weak reference is
+        kept, so no block lives longer than its caller holds it.
+        """
+        phase = float(phase)
+        if self._last is not None and self._last[0] == phase:
+            block = self._last[1]()
+            if block is not None:
+                return block
+        forward = self._forward(-0.5j * self.t * phase)
+        block = forward @ forward.swapaxes(-1, -2)
+        block.flags.writeable = False
+        self._last = (phase, weakref.ref(block))
+        return block
 
 
 def build_approximation(

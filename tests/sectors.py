@@ -3,12 +3,18 @@
 The fitness path carries every operator as a ``(2, M, M)`` stack of its
 even- and odd-popcount blocks. ``dense`` scatters such a stack back into the
 2M x 2M matrix it stands for, so tests compare it with full-dimension
-oracles at the tolerances those oracles always had.
+oracles at the tolerances those oracles always had. ``dense_hamiltonian``
+is the full-dimension H of such oracles.
 """
 
 import numpy as np
 
-from trotteropt.model import _sectors
+from trotteropt.model import _sectors, term_matrix
+
+
+def dense_hamiltonian(instance) -> np.ndarray:
+    """H at full dimension: the sum of the Kronecker-chain term matrices."""
+    return sum(term_matrix(term, instance.n) for term in instance.terms())
 
 
 def dense(stack) -> np.ndarray:

@@ -12,6 +12,8 @@ exponentiation, power iteration, brute-force products).
 """
 
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -29,6 +31,7 @@ from trotteropt.model import (
     term_matrix,
     unmerged_gate_count,
 )
+from trotteropt.records import read_record, write_record
 from trotteropt.trotter import (
     CoefficientVector,
     DecompositionSpec,
@@ -164,6 +167,34 @@ def test_criterion_6_generalization(heavy_runs):
         f"(c) t=60: {over_t[60.0]:+.2f}%; (d) r=100: {over_r[100.0]:+.1f}%, r=150: {over_r[150.0]:+.1f}%"
     )
     _report(6, "generalization signatures", ok_a and ok_b and ok_c and ok_d, detail)
+
+
+# Peak RSS of one `generalize --axis n --grid 9,10 --n-cap 10` process:
+# 103 MB measured (x86-64, numpy 2.4, OpenBLAS, one BLAS thread).
+REACH_N10_RSS_MB = 160
+
+
+@pytest.mark.slow
+def test_criterion_6_reaches_n10(heavy_runs, tmp_path):
+    """The criterion-6 record generalizes past the default n cap, to n=10,
+    in a process whose peak memory stays under REACH_N10_RSS_MB."""
+    record, out = tmp_path / "run.json", tmp_path / "reach.json"
+    write_record(record, heavy_runs["generalize"])
+    argv = [sys.executable, "-m", "trotteropt.cli", "generalize", "--record", str(record),
+            "--axis", "n", "--grid", "9,10", "--n-cap", "10", "--out", str(out)]
+    # An intermediate process whose only child is the command, so that its
+    # RUSAGE_CHILDREN peak is that command's alone.
+    probe = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
+                          capture_output=True, text=True)
+    peak_mb = int(done.stdout.split()[-1]) / 1024
+    rows = {row["value"]: row["reduction_pct"] for row in read_record(out)["rows"]}
+    ok = sorted(rows) == [9.0, 10.0] and all(v > 0 for v in rows.values()) and peak_mb < REACH_N10_RSS_MB
+    detail = ", ".join(f"n={int(n)}: {v:+.1f}%" for n, v in sorted(rows.items()))
+    _report(6, "generalization to n=10", ok,
+            f"{detail}; peak RSS {peak_mb:.0f} MB (want < {REACH_N10_RSS_MB})")
 
 
 def test_criterion_7_fitness_bounds_and_determinism(tmp_path):

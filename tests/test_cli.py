@@ -158,6 +158,20 @@ class TestGeneralizeAndPerms:
         assert capsys.readouterr().err == "error: axis=v hold-out count must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,grid", [("v", "2.7"), ("n", "4.5"), ("r", "5.5,7.9")])
+    def test_generalize_rejects_fractional_grid_on_integer_axes(self, tmp_path, instance_path,
+                                                               capsys, axis, grid):
+        record = tmp_path / "run.json"
+        run(["optimize", "--instance", instance_path, "--k", "2", "--r", "2",
+             "--generations", "2", "--seed", "3", "--out", record])
+        capsys.readouterr()
+        out = tmp_path / "gen.json"
+        code = run(["generalize", "--record", record, "--axis", axis, "--grid", grid, "--out", out])
+        assert code == 1
+        bad = grid.split(",")[0]
+        assert capsys.readouterr().err == f"error: axis={axis} grid values must be integers, got {bad}\n"
+        assert not out.exists()
+
     def test_perms_table(self, tmp_path, instance_path):
         out = tmp_path / "perms.json"
         code = run(["perms", "--instance", instance_path, "--k", "2",

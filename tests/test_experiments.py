@@ -16,7 +16,7 @@ from trotteropt.experiments import (
 from trotteropt.fitness import FitnessContext, evaluate, exact_propagator
 from trotteropt.model import OrderingMode, TermOrdering
 from trotteropt.records import payload_digest
-from trotteropt.trotter import CoefficientVector, DecompositionSpec, suzuki_seed
+from trotteropt.trotter import CoefficientVector, DecompositionSpec, S2Evaluator, suzuki_seed
 
 GROUPED = TermOrdering.grouped()
 
@@ -209,6 +209,21 @@ class TestGeneralize:
             assert row["baseline_error"] == evaluate(ctx, suzuki_seed(2))
             assert row["optimized_error"] == evaluate(ctx, p_opt)
 
+    @pytest.mark.parametrize("axis,grid", [("v", [2.7]), ("n", [4, 4.5]), ("r", [5.5, 7.9]),
+                                           ("r", [float("inf")]), ("n", [float("nan")])])
+    def test_integer_axes_reject_fractions_before_any_work(self, tiny_run, monkeypatch, axis, grid):
+        calls = []
+        monkeypatch.setattr(experiments, "exact_propagator", calls.append)
+        monkeypatch.setattr(fitness, "exact_propagator", calls.append)
+        with pytest.raises(ValueError, match=f"axis={axis} grid values must be integers"):
+            generalize(tiny_run, axis, grid)
+        assert calls == []
+
+    def test_integral_floats_accepted(self, tiny_run):
+        assert payload_digest(generalize(tiny_run, "r", [2.0, 3.0])) == payload_digest(
+            generalize(tiny_run, "r", [2, 3]))
+        assert len(generalize(tiny_run, "t", [2.5])["rows"]) == 1
+
     def test_unknown_axis(self, tiny_run):
         with pytest.raises(ValueError):
             generalize(tiny_run, "q", [1])
@@ -242,6 +257,22 @@ class TestPerms:
         with pytest.raises(ValueError, match="n_random must be >= 1"):
             perms_study(tiny, 2, [2], n_random=0, master_seed=8)
         assert calls == []
+
+    @pytest.mark.parametrize("r_grid", [[2], [2, 3, 5, 8]])
+    def test_one_evaluator_per_ordering(self, tiny, monkeypatch, r_grid):
+        built = []
+        init = S2Evaluator.__init__
+        monkeypatch.setattr(S2Evaluator, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        payload = perms_study(tiny, 2, r_grid, n_random=4, master_seed=8)
+        assert len(built) == 2 + 4
+        monkeypatch.undo()
+        # The shared evaluator scores each r bit for bit as a fresh context does.
+        orderings = {"grouped": GROUPED, "canonical": TermOrdering.canonical()}
+        for row in payload["rows"]:
+            if row["ordering"] in orderings:
+                ctx = FitnessContext.create(tiny, DecompositionSpec(2, row["r"], orderings[row["ordering"]]))
+                assert row["error"] == evaluate(ctx, suzuki_seed(2))
 
     def test_exact_propagator_built_once(self, tiny, monkeypatch):
         calls = []

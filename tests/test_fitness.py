@@ -10,10 +10,10 @@ from trotteropt.fitness import (
     exact_propagator,
 )
 from trotteropt.linalg import expm_scaled_hermitian, spectral_norm
-from trotteropt.model import ChainInstance, TermOrdering, hamiltonian, ordered_terms, term_matrix
+from trotteropt.model import ChainInstance, TermOrdering, ordered_terms, term_matrix
 from trotteropt.trotter import CoefficientVector, DecompositionSpec, slice_phases, suzuki_seed
 
-from sectors import dense
+from sectors import dense, dense_hamiltonian
 
 GROUPED = TermOrdering.grouped()
 
@@ -30,7 +30,7 @@ class TestExactPropagator:
 
     def test_eigenphases(self):
         inst = ChainInstance(3, (0.0, 0.0, 0.0), 0.83)
-        h = hamiltonian(inst)
+        h = dense_hamiltonian(inst)
         w, vecs = np.linalg.eigh(h)
         expected = (vecs * np.exp(-1j * inst.t * w)) @ vecs.conj().T
         npt.assert_allclose(dense(exact_propagator(inst)), expected, atol=1e-12)
@@ -39,6 +39,16 @@ class TestExactPropagator:
         inst = instance(seed=7, n=4, t=8.0)
         u = dense(exact_propagator(inst))
         assert np.max(np.abs(u @ u.conj().T - np.eye(16))) <= 1e-9
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_popcount_blocks_match_full_dimension(self, n):
+        # Real popcount blocks scattered into the parity stack, against one
+        # complex eigendecomposition of the dense 2^n Hamiltonian.
+        inst = instance(seed=30 + n, n=n, t=2.0 * n)
+        stack = exact_propagator(inst)
+        assert stack.shape == (2, 2 ** (n - 1), 2 ** (n - 1))
+        expected = expm_scaled_hermitian(dense_hamiltonian(inst), -1j * inst.t)
+        assert np.max(np.abs(dense(stack) - expected)) <= 1e-12
 
 
 class TestEvaluate:

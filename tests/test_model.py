@@ -11,9 +11,10 @@ from trotteropt.model import (
     TermOrdering,
     _PAULI_MATS,
     _anticommutation_masks,
-    _pauli_string,
+    _pauli_strings,
+    _popcount,
     _sectors,
-    _z_string,
+    _z_strings,
     commutation_table,
     hamiltonian,
     merge_gates,
@@ -24,6 +25,8 @@ from trotteropt.model import (
     unmerged_gate_count,
 )
 from trotteropt.trotter import slice_phases, suzuki_seed
+
+from sectors import dense_hamiltonian
 
 
 class TestPauli:
@@ -91,18 +94,18 @@ class TestChainInstance:
 
 class TestHamiltonian:
     def test_traceless_at_zero_disorder(self):
-        h = hamiltonian(ChainInstance(3, (0.0, 0.0, 0.0), 1.0))
+        h = dense_hamiltonian(ChainInstance(3, (0.0, 0.0, 0.0), 1.0))
         assert abs(np.trace(h)) == 0.0
 
     def test_hermitian(self):
         inst = ChainInstance.random(3, np.random.default_rng(2))
-        h = hamiltonian(inst)
+        h = dense_hamiltonian(inst)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
     def test_all_up_diagonal_entry(self):
         # On |000> every ZZ bond contributes +1 and every field v_j; with
         # v = (1,1,1) that is 3 + 3 = 6.
-        h = hamiltonian(ChainInstance(3, (1.0, 1.0, 1.0), 1.0))
+        h = dense_hamiltonian(ChainInstance(3, (1.0, 1.0, 1.0), 1.0))
         assert h[0, 0] == pytest.approx(6.0, abs=0)
 
     @pytest.mark.parametrize(
@@ -114,14 +117,20 @@ class TestHamiltonian:
         + [pytest.param(ChainInstance(4, (0.0, -0.0, 0.5, -1.0), 1.0), id="signed_zero_fields")],
     )
     def test_bit_identical_to_term_matrix_sum(self, inst):
+        # Each sector block against the same block of the summed Kronecker
+        # chains, which are real.
         reference = sum(term_matrix(term, inst.n) for term in inst.terms())
-        assert hamiltonian(inst).tobytes() == reference.tobytes()
+        assert not np.any(reference.imag)
+        h = hamiltonian(inst)
+        assert h.dtype == np.float64 and h.shape == (2, 2 ** (inst.n - 1), 2 ** (inst.n - 1))
+        for states, block in zip(_sectors(inst.n), h):
+            assert block.tobytes() == np.ascontiguousarray(reference.real[np.ix_(states, states)]).tobytes()
 
     def test_ordering_independent(self):
         # Dyadic disorder makes every partial sum exact, so the permuted sum
         # reproduces the canonical one bit for bit.
         inst = ChainInstance(4, (0.5, -0.25, 0.125, -0.5), 1.0)
-        h = hamiltonian(inst)
+        h = dense_hamiltonian(inst)
         rng = np.random.default_rng(3)
         for _ in range(5):
             perm = rng.permutation(16)
@@ -132,15 +141,19 @@ class TestHamiltonian:
 
     def test_ordering_independent_generic_disorder(self):
         inst = ChainInstance.random(4, np.random.default_rng(4))
-        h = hamiltonian(inst)
+        h = dense_hamiltonian(inst)
         total = np.zeros_like(h)
         for term in ordered_terms(inst, TermOrdering.grouped()):
             total += term_matrix(term, inst.n)
         assert spectral_norm(total - h) <= 1e-13 * spectral_norm(h)
 
 
+def popcount(states):
+    return np.array([bin(int(b)).count("1") for b in np.ravel(states)]).reshape(np.shape(states))
+
+
 def popcount_parity(states):
-    return np.array([bin(int(b)).count("1") % 2 for b in np.ravel(states)]).reshape(np.shape(states))
+    return popcount(states) % 2
 
 
 class TestParitySectors:
@@ -157,26 +170,43 @@ class TestParitySectors:
     def test_pauli_strings_keep_parity(self, n, kind):
         # Every site, so the wrap-around bond (n, 1) is included.
         basis = np.arange(2**n)
-        for site in range(1, n + 1):
-            perm, sign = _pauli_string(LocalTerm(kind, site, 0.7), n)
+        terms = [LocalTerm(kind, site, 0.7) for site in range(1, n + 1)]
+        perms, signs = _pauli_strings(terms, n)
+        assert perms.shape == signs.shape == (n, 2**n)
+        for term, perm, sign in zip(terms, perms, signs):
             npt.assert_array_equal(np.sort(perm), basis)
             npt.assert_array_equal(popcount_parity(perm), popcount_parity(basis))
             assert set(np.abs(sign)) == {1.0}
+            # The same operator as the Kronecker chain: P|b> = sign[b] |perm[b]>.
+            expected = np.zeros((2**n, 2**n), dtype=complex)
+            expected[perm, basis] = sign
+            npt.assert_array_equal(term_matrix(LocalTerm(kind, term.site), n), expected)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_z_string_signs(self, n):
         basis = np.arange(2**n)
-        for site in range(1, n + 1):
-            for kind in (TermKind.ZZ, TermKind.Z):
-                mask, signs = _z_string(LocalTerm(kind, site), n)
-                npt.assert_array_equal(signs, 1.0 - 2.0 * popcount_parity(basis & mask))
+        terms = [LocalTerm(kind, site) for site in range(1, n + 1) for kind in TermKind]
+        masks, signs = _z_strings(terms, n)
+        for term, mask, row in zip(terms, masks, signs):
+            sites = [term.site] if term.kind is TermKind.Z else [term.site, term.site % n + 1]
+            assert mask == sum(1 << (n - site) for site in sites)
+            npt.assert_array_equal(row, 1.0 - 2.0 * popcount_parity(basis & mask))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_popcount(self, n):
+        basis = np.arange(2**n)
+        npt.assert_array_equal(_popcount(basis, n), popcount(basis))
+        npt.assert_array_equal(_popcount(_sectors(n), n) % 2, [[0], [1]] * np.ones((1, 2 ** (n - 1))))
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_hamiltonian_has_no_cross_sector_entries(self, n):
-        h = hamiltonian(ChainInstance.random(n, np.random.default_rng(40 + n)))
+        # Zero between popcount blocks, so also between the parity sectors.
+        h = dense_hamiltonian(ChainInstance.random(n, np.random.default_rng(40 + n)))
+        weight = popcount(np.arange(2**n))
+        assert not np.any(h[weight[:, None] != weight[None, :]])
         even, odd = _sectors(n)
         assert not np.any(h[np.ix_(even, odd)])
-        assert not np.any(h[np.ix_(odd, even)])
+        assert np.any(h[np.ix_(even, even)]) and np.any(h[np.ix_(odd, odd)])
 
 
 class TestOrderedTerms:

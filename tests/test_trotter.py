@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,7 +11,6 @@ from trotteropt.model import (
     TermKind,
     TermOrdering,
     commutation_table,
-    hamiltonian,
     merge_gates,
     merged_gate_count,
     ordered_terms,
@@ -20,6 +21,7 @@ from trotteropt.trotter import (
     CoefficientVector,
     DecompositionSpec,
     S2Evaluator,
+    _sector_index,
     build_approximation,
     fast_local_expm,
     slice_phases,
@@ -27,7 +29,7 @@ from trotteropt.trotter import (
     suzuki_seed,
 )
 
-from sectors import dense
+from sectors import dense, dense_hamiltonian
 
 GROUPED = TermOrdering.grouped()
 
@@ -213,6 +215,15 @@ class TestKernels:
         for c in (-0.5j * inst.t * -0.41449, -0.5j * inst.t * 1.7, 0.3 - 0.2j):
             assert spectral_norm(ev._grouped_forward(c) - ev._pauli_forward(c)) <= 1e-12
 
+    def test_cached_tables_are_read_only(self):
+        ev = S2Evaluator.for_instance(small_instance(), GROUPED)
+        # Evaluators of one n share the sector index.
+        other = S2Evaluator.for_instance(small_instance(seed=9), TermOrdering.canonical())
+        assert ev._states is other._states
+        for array in _sector_index(3):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+
     def test_kernel_follows_term_sequence(self):
         def grouped(terms, n=3):
             return S2Evaluator(terms, n, 1.0)._grouped
@@ -246,7 +257,7 @@ class TestBuildApproximation:
 
     def test_error_decreases_with_r(self):
         inst = small_instance()
-        exact = expm_scaled_hermitian(hamiltonian(inst), -1j * inst.t)
+        exact = expm_scaled_hermitian(dense_hamiltonian(inst), -1j * inst.t)
         errs = [
             spectral_norm(exact - dense(build_approximation(inst, DecompositionSpec(2, r, GROUPED), suzuki_seed(2))))
             for r in (2, 4, 8)
@@ -258,7 +269,7 @@ class TestBuildApproximation:
         # log-log fit of seed error against r; second-order slicing decays
         # like r^-2 and the k=2 formula like r^-4.
         inst = small_instance(seed=1, n=3, t=1.0)
-        exact = expm_scaled_hermitian(hamiltonian(inst), -1j * inst.t)
+        exact = expm_scaled_hermitian(dense_hamiltonian(inst), -1j * inst.t)
         rs = [1, 2, 4, 8, 16]
         errs = [
             spectral_norm(exact - dense(build_approximation(inst, DecompositionSpec(k, r, GROUPED), suzuki_seed(k))))
@@ -289,6 +300,35 @@ class TestBuildApproximation:
             slow = block if slow is None else slow @ block
         slow = slow @ slow  # r = 2
         assert spectral_norm(fast - slow) <= 1e-12
+
+    @pytest.mark.parametrize("ordering", ["grouped", "explicit"])
+    def test_repeated_phase_reuses_the_held_block(self, ordering, monkeypatch):
+        # The Suzuki slice (p, p, 1-4p, p, p): five s2 calls, three builds,
+        # and bit for bit the product of five fresh blocks.
+        inst = small_instance(seed=4, n=4, t=8.0)
+        spec = DecompositionSpec(2, 7, ORDERINGS[ordering](4))
+        built = []
+        forward = S2Evaluator._forward
+        monkeypatch.setattr(S2Evaluator, "_forward", lambda self, c: built.append(c) or forward(self, c))
+        got = build_approximation(inst, spec, suzuki_seed(2))
+        assert len(built) == 3
+        acc = None
+        for x in slice_phases(suzuki_seed(2)):
+            block = S2Evaluator.for_instance(inst, spec.ordering).s2(x / spec.r)
+            acc = block if acc is None else acc @ block
+        assert len(built) == 3 + 5
+        assert got.tobytes() == matrix_power(acc, spec.r).tobytes()
+
+    def test_s2_block_is_read_only_and_held_only_by_the_caller(self):
+        ev = S2Evaluator.for_instance(small_instance(), GROUPED)
+        block = ev.s2(0.25)
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0, 0] = 0
+        assert ev.s2(0.25) is block
+        released = weakref.ref(block)
+        del block
+        assert released() is None
+        assert ev.s2(0.25).tobytes() == S2Evaluator.for_instance(small_instance(), GROUPED).s2(0.25).tobytes()
 
     def test_k_mismatch_rejected(self):
         inst = small_instance()
