@@ -268,12 +268,15 @@ def generalize(
 
     Hold-out disorder vectors and appended components derive from the run's
     seed lineage, so the study is reproducible from the record alone. The v,
-    n and r grids count things and must hold integers; only t is real.
+    n and r grids count things and must hold integers; only t is real. The
+    v grid is a single hold-out count N, giving hold-outs 1..N.
     """
     if axis in ("v", "n", "r"):
         for value in grid:
             if not float(value).is_integer():
                 raise ValueError(f"axis={axis} grid values must be integers, got {value}")
+    if axis == "v" and len(grid) != 1:
+        raise ValueError(f"axis=v takes a single hold-out count, got {len(grid)} values")
     base_instance = instance_from_dict(run_payload["instance"])
     spec = _spec_from_dict(run_payload["spec"])
     k = spec.k
@@ -283,7 +286,7 @@ def generalize(
 
     points: list[tuple[float, ChainInstance, DecompositionSpec]] = []
     if axis == "v":
-        count = int(grid[0]) if len(grid) == 1 else len(grid)
+        count = int(grid[0])
         if count < 1:
             raise ValueError("axis=v hold-out count must be >= 1")
         for i in range(1, count + 1):

@@ -17,14 +17,16 @@ fractions and the -i * t is applied at exponentiation time.
 
 Every chain term is a Pauli string, so S2 comes from closed forms, not from
 numerical exponentials: a grouped-basis kernel when the term kinds come as
-XX, YY, then ZZ and Z, and a Pauli-rotation product otherwise.
+XX, YY, then ZZ and Z, and a Pauli-rotation product otherwise, in which each
+run of diagonal (Z, ZZ) terms is one row scaling and each XX or YY term one
+signed row permutation.
 
 Every term also flips an even number of spins, so it commutes with the
 parity Z^n, and so do S2, the slice and its r-th power. They are exactly
 block-diagonal in the even- and odd-popcount sectors, and are built and
 carried as ``(2, 2^(n-1), 2^(n-1))`` stacks of those two blocks, never at
-the full dimension 2^n. The sector index depends only on n and is built
-once per n.
+the full dimension 2^n. The sector index and the Pauli kernel's identity
+stack depend only on n and are built once per n.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,6 +167,24 @@ def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@lru_cache(maxsize=None)
+def _identity_stack(n: int) -> np.ndarray:
+    """The identities of both sectors laid one above the other, (2M, M),
+    built once per n and read-only: the Pauli kernel's starting point."""
+    eye = np.tile(np.eye(2 ** (n - 1), dtype=complex), (2, 1))
+    eye.flags.writeable = False
+    return eye
+
+
+class _PauliPlan(NamedTuple):
+    """What ``S2Evaluator._pauli_forward`` needs besides the phase."""
+
+    exponents: np.ndarray  # (runs, 2M): sum_j a_j sign_j over each Z/ZZ run
+    flip_coefficients: np.ndarray  # (flips,): a of each XX/YY term
+    flip_signs: np.ndarray  # (flips, 2M): its Pauli string's row signs
+    steps: tuple  # in term order: (None, run) or (perm, flip)
+
+
 # Group of each kind in the grouped ordering: ZZ and Z are both diagonal.
 _GROUP = {TermKind.XX: 0, TermKind.YY: 1, TermKind.ZZ: 2, TermKind.Z: 2}
 
@@ -189,10 +211,14 @@ class S2Evaluator:
       g[a ^ b], g being the Walsh-Hadamard transform of D's diagonal;
       within a sector a ^ b has even popcount, so only g's even-popcount
       entries are needed. S^n is diagonal, so F costs one batched matmul.
-    - Any other sequence (canonical, explicit): the Pauli-rotation product,
-      one term exponential cosh(ca) I + sinh(ca) P at a time, where the
-      product with P is a signed permutation of the rows of the two blocks
-      laid one above the other.
+    - Any other sequence (canonical, explicit): the Pauli-rotation product
+      of the term exponentials cosh(ca) I + sinh(ca) P on the two blocks
+      laid one above the other. For an XX or YY term the product with P is
+      a signed permutation of the rows. A Z or ZZ term is diagonal, its
+      exponential the row scaling exp(c a sign), so a maximal run of them
+      is one row scaling by the run's summed exponents (``_pauli_plan``).
+      The cosh, sinh and scaling rows of a block each come from one
+      vector call.
     """
 
     def __init__(self, terms, n: int, t: float):
@@ -200,6 +226,7 @@ class S2Evaluator:
         self.n = n
         self.t = float(t)
         self._last: tuple[float, weakref.ref] | None = None  # see s2
+        self._plan: _PauliPlan | None = None  # see _pauli_plan
         self._states, flat = _sector_index(n)
         perms, signs = _pauli_strings(self.terms, n)
         # P restricted to the sectors: P|states[i]> = signs[i] |states[perms[i]]>.
@@ -240,17 +267,59 @@ class S2Evaluator:
         yy *= (self._s.conj() * dzz[self._states])[:, None, :]
         return (self._walsh @ dxx)[self._xor] @ yy
 
+    def _pauli_plan(self) -> _PauliPlan:
+        """The Pauli kernel's tables (``_PauliPlan``), built on the kernel's
+        first call, since the grouped kernel never needs them.
+
+        Z and ZZ strings have the identity permutation, so their term
+        exponential cosh(ca) I + sinh(ca) P is the row scaling
+        exp(c a sign), and a maximal run of them is the one scaling by
+        exp(c sum_j a_j sign_j). Each run's row exponents are summed here,
+        once. Every other term (XX, YY) is a flip.
+
+        Threads that share the evaluator may each build a plan on first
+        use; every plan is complete when assigned and all are equal.
+        """
+        if self._plan is None:
+            rows = self._perms.shape[1]
+            diagonal = (self._perms == np.arange(rows)).all(axis=1)
+            a = np.array(self._coefficients)
+            steps, runs, flips = [], [], []
+            for is_run, group in groupby(range(len(a)), key=diagonal.__getitem__):
+                group = list(group)
+                if is_run:
+                    steps.append((None, len(runs)))
+                    runs.append(a[group] @ self._signs[group])
+                else:
+                    steps.extend((self._perms[j], len(flips) + i) for i, j in enumerate(group))
+                    flips += group
+            self._plan = _PauliPlan(
+                exponents=np.array(runs).reshape(len(runs), rows),
+                flip_coefficients=a[flips],
+                flip_signs=self._signs[flips],
+                steps=tuple(steps),
+            )
+        return self._plan
+
     def _pauli_forward(self, c: complex) -> np.ndarray:
         # Builds F^T = E_L ... E_1 on the two blocks stacked as (2M, M) rows,
         # since numpy gathers rows faster than columns.
-        half = self._states.shape[1]
-        acc = np.tile(np.eye(half, dtype=complex), (2, 1))
+        plan = self._pauli_plan()
+        ca = c * plan.flip_coefficients
+        cosh = np.cosh(ca).tolist()
+        signed_sinh = (np.sinh(ca)[:, None] * plan.flip_signs)[:, :, None]
+        scales = np.exp(c * plan.exponents)[:, :, None]
+        acc = _identity_stack(self.n).copy()
         rotated = np.empty_like(acc)
-        for perm, sign, a in zip(self._perms, self._signs, self._coefficients):
-            np.take(acc, perm, axis=0, out=rotated)
-            rotated *= (np.sinh(c * a) * sign)[:, None]
-            acc *= np.cosh(c * a)
-            acc += rotated
+        for perm, i in plan.steps:
+            if perm is None:
+                acc *= scales[i]
+            else:
+                acc.take(perm, axis=0, out=rotated)
+                rotated *= signed_sinh[i]
+                acc *= cosh[i]
+                acc += rotated
+        half = acc.shape[1]
         return acc.reshape(2, half, half).swapaxes(-1, -2)
 
     def s2(self, phase: float) -> np.ndarray:

@@ -158,6 +158,17 @@ class TestGeneralizeAndPerms:
         assert capsys.readouterr().err == "error: axis=v hold-out count must be >= 1\n"
         assert not out.exists()
 
+    def test_generalize_v_rejects_several_counts(self, tmp_path, instance_path, capsys):
+        record = tmp_path / "run.json"
+        run(["optimize", "--instance", instance_path, "--k", "2", "--r", "2",
+             "--generations", "2", "--seed", "3", "--out", record])
+        capsys.readouterr()
+        out = tmp_path / "gen.json"
+        code = run(["generalize", "--record", record, "--axis", "v", "--grid", "5,7", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: axis=v takes a single hold-out count, got 2 values\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("axis,grid", [("v", "2.7"), ("n", "4.5"), ("r", "5.5,7.9")])
     def test_generalize_rejects_fractional_grid_on_integer_axes(self, tmp_path, instance_path,
                                                                capsys, axis, grid):

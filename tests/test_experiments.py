@@ -175,6 +175,15 @@ class TestGeneralize:
         with pytest.raises(ValueError, match="count must be >= 1"):
             generalize(tiny_run, "v", [count])
 
+    @pytest.mark.parametrize("grid", [[5, 7], [1, 2, 3], []])
+    def test_axis_v_takes_one_count_before_any_work(self, tiny_run, monkeypatch, grid):
+        calls = []
+        monkeypatch.setattr(experiments, "exact_propagator", calls.append)
+        monkeypatch.setattr(fitness, "exact_propagator", calls.append)
+        with pytest.raises(ValueError, match=f"axis=v takes a single hold-out count, got {len(grid)} values"):
+            generalize(tiny_run, "v", grid)
+        assert calls == []
+
     def test_axis_n_cap(self, tiny_run):
         with pytest.raises(ValueError, match="cap"):
             generalize(tiny_run, "n", [9])

@@ -119,28 +119,47 @@ class TestEvaluate:
         assert abs(bumped - base) < 1e-6
 
 
+def full_dimension_error(inst, spec, p):
+    """The fitness with everything at 2^n rows: term exponentials, the slice,
+    numpy's own matrix power and its SVD-based 2-norm."""
+    terms = ordered_terms(inst, spec.ordering)
+    mats = [term_matrix(term, inst.n) for term in terms]
+    blocks = {}
+    for x in set(slice_phases(p)):
+        half = [expm_scaled_hermitian(m, -0.5j * inst.t * x / spec.r) for m in mats]
+        block = np.eye(2**inst.n, dtype=complex)
+        for e in half + half[::-1]:
+            block = block @ e
+        blocks[x] = block
+    step = np.eye(2**inst.n, dtype=complex)
+    for x in slice_phases(p):
+        step = step @ blocks[x]
+    exact = expm_scaled_hermitian(sum(mats), -1j * inst.t)
+    return np.linalg.norm(exact - np.linalg.matrix_power(step, spec.r), 2)
+
+
 class TestFullDimensionOracle:
     def test_n8_grouped_evaluate(self):
-        # Everything at 2^8 = 256 rows: term exponentials, the slice, numpy's
-        # own matrix power and its SVD-based 2-norm.
         inst = instance(seed=12, n=8, t=16.0)
         spec = DecompositionSpec(2, 125, GROUPED)
         p = suzuki_seed(2)
-        terms = ordered_terms(inst, GROUPED)
-        mats = [term_matrix(term, inst.n) for term in terms]
-        blocks = {}
-        for x in set(slice_phases(p)):
-            half = [expm_scaled_hermitian(m, -0.5j * inst.t * x / spec.r) for m in mats]
-            block = np.eye(2**inst.n, dtype=complex)
-            for e in half + half[::-1]:
-                block = block @ e
-            blocks[x] = block
-        step = np.eye(2**inst.n, dtype=complex)
-        for x in slice_phases(p):
-            step = step @ blocks[x]
-        exact = expm_scaled_hermitian(sum(mats), -1j * inst.t)
-        expected = np.linalg.norm(exact - np.linalg.matrix_power(step, spec.r), 2)
+        expected = full_dimension_error(inst, spec, p)
         got = evaluate(FitnessContext.create(inst, spec), p)
+        assert abs(got - expected) <= 1e-9 * expected
+
+    @pytest.mark.parametrize("ordering", [
+        TermOrdering.canonical(),
+        TermOrdering.explicit(np.random.default_rng(81).permutation(32)),
+    ], ids=["canonical", "random"])
+    def test_n8_pauli_kernel_evaluate(self, ordering):
+        # Orderings that are not grouped take the Pauli-rotation kernel.
+        inst = instance(seed=12, n=8, t=16.0)
+        spec = DecompositionSpec(2, 125, ordering)
+        p = suzuki_seed(2)
+        ctx = FitnessContext.create(inst, spec)
+        assert not ctx.evaluator._grouped
+        expected = full_dimension_error(inst, spec, p)
+        got = evaluate(ctx, p)
         assert abs(got - expected) <= 1e-9 * expected
 
 
@@ -157,6 +176,29 @@ class TestConcurrentEvaluate:
         serial = [evaluate(FitnessContext.create(inst, ctx.spec), p) for p in population]
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(lambda p: evaluate(ctx, p), population))
+        assert threaded == serial
+
+    def test_threads_share_the_pauli_plan_built_on_first_use(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        inst = instance(seed=11, n=4)
+        spec = DecompositionSpec(2, 3, TermOrdering.explicit(np.random.default_rng(5).permutation(16)))
+        rng = np.random.default_rng(2)
+        population = [
+            CoefficientVector(2, tuple(rng.normal(0.2, 0.3, 5))) for _ in range(16)
+        ]
+        serial = [evaluate(FitnessContext.create(inst, spec), p) for p in population]
+        ctx = FitnessContext.create(inst, spec)
+        assert ctx.evaluator._plan is None
+        # Threads switch often, so several may find no plan and build one.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(lambda p: evaluate(ctx, p), population, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
         assert threaded == serial
 
 

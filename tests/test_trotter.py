@@ -21,6 +21,7 @@ from trotteropt.trotter import (
     CoefficientVector,
     DecompositionSpec,
     S2Evaluator,
+    _identity_stack,
     _sector_index,
     build_approximation,
     fast_local_expm,
@@ -193,6 +194,34 @@ ORDERINGS = {
 }
 
 
+def kind_terms(kind, n):
+    """One term of the kind per site, with coefficients in [-1, 1) that
+    differ from term to term, so that a run's summed exponents are tested."""
+    coefficients = np.random.default_rng([n, list(TermKind).index(kind)]).uniform(-1.0, 1.0, n)
+    return [LocalTerm(kind, j, float(a)) for j, a in zip(range(1, n + 1), coefficients)]
+
+
+def edge_sequence(name, n):
+    """A term sequence on one edge of the Pauli kernel, and its number of
+    maximal runs of consecutive Z and ZZ terms."""
+    xx, yy, zz, z = (kind_terms(kind, n) for kind in (TermKind.XX, TermKind.YY, TermKind.ZZ, TermKind.Z))
+    flips = [term for pair in zip(xx, yy) for term in pair]
+    diagonal = [term for pair in zip(zz, z) for term in pair]
+    if name == "no_diagonal":
+        return tuple(flips), 0
+    if name == "only_diagonal":
+        return tuple(diagonal), 1
+    if name == "runs_at_both_ends":
+        return tuple(diagonal[:3] + flips + diagonal[3:]), 2
+    # n runs of ZZ and Z between single flips, then a run of three at the end.
+    assert name == "interleaved_runs"
+    terms = [term for j in range(n) for term in (xx[j], zz[j], z[j], yy[j])] + [zz[0], z[-1], zz[-1]]
+    return tuple(terms), n + 1
+
+
+EDGE_SEQUENCES = ("interleaved_runs", "no_diagonal", "only_diagonal", "runs_at_both_ends")
+
+
 class TestKernels:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
@@ -215,12 +244,49 @@ class TestKernels:
         for c in (-0.5j * inst.t * -0.41449, -0.5j * inst.t * 1.7, 0.3 - 0.2j):
             assert spectral_norm(ev._grouped_forward(c) - ev._pauli_forward(c)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("sequence", EDGE_SEQUENCES)
+    def test_pauli_kernel_on_edge_sequences(self, n, sequence):
+        terms, runs = edge_sequence(sequence, n)
+        ev = S2Evaluator(terms, n, 2.0 * n)
+        # At a c off the imaginary axis the products are not unitary (norm up
+        # to ~10 here), so the bound is relative to the oracle's norm.
+        for c in (-0.5j * ev.t * -0.41449, -0.5j * ev.t * 1.7, 0.3 - 0.2j):
+            forward = ev._pauli_forward(c)
+            for got, symmetric in ((forward, False), (forward @ forward.swapaxes(-1, -2), True)):
+                expected = oracle_product(terms, n, c, symmetric=symmetric)
+                assert spectral_norm(dense(got) - expected) <= 1e-12 * max(1.0, spectral_norm(expected))
+        for phase in (-0.41449, 1.7):
+            expected = oracle_product(terms, n, -0.5j * ev.t * phase, symmetric=True)
+            assert spectral_norm(dense(ev.s2(phase)) - expected) <= 1e-12
+            expected = oracle_product(terms, n, -1j * ev.t * phase, symmetric=False)
+            assert spectral_norm(dense(ev._forward(-1j * ev.t * phase)) - expected) <= 1e-12
+        # One row scaling per maximal Z/ZZ run, one signed permutation per flip.
+        plan = ev._pauli_plan()
+        assert len(plan.exponents) == runs
+        assert sum(perm is None for perm, _ in plan.steps) == runs
+        assert len(plan.steps) - runs == len(plan.flip_coefficients) == sum(
+            term.kind in (TermKind.XX, TermKind.YY) for term in terms)
+
+    def test_grouped_evaluator_builds_no_pauli_plan_until_asked(self):
+        inst = small_instance(n=4)
+        ev = S2Evaluator.for_instance(inst, GROUPED)
+        ev.s2(0.3)
+        assert ev._plan is None
+        ev._pauli_forward(-0.5j)
+        plan = ev._plan
+        assert plan is not None
+        # Grouped: one run of ZZ and Z after the 2n flips.
+        assert len(plan.exponents) == 1 and len(plan.steps) == 2 * inst.n + 1
+        ev._pauli_forward(0.1j)
+        assert ev._plan is plan
+
     def test_cached_tables_are_read_only(self):
         ev = S2Evaluator.for_instance(small_instance(), GROUPED)
-        # Evaluators of one n share the sector index.
+        # Evaluators of one n share the sector index and the identity stack.
         other = S2Evaluator.for_instance(small_instance(seed=9), TermOrdering.canonical())
         assert ev._states is other._states
-        for array in _sector_index(3):
+        for array in (*_sector_index(3), _identity_stack(3)):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 0
 
