@@ -366,40 +366,31 @@ def perms_study(
         TermOrdering.explicit(rng.permutation(4 * instance.n)) for _ in range(n_random)
     ]
     # The evaluator of an ordering does not depend on r: one serves every r.
-    named = [
+    evaluated = [
         (name, ordering, S2Evaluator.for_instance(instance, ordering))
-        for name, ordering in (("grouped", TermOrdering.grouped()), ("canonical", TermOrdering.canonical()))
+        for name, ordering in [
+            ("grouped", TermOrdering.grouped()),
+            ("canonical", TermOrdering.canonical()),
+            *(("random", ordering) for ordering in random_orderings),
+        ]
     ]
-    randoms = [(ordering, S2Evaluator.for_instance(instance, ordering)) for ordering in random_orderings]
     rows = []
     for r in r_grid:
-        for name, ordering, evaluator in named:
-            spec = DecompositionSpec(k, r, ordering)
-            ctx = FitnessContext.create(instance, spec, exact=exact, evaluator=evaluator)
-            rows.append(
-                {
-                    "ordering": name,
-                    "r": r,
-                    "merged_gates": merged_gate_count(instance, ordering, k, r),
-                    "unmerged_gates": unmerged_gate_count(instance, k, r),
-                    "error": evaluate(ctx, seed_vec),
-                }
-            )
+        unmerged = unmerged_gate_count(instance, k, r)
         counts, errors = [], []
-        for ordering, evaluator in randoms:
+        for name, ordering, evaluator in evaluated:
             spec = DecompositionSpec(k, r, ordering)
             ctx = FitnessContext.create(instance, spec, exact=exact, evaluator=evaluator)
-            counts.append(merged_gate_count(instance, ordering, k, r))
-            errors.append(evaluate(ctx, seed_vec))
-        rows.append(
-            {
-                "ordering": "random",
-                "r": r,
-                "merged_gates": float(np.mean(counts)),
-                "unmerged_gates": unmerged_gate_count(instance, k, r),
-                "error": float(np.mean(errors)),
-            }
-        )
+            count = merged_gate_count(instance, ordering, k, r)
+            error = evaluate(ctx, seed_vec)
+            if name == "random":
+                counts.append(count)
+                errors.append(error)
+            else:
+                rows.append({"ordering": name, "r": r, "merged_gates": count,
+                             "unmerged_gates": unmerged, "error": error})
+        rows.append({"ordering": "random", "r": r, "merged_gates": float(np.mean(counts)),
+                     "unmerged_gates": unmerged, "error": float(np.mean(errors))})
     return {
         "command": "perms",
         "instance": instance_to_dict(instance),

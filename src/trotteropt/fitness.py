@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import expm_scaled_hermitian, spectral_norm
-from .model import ChainInstance, _popcount, _sectors, hamiltonian
+from .model import ChainInstance, _popcount, _sector_index, hamiltonian
 from .trotter import CoefficientVector, DecompositionSpec, S2Evaluator, build_approximation
 
 __all__ = [
@@ -45,7 +45,7 @@ def exact_propagator(instance: ChainInstance) -> np.ndarray:
     """
     h = hamiltonian(instance)
     out = np.zeros(h.shape, dtype=complex)
-    weight = _popcount(_sectors(instance.n), instance.n)
+    weight = _popcount(_sector_index(instance.n)[0], instance.n)
     for m in range(instance.n + 1):
         states = np.flatnonzero(weight[m % 2] == m)
         block = np.ix_(states, states)

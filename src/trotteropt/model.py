@@ -5,12 +5,14 @@ bond (j, j+1) — indices wrap, so qubit n couples back to qubit 1 — plus a Z
 field of strength v_j on each site. Sites are 1-based throughout.
 
 Every term is a Pauli string. ``_pauli_strings`` gives the strings of a
-term sequence as rows of signed permutations, from which the fitness path
-builds every operator; ``term_matrix`` builds one term as a dense Kronecker
-chain, an independent form kept as a check on the first. Every term flips
-an even number of spins, so the fitness path restricts operators to the
-two parity sectors of ``_sectors``; ``hamiltonian`` builds H as its two
-real sector blocks, never at the full dimension.
+term sequence as rows of signed permutations; ``term_matrix`` builds one
+term as a dense Kronecker chain, an independent form kept as a check on the
+first. Every term flips an even number of spins, so the fitness path
+restricts operators to the two parity sectors of ``_sectors``. This module
+owns that sector layout (``_sector_index``, built once per n) and the
+strings restricted to it (``_sector_strings``), from which ``hamiltonian``
+builds H as its two real sector blocks, never at the full dimension, and
+the S2 kernels of ``trotter`` build every circuit operator.
 
 Besides building operators, this module owns term orderings (the order of
 exponential gates in a product formula is a free choice) and the gate count
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -238,12 +240,28 @@ def _sectors(n: int) -> np.ndarray:
     return np.argsort(_parity(np.arange(2**n), n), kind="stable").reshape(2, -1)
 
 
-def _stack_rows(n: int) -> np.ndarray:
-    """Row of each basis state in the (2M, M) stack of the two sectors:
-    ``_sectors(n)`` flattened, inverted."""
+@lru_cache(maxsize=None)
+def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_sectors(n)`` and the row of each basis state in the (2M, M) stack
+    of the two sectors (``_sectors(n)`` flattened, inverted), built once per
+    n and read-only."""
+    states = _sectors(n)
     rows = np.empty(2**n, dtype=np.int64)
-    rows[_sectors(n).reshape(-1)] = np.arange(2**n)
-    return rows
+    rows[states.reshape(-1)] = np.arange(2**n)
+    for array in (states, rows):
+        array.flags.writeable = False
+    return states, rows
+
+
+def _sector_strings(terms, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The terms' Pauli strings restricted to the two parity sectors laid
+    one above the other, shape (L, 2M) each: with ``states`` the flattened
+    ``_sectors(n)``, P|states[i]> = sign[i] |states[perm[i]]>. Each row of
+    ``perm`` maps a sector into itself."""
+    states, rows = _sector_index(n)
+    perms, signs = _pauli_strings(terms, n)
+    states = states.reshape(-1)
+    return rows[perms[:, states]], signs[:, states]
 
 
 def _popcount(values: np.ndarray, n: int) -> np.ndarray:
@@ -264,17 +282,16 @@ def hamiltonian(instance: ChainInstance) -> np.ndarray:
     parity-sector blocks (``_sectors``).
 
     Each term adds its coefficient times the signed permutation of its
-    Pauli string, one entry per column, with no Kronecker chain. The entries
-    are summed in term order from +0, so each block is bit-identical to the
-    real part of the summed ``term_matrix`` on its sector, whose imaginary
-    part is zero.
+    Pauli string (``_sector_strings``), one entry per column, with no
+    Kronecker chain. The entries are summed in term order from +0, so each
+    block is bit-identical to the real part of the summed ``term_matrix``
+    on its sector, whose imaginary part is zero.
     """
     n = instance.n
     terms = instance.terms()
-    perms, signs = _pauli_strings(terms, n)
-    rows = _stack_rows(n)
+    perms, signs = _sector_strings(terms, n)
     half = 2 ** (n - 1)
-    positions = rows[perms] * half + rows % half  # of each entry in the flat stack
+    positions = perms * half + np.arange(2 * half) % half  # of each entry in the flat stack
     weights = np.array([term.coefficient for term in terms])[:, None] * signs
     flat = np.bincount(positions.reshape(-1), weights.reshape(-1), minlength=2 * half * half)
     return flat.reshape(2, half, half)

@@ -25,8 +25,10 @@ Every term also flips an even number of spins, so it commutes with the
 parity Z^n, and so do S2, the slice and its r-th power. They are exactly
 block-diagonal in the even- and odd-popcount sectors, and are built and
 carried as ``(2, 2^(n-1), 2^(n-1))`` stacks of those two blocks, never at
-the full dimension 2^n. The sector index and the Pauli kernel's identity
-stack depend only on n and are built once per n.
+the full dimension 2^n. The sector layout and the Pauli strings restricted
+to it come from ``model``; each evaluator builds its kernel tables once,
+when it is made. The Pauli kernel's identity stack depends only on n and is
+built once per n.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import groupby
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,8 @@ from .model import (
     TermOrdering,
     _parity,
     _pauli_strings,
-    _sectors,
-    _stack_rows,
+    _sector_index,
+    _sector_strings,
     _z_strings,
     ordered_terms,
 )
@@ -158,31 +159,12 @@ def fast_local_expm(term: LocalTerm, n: int, c: complex) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_sectors(n)`` and the row of each state in the (2M, M) stack of the
-    two sectors, built once per n and read-only."""
-    tables = (_sectors(n), _stack_rows(n))
-    for array in tables:
-        array.flags.writeable = False
-    return tables
-
-
-@lru_cache(maxsize=None)
 def _identity_stack(n: int) -> np.ndarray:
     """The identities of both sectors laid one above the other, (2M, M),
     built once per n and read-only: the Pauli kernel's starting point."""
     eye = np.tile(np.eye(2 ** (n - 1), dtype=complex), (2, 1))
     eye.flags.writeable = False
     return eye
-
-
-class _PauliPlan(NamedTuple):
-    """What ``S2Evaluator._pauli_forward`` needs besides the phase."""
-
-    exponents: np.ndarray  # (runs, 2M): sum_j a_j sign_j over each Z/ZZ run
-    flip_coefficients: np.ndarray  # (flips,): a of each XX/YY term
-    flip_signs: np.ndarray  # (flips, 2M): its Pauli string's row signs
-    steps: tuple  # in term order: (None, run) or (perm, flip)
 
 
 # Group of each kind in the grouped ordering: ZZ and Z are both diagonal.
@@ -216,9 +198,12 @@ class S2Evaluator:
       laid one above the other. For an XX or YY term the product with P is
       a signed permutation of the rows. A Z or ZZ term is diagonal, its
       exponential the row scaling exp(c a sign), so a maximal run of them
-      is one row scaling by the run's summed exponents (``_pauli_plan``).
-      The cosh, sinh and scaling rows of a block each come from one
-      vector call.
+      is one row scaling by exp(c sum_j a_j sign_j); each run's summed
+      exponents are a table of the evaluator. The cosh, sinh and scaling
+      rows of a block each come from one vector call.
+
+    Both kernels' tables are built with the evaluator and never change, so
+    threads may share it.
     """
 
     def __init__(self, terms, n: int, t: float):
@@ -226,21 +211,32 @@ class S2Evaluator:
         self.n = n
         self.t = float(t)
         self._last: tuple[float, weakref.ref] | None = None  # see s2
-        self._plan: _PauliPlan | None = None  # see _pauli_plan
         self._states, flat = _sector_index(n)
-        perms, signs = _pauli_strings(self.terms, n)
-        # P restricted to the sectors: P|states[i]> = signs[i] |states[perms[i]]>.
-        states = self._states.reshape(-1)
-        self._perms = flat[perms[:, states]]
-        self._signs = signs[:, states]
-        self._coefficients = tuple(term.coefficient for term in self.terms)
-        assert np.array_equal(np.take_along_axis(self._signs, self._perms, axis=1), self._signs), (
+        perms, signs = _sector_strings(self.terms, n)
+        assert np.array_equal(np.take_along_axis(signs, perms, axis=1), signs), (
             "F^T is the reversed half-product only for symmetric generators")
+        a = np.array([term.coefficient for term in self.terms])
+        # Pauli kernel: a Z/ZZ string has the identity permutation, so a
+        # maximal run of them scales row i by exp(c sum_j a_j sign_j[i]).
+        diagonal = (perms == np.arange(perms.shape[1])).all(axis=1)
+        steps, runs, flips = [], [], []  # steps in term order: (None, run) or (perm, flip)
+        for is_run, group in groupby(range(len(a)), key=diagonal.__getitem__):
+            group = list(group)
+            if is_run:
+                steps.append((None, len(runs)))
+                runs.append(a[group] @ signs[group])
+            else:
+                steps.extend((perms[j], len(flips) + i) for i, j in enumerate(group))
+                flips += group
+        self._run_exponents = np.array(runs).reshape(len(runs), perms.shape[1])
+        self._flip_coefficients = a[flips]
+        self._flip_signs = signs[flips]
+        self._steps = tuple(steps)
         groups = [_GROUP[term.kind] for term in self.terms]
         self._grouped = groups == sorted(groups)
         if not self._grouped:
             return
-        weighted = np.array(self._coefficients)[:, None] * _z_strings(self.terms, n)[1]
+        weighted = a[:, None] * _z_strings(self.terms, n)[1]
         self._diagonals = np.zeros((3, 2**n))
         for group, row in zip(groups, weighted):
             self._diagonals[group] += row
@@ -267,51 +263,16 @@ class S2Evaluator:
         yy *= (self._s.conj() * dzz[self._states])[:, None, :]
         return (self._walsh @ dxx)[self._xor] @ yy
 
-    def _pauli_plan(self) -> _PauliPlan:
-        """The Pauli kernel's tables (``_PauliPlan``), built on the kernel's
-        first call, since the grouped kernel never needs them.
-
-        Z and ZZ strings have the identity permutation, so their term
-        exponential cosh(ca) I + sinh(ca) P is the row scaling
-        exp(c a sign), and a maximal run of them is the one scaling by
-        exp(c sum_j a_j sign_j). Each run's row exponents are summed here,
-        once. Every other term (XX, YY) is a flip.
-
-        Threads that share the evaluator may each build a plan on first
-        use; every plan is complete when assigned and all are equal.
-        """
-        if self._plan is None:
-            rows = self._perms.shape[1]
-            diagonal = (self._perms == np.arange(rows)).all(axis=1)
-            a = np.array(self._coefficients)
-            steps, runs, flips = [], [], []
-            for is_run, group in groupby(range(len(a)), key=diagonal.__getitem__):
-                group = list(group)
-                if is_run:
-                    steps.append((None, len(runs)))
-                    runs.append(a[group] @ self._signs[group])
-                else:
-                    steps.extend((self._perms[j], len(flips) + i) for i, j in enumerate(group))
-                    flips += group
-            self._plan = _PauliPlan(
-                exponents=np.array(runs).reshape(len(runs), rows),
-                flip_coefficients=a[flips],
-                flip_signs=self._signs[flips],
-                steps=tuple(steps),
-            )
-        return self._plan
-
     def _pauli_forward(self, c: complex) -> np.ndarray:
         # Builds F^T = E_L ... E_1 on the two blocks stacked as (2M, M) rows,
         # since numpy gathers rows faster than columns.
-        plan = self._pauli_plan()
-        ca = c * plan.flip_coefficients
+        ca = c * self._flip_coefficients
         cosh = np.cosh(ca).tolist()
-        signed_sinh = (np.sinh(ca)[:, None] * plan.flip_signs)[:, :, None]
-        scales = np.exp(c * plan.exponents)[:, :, None]
+        signed_sinh = (np.sinh(ca)[:, None] * self._flip_signs)[:, :, None]
+        scales = np.exp(c * self._run_exponents)[:, :, None]
         acc = _identity_stack(self.n).copy()
         rotated = np.empty_like(acc)
-        for perm, i in plan.steps:
+        for perm, i in self._steps:
             if perm is None:
                 acc *= scales[i]
             else:
@@ -334,8 +295,9 @@ class S2Evaluator:
         kept, so no block lives longer than its caller holds it.
         """
         phase = float(phase)
-        if self._last is not None and self._last[0] == phase:
-            block = self._last[1]()
+        last = self._last  # read once: threads that share the evaluator swap it
+        if last is not None and last[0] == phase:
+            block = last[1]()
             if block is not None:
                 return block
         forward = self._forward(-0.5j * self.t * phase)

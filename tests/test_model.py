@@ -13,6 +13,7 @@ from trotteropt.model import (
     _anticommutation_masks,
     _pauli_strings,
     _popcount,
+    _sector_strings,
     _sectors,
     _z_strings,
     commutation_table,
@@ -26,7 +27,7 @@ from trotteropt.model import (
 )
 from trotteropt.trotter import slice_phases, suzuki_seed
 
-from sectors import dense_hamiltonian
+from sectors import dense, dense_hamiltonian
 
 
 class TestPauli:
@@ -181,6 +182,21 @@ class TestParitySectors:
             expected = np.zeros((2**n, 2**n), dtype=complex)
             expected[perm, basis] = sign
             npt.assert_array_equal(term_matrix(LocalTerm(kind, term.site), n), expected)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_sector_strings_match_term_matrix(self, n):
+        # Column i of the (2M, M) stack holds sign[i] in row perm[i]; scattered
+        # back, that is each term's Kronecker chain, which has no cross-sector entry.
+        terms = [LocalTerm(kind, site) for site in range(1, n + 1) for kind in TermKind]
+        perms, signs = _sector_strings(terms, n)
+        half = 2 ** (n - 1)
+        assert perms.shape == signs.shape == (len(terms), 2 * half)
+        columns = np.arange(2 * half)
+        for term, perm, sign in zip(terms, perms, signs):
+            npt.assert_array_equal(perm // half, columns // half)
+            stack = np.zeros((2, half, half))
+            stack[columns // half, perm % half, columns % half] = sign
+            npt.assert_array_equal(dense(stack), term_matrix(term, n))
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_z_string_signs(self, n):

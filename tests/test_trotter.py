@@ -10,6 +10,7 @@ from trotteropt.model import (
     LocalTerm,
     TermKind,
     TermOrdering,
+    _sector_index,
     commutation_table,
     merge_gates,
     merged_gate_count,
@@ -22,7 +23,6 @@ from trotteropt.trotter import (
     DecompositionSpec,
     S2Evaluator,
     _identity_stack,
-    _sector_index,
     build_approximation,
     fast_local_expm,
     slice_phases,
@@ -243,6 +243,9 @@ class TestKernels:
         ev = S2Evaluator.for_instance(inst, GROUPED)
         for c in (-0.5j * inst.t * -0.41449, -0.5j * inst.t * 1.7, 0.3 - 0.2j):
             assert spectral_norm(ev._grouped_forward(c) - ev._pauli_forward(c)) <= 1e-12
+        # To the Pauli kernel a grouped sequence is 2n flips, then one run of ZZ and Z.
+        assert len(ev._run_exponents) == 1 and len(ev._flip_coefficients) == 2 * n
+        assert [perm is None for perm, _ in ev._steps] == [False] * (2 * n) + [True]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("sequence", EDGE_SEQUENCES)
@@ -262,24 +265,10 @@ class TestKernels:
             expected = oracle_product(terms, n, -1j * ev.t * phase, symmetric=False)
             assert spectral_norm(dense(ev._forward(-1j * ev.t * phase)) - expected) <= 1e-12
         # One row scaling per maximal Z/ZZ run, one signed permutation per flip.
-        plan = ev._pauli_plan()
-        assert len(plan.exponents) == runs
-        assert sum(perm is None for perm, _ in plan.steps) == runs
-        assert len(plan.steps) - runs == len(plan.flip_coefficients) == sum(
+        assert len(ev._run_exponents) == runs
+        assert sum(perm is None for perm, _ in ev._steps) == runs
+        assert len(ev._steps) - runs == len(ev._flip_coefficients) == sum(
             term.kind in (TermKind.XX, TermKind.YY) for term in terms)
-
-    def test_grouped_evaluator_builds_no_pauli_plan_until_asked(self):
-        inst = small_instance(n=4)
-        ev = S2Evaluator.for_instance(inst, GROUPED)
-        ev.s2(0.3)
-        assert ev._plan is None
-        ev._pauli_forward(-0.5j)
-        plan = ev._plan
-        assert plan is not None
-        # Grouped: one run of ZZ and Z after the 2n flips.
-        assert len(plan.exponents) == 1 and len(plan.steps) == 2 * inst.n + 1
-        ev._pauli_forward(0.1j)
-        assert ev._plan is plan
 
     def test_cached_tables_are_read_only(self):
         ev = S2Evaluator.for_instance(small_instance(), GROUPED)
@@ -395,6 +384,23 @@ class TestBuildApproximation:
         del block
         assert released() is None
         assert ev.s2(0.25).tobytes() == S2Evaluator.for_instance(small_instance(), GROUPED).s2(0.25).tobytes()
+
+    def test_s2_reads_its_last_block_once(self):
+        # Another thread may replace the memo between its phase check and its
+        # dereference; the block returned must still be the one for the phase.
+        ev = S2Evaluator.for_instance(small_instance(), GROUPED)
+        other = ev.s2(0.7)
+        block = ev.s2(0.25)
+        swapped = (0.7, weakref.ref(other))
+
+        class SwappedOnPhaseRead(tuple):
+            def __getitem__(self, index):
+                if index == 0:
+                    ev._last = swapped
+                return tuple.__getitem__(self, index)
+
+        ev._last = SwappedOnPhaseRead((0.25, weakref.ref(block)))
+        assert ev.s2(0.25) is block
 
     def test_k_mismatch_rejected(self):
         inst = small_instance()
