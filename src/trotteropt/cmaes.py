@@ -84,6 +84,13 @@ class CmaRunResult:
     repairs: int
 
 
+def _check_step_size(sigma0: float) -> None:
+    """An initial step size must be finite and positive: an infinite one
+    sends every candidate to non-finite components."""
+    if not (math.isfinite(sigma0) and sigma0 > 0):
+        raise ValueError(f"initial step size must be finite and positive, got {sigma0}")
+
+
 def cma_init(seed_vector, sigma0: float, popsize: int | None = None) -> CmaState:
     """Fresh state centred on ``seed_vector`` with unit covariance.
 
@@ -94,8 +101,7 @@ def cma_init(seed_vector, sigma0: float, popsize: int | None = None) -> CmaState
     d = mean.size
     if d == 0:
         raise ValueError("cannot optimize a zero-dimensional vector")
-    if not sigma0 > 0:
-        raise ValueError("initial step size must be positive")
+    _check_step_size(sigma0)
     lam = int(popsize) if popsize is not None else 4 + int(3 * math.log(d))
     if lam < 2:
         raise ValueError("population size must be at least 2")

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .cmaes import cma_run
+from .cmaes import _check_step_size, cma_run
 from .fitness import (
     FitnessContext,
     error_reduction_pct,
@@ -136,6 +136,7 @@ def optimize_instance(
     """One CMA-ES run from the Suzuki seed; returns the run-record payload."""
     if generations < 1:
         raise ValueError("generations must be >= 1")
+    _check_step_size(sigma0)
     ctx = FitnessContext.create(instance, spec)
     seed_vec = suzuki_seed(spec.k)
     result = cma_run(
@@ -207,10 +208,15 @@ def sweep_r(
 
     ``mode`` is one of baseline / optimize / evaluate; "evaluate" scores a
     fixed coefficient vector at every r. A threshold adds the smallest grid
-    r whose error beats it, for the gate-saving readout.
+    r whose error beats it, for the gate-saving readout. Every argument is
+    checked before any cell runs.
     """
     if not r_grid:
         raise ValueError("r grid must be non-empty")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if threshold is not None and not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     if sorted(r_grid) != list(r_grid) or len(set(r_grid)) != len(r_grid):
         raise ValueError("r grid must be strictly increasing")
     if mode not in ("baseline", "optimize", "evaluate"):
@@ -219,6 +225,10 @@ def sweep_r(
         raise ValueError("evaluate mode needs a coefficient vector")
     generations = default_generations(k) if generations is None else generations
     sigma0 = default_sigma0(k) if sigma0 is None else sigma0
+    if mode == "optimize":
+        if generations < 1:
+            raise ValueError("generations must be >= 1")
+        _check_step_size(sigma0)
     cells = [
         (
             instance_to_dict(instance),

@@ -10,22 +10,28 @@ term as a dense Kronecker chain, an independent form kept as a check on the
 first. Every term flips an even number of spins, so the fitness path
 restricts operators to the two parity sectors of ``_sectors``. This module
 owns that sector layout (``_sector_index``, built once per n) and the
-strings restricted to it (``_sector_strings``), from which ``hamiltonian``
-builds H as its two real sector blocks, never at the full dimension, and
-the S2 kernels of ``trotter`` build every circuit operator.
+generator table (``_generators``, built once per n): a row for each of the
+4n generators, holding its string restricted to the sectors and the
+generators it anticommutes with. ``_sector_strings`` reads the table's rows
+in the order of a term sequence; from them ``hamiltonian`` builds H as its
+two real sector blocks, never at the full dimension, and the S2 kernels of
+``trotter`` build every circuit operator.
 
 Besides building operators, this module owns term orderings (the order of
 exponential gates in a product formula is a free choice) and the gate count
 after merging exponentials of identical generators that can be brought next
-to each other by commutation. ``merge_gates`` walks an explicit gate stream
-and is the brute-force check on ``merged_gate_count``.
+to each other by commutation, which reads the same table's anticommutation
+rows. ``merge_gates`` walks an explicit gate stream and is the brute-force
+check on ``merged_gate_count``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, reduce
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +74,10 @@ class TermKind(str, Enum):
     Z = "z"
 
 
+# The per-site reading order of the terms.
+_KINDS = (TermKind.XX, TermKind.YY, TermKind.ZZ, TermKind.Z)
+
+
 @dataclass(frozen=True)
 class LocalTerm:
     """One summand of the chain Hamiltonian.
@@ -86,13 +96,15 @@ class ChainInstance:
     """A concrete problem: qubit count n, disorder vector v, simulation time t.
 
     n >= 3 is required: on a 2-site ring the periodic couplings would be
-    double-counted.
+    double-counted. The terms are built once, with the instance; they take
+    no part in equality or hashing, being fixed by n and v.
     """
 
     n: int
     v: tuple[float, ...]
     t: float
     seed: int | None = None
+    _terms: tuple["LocalTerm", ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
@@ -105,6 +117,10 @@ class ChainInstance:
         object.__setattr__(self, "t", float(self.t))
         if not (np.isfinite(self.t) and self.t > 0):
             raise ValueError("simulation time must be positive and finite")
+        object.__setattr__(self, "_terms", tuple(
+            LocalTerm(kind, j, self.v[j - 1] if kind is TermKind.Z else 1.0)
+            for j in range(1, self.n + 1) for kind in _KINDS
+        ))
 
     @classmethod
     def random(
@@ -120,13 +136,7 @@ class ChainInstance:
 
     def terms(self) -> tuple[LocalTerm, ...]:
         """All 4n local terms, in per-site reading order (XX, YY, ZZ, Z)."""
-        out: list[LocalTerm] = []
-        for j in range(1, self.n + 1):
-            out.append(LocalTerm(TermKind.XX, j))
-            out.append(LocalTerm(TermKind.YY, j))
-            out.append(LocalTerm(TermKind.ZZ, j))
-            out.append(LocalTerm(TermKind.Z, j, self.v[j - 1]))
-        return tuple(out)
+        return self._terms
 
 
 class OrderingMode(str, Enum):
@@ -253,15 +263,49 @@ def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return states, rows
 
 
+class _GeneratorTable(NamedTuple):
+    """The 4n generators of an n-site chain, one row each in per-site
+    reading order (``ChainInstance.terms``); see ``_generators``."""
+
+    rows: MappingProxyType  # (kind, site) -> row
+    perms: np.ndarray  # (4n, 2M), each row's string restricted to the sectors
+    signs: np.ndarray  # (4n, 2M)
+    anti: tuple[int, ...]  # bit h of entry g: rows g and h anticommute
+
+
+@lru_cache(maxsize=None)
+def _generators(n: int) -> _GeneratorTable:
+    """The generator table of n sites, built once per n and read-only. It
+    depends on kinds and sites only, never on coefficients or orderings."""
+    terms = tuple(LocalTerm(kind, site) for site in range(1, n + 1) for kind in _KINDS)
+    states, rows = _sector_index(n)
+    perms, signs = _pauli_strings(terms, n)
+    states = states.reshape(-1)
+    perms, signs = rows[perms[:, states]], signs[:, states]
+    for array in (perms, signs):
+        array.flags.writeable = False
+    return _GeneratorTable(
+        MappingProxyType({(term.kind, term.site): g for g, term in enumerate(terms)}),
+        perms,
+        signs,
+        tuple(_anticommutation_masks(terms, n)),
+    )
+
+
+def _rows(terms, table: _GeneratorTable) -> list[int]:
+    """The table row of each term, in sequence order."""
+    return [table.rows[term.kind, term.site] for term in terms]
+
+
 def _sector_strings(terms, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The terms' Pauli strings restricted to the two parity sectors laid
     one above the other, shape (L, 2M) each: with ``states`` the flattened
     ``_sectors(n)``, P|states[i]> = sign[i] |states[perm[i]]>. Each row of
-    ``perm`` maps a sector into itself."""
-    states, rows = _sector_index(n)
-    perms, signs = _pauli_strings(terms, n)
-    states = states.reshape(-1)
-    return rows[perms[:, states]], signs[:, states]
+    ``perm`` maps a sector into itself. The rows come from the generator
+    table, in term order."""
+    table = _generators(n)
+    rows = _rows(terms, table)
+    return table.perms[rows], table.signs[rows]
 
 
 def _popcount(values: np.ndarray, n: int) -> np.ndarray:
@@ -402,12 +446,17 @@ def merged_gate_count(instance: ChainInstance, ordering: TermOrdering, k: int, r
     block leaves from empty. That map is idempotent, so every block after
     the first starts and ends at C and appends the same number of gates:
     two blocks give the count for any r and k.
+
+    The bits are the rows of the generator table (``_generators``), whose
+    anticommutation masks do not depend on the ordering: the ordering only
+    fixes the order in which a block visits the rows.
     """
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
-    terms = ordered_terms(instance, ordering)
-    anti = _anticommutation_masks(terms, instance.n)
-    block = [*range(len(terms)), *reversed(range(len(terms)))]
+    table = _generators(instance.n)
+    rows = _rows(ordered_terms(instance, ordering), table)
+    anti = table.anti
+    block = [*rows, *reversed(rows)]
     state = 0
     appended = []  # gates appended by the first block and by each later one
     for _ in range(2):

@@ -6,9 +6,11 @@ block S2; a coefficient vector holds one 5-entry block per recursion level
 (levels 2..k), the Suzuki values being (p, p, 1-4p, p, p). Expanding the
 levels turns a coefficient vector into per-slice S2 phases
 (``slice_phases``); ``build_approximation`` divides them by r, multiplies
-the slice's S2 blocks and raises the product to the r-th power; a block
-asked for twice in a row is built once (``S2Evaluator.s2``). That is the
-only path from coefficients to an approximation. The order parameter
+the slice's S2 blocks and raises the product to the r-th power. It builds
+each distinct phase of a slice once: it holds a block while its phase
+comes up again later in the slice, and ``S2Evaluator.s2`` hands back a
+block of a phase that is still held. That is the only path from
+coefficients to an approximation. The order parameter
 k = 1 is admitted as the degenerate case with an empty coefficient vector,
 meaning plain S2 slicing.
 
@@ -26,16 +28,17 @@ parity Z^n, and so do S2, the slice and its r-th power. They are exactly
 block-diagonal in the even- and odd-popcount sectors, and are built and
 carried as ``(2, 2^(n-1), 2^(n-1))`` stacks of those two blocks, never at
 the full dimension 2^n. The sector layout and the Pauli strings restricted
-to it come from ``model``; each evaluator builds its kernel tables once,
-when it is made. The Pauli kernel's identity stack depends only on n and is
-built once per n.
+to it come from ``model``'s per-n tables; each evaluator picks its rows and
+builds its kernel tables once, when it is made. The Pauli kernel's identity
+stack depends only on n and is built once per n.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import groupby
 
 import numpy as np
@@ -134,13 +137,13 @@ def suzuki_seed(k: int) -> CoefficientVector:
 def slice_phases(p: CoefficientVector) -> np.ndarray:
     """Multiply the recursion out for a single time slice: 5^(k-1) S2 phases.
 
-    Each level's block entries scale the expansion of the level below; the
-    base case is a single unit S2 phase.
+    Each level's block entries scale the expansion of the level below (one
+    outer product per level, block entry by block entry); the base case is
+    a single unit S2 phase.
     """
     phases = np.array([1.0])
     for level in range(2, p.k + 1):
-        block = p.block(level)
-        phases = np.concatenate([coeff * phases for coeff in block])
+        phases = np.multiply.outer(p.block(level), phases).ravel()
     return phases
 
 
@@ -199,8 +202,10 @@ class S2Evaluator:
       a signed permutation of the rows. A Z or ZZ term is diagonal, its
       exponential the row scaling exp(c a sign), so a maximal run of them
       is one row scaling by exp(c sum_j a_j sign_j); each run's summed
-      exponents are a table of the evaluator. The cosh, sinh and scaling
-      rows of a block each come from one vector call.
+      exponents are a table of the evaluator. An XX term's signs are all
+      +1, so its product is scaled by the scalar sinh(ca); only a YY term
+      needs a signed row. The cosh, sinh and scaling rows of a block each
+      come from one vector call.
 
     Both kernels' tables are built with the evaluator and never change, so
     threads may share it.
@@ -210,7 +215,7 @@ class S2Evaluator:
         self.terms = tuple(terms)
         self.n = n
         self.t = float(t)
-        self._last: tuple[float, weakref.ref] | None = None  # see s2
+        self._blocks: dict[float, weakref.ref] = {}  # see s2
         self._states, flat = _sector_index(n)
         perms, signs = _sector_strings(self.terms, n)
         assert np.array_equal(np.take_along_axis(signs, perms, axis=1), signs), (
@@ -219,14 +224,16 @@ class S2Evaluator:
         # Pauli kernel: a Z/ZZ string has the identity permutation, so a
         # maximal run of them scales row i by exp(c sum_j a_j sign_j[i]).
         diagonal = (perms == np.arange(perms.shape[1])).all(axis=1)
-        steps, runs, flips = [], [], []  # steps in term order: (None, run) or (perm, flip)
+        unsigned = (signs == 1.0).all(axis=1).tolist()  # XX: the flip scales by sinh alone
+        # Steps in term order: (None, run, False) or (perm, flip, unsigned).
+        steps, runs, flips = [], [], []
         for is_run, group in groupby(range(len(a)), key=diagonal.__getitem__):
             group = list(group)
             if is_run:
-                steps.append((None, len(runs)))
+                steps.append((None, len(runs), False))
                 runs.append(a[group] @ signs[group])
             else:
-                steps.extend((perms[j], len(flips) + i) for i, j in enumerate(group))
+                steps.extend((perms[j], len(flips) + i, unsigned[j]) for i, j in enumerate(group))
                 flips += group
         self._run_exponents = np.array(runs).reshape(len(runs), perms.shape[1])
         self._flip_coefficients = a[flips]
@@ -268,16 +275,18 @@ class S2Evaluator:
         # since numpy gathers rows faster than columns.
         ca = c * self._flip_coefficients
         cosh = np.cosh(ca).tolist()
-        signed_sinh = (np.sinh(ca)[:, None] * self._flip_signs)[:, :, None]
+        sinh = np.sinh(ca)
+        signed_sinh = (sinh[:, None] * self._flip_signs)[:, :, None]
+        sinh = sinh.tolist()
         scales = np.exp(c * self._run_exponents)[:, :, None]
         acc = _identity_stack(self.n).copy()
         rotated = np.empty_like(acc)
-        for perm, i in self._steps:
+        for perm, i, unsigned in self._steps:
             if perm is None:
                 acc *= scales[i]
             else:
                 acc.take(perm, axis=0, out=rotated)
-                rotated *= signed_sinh[i]
+                rotated *= sinh[i] if unsigned else signed_sinh[i]
                 acc *= cosh[i]
                 acc += rotated
         half = acc.shape[1]
@@ -288,22 +297,26 @@ class S2Evaluator:
         sector blocks: forward half-phase product times the reversed
         half-phase product.
 
-        The block is read-only. Asked again for the phase it built last,
-        while that block is still referenced, the evaluator returns the
-        same block instead of rebuilding it: the Suzuki slice
-        (p, p, 1-4p, p, p) takes 3 builds, not 5. Only a weak reference is
-        kept, so no block lives longer than its caller holds it.
+        The block is read-only. The evaluator keeps a weak reference to each
+        block it builds, keyed by phase: asked for a phase whose block is
+        still referenced anywhere, it returns that block instead of
+        rebuilding it. ``build_approximation`` holds a block while its phase
+        comes up again later in the slice, so the Suzuki slice
+        (p, p, 1-4p, p, p) takes 2 builds for 5 calls. No block lives longer
+        than a caller holds it. Threads that share the evaluator may hand
+        each other blocks of the same phase, which are bit-identical to a
+        rebuild.
         """
         phase = float(phase)
-        last = self._last  # read once: threads that share the evaluator swap it
-        if last is not None and last[0] == phase:
-            block = last[1]()
-            if block is not None:
-                return block
-        forward = self._forward(-0.5j * self.t * phase)
-        block = forward @ forward.swapaxes(-1, -2)
-        block.flags.writeable = False
-        self._last = (phase, weakref.ref(block))
+        ref = self._blocks.get(phase)
+        block = None if ref is None else ref()
+        if block is None:
+            forward = self._forward(-0.5j * self.t * phase)
+            block = forward @ forward.swapaxes(-1, -2)
+            block.flags.writeable = False
+            # The entry goes when the block does. A stale callback may drop
+            # a newer entry of the same phase, which only costs a rebuild.
+            self._blocks[phase] = weakref.ref(block, partial(self._blocks.pop, phase))
         return block
 
 
@@ -319,13 +332,23 @@ def build_approximation(
     One time slice is the product of S2 blocks at the expanded phases
     divided by r; the slice is then raised to the r-th power. For the Suzuki
     seed this is exactly the order-2k formula with r slices.
+
+    A block is held only while its phase comes up again later in the slice,
+    so ``S2Evaluator.s2`` builds each distinct phase once (2 builds for the
+    k=2 Suzuki slice, 4 for k=3), while a slice of distinct phases keeps
+    no block past its use. No block outlives the call.
     """
     if p.k != spec.k:
         raise ValueError(f"coefficient vector k={p.k} does not match spec k={spec.k}")
     ev = evaluator if evaluator is not None else S2Evaluator.for_instance(instance, spec.ordering)
+    phases = (slice_phases(p) / spec.r).tolist()
+    remaining = Counter(phases)  # uses of each phase still to come
+    held = {}  # the block of each phase while it comes up again
     acc: np.ndarray | None = None
-    for x in slice_phases(p):
-        block = ev.s2(x / spec.r)
+    for x in phases:
+        block = ev.s2(x)
+        remaining[x] -= 1
+        held[x] = block if remaining[x] else None
         acc = block if acc is None else acc @ block
     assert acc is not None
     return matrix_power(acc, spec.r)

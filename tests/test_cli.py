@@ -85,6 +85,32 @@ class TestOptimize:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma0", ["inf", "nan"])
+    def test_bad_step_size_fails_before_any_work(self, tmp_path, instance_path, capsys,
+                                                 no_work, sigma0):
+        out = tmp_path / "run.json"
+        code = run([
+            "optimize", "--instance", instance_path, "--k", "2", "--r", "2",
+            "--sigma0", sigma0, "--generations", "2", "--seed", "5", "--out", out,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: initial step size must be finite and positive, got {float(sigma0)}\n")
+        assert not out.exists()
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Fails the test if a command starts scoring or fans out."""
+    from trotteropt import experiments
+    from trotteropt.fitness import FitnessContext
+
+    def started(*_args, **_kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(FitnessContext, "create", started)
+    monkeypatch.setattr(experiments, "pmap", started)
+
 
 class TestSample:
     def test_csv_columns(self, tmp_path, instance_path):
@@ -111,6 +137,27 @@ class TestSweepR:
         assert "threshold" in capsys.readouterr().out
         payload = read_record(out)
         assert [row["r"] for row in payload["rows"]] == [2, 4, 8]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--threshold", "nan"], "threshold must be finite, got nan"),
+        (["--threshold", "inf"], "threshold must be finite, got inf"),
+        (["--threshold=-inf"], "threshold must be finite, got -inf"),
+        (["--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["--jobs", "-3"], "jobs must be >= 1, got -3"),
+        (["--mode", "optimize", "--sigma0", "inf"],
+         "initial step size must be finite and positive, got inf"),
+        (["--mode", "optimize", "--sigma0", "0", "--jobs", "2"],
+         "initial step size must be finite and positive, got 0.0"),
+        (["--mode", "optimize", "--generations", "0", "--jobs", "2"], "generations must be >= 1"),
+    ])
+    def test_bad_arguments_fail_before_any_work(self, tmp_path, instance_path, capsys,
+                                                no_work, argv, message):
+        out = tmp_path / "sweep.json"
+        code = run(["sweep-r", "--instance", instance_path, "--k", "2", "--r-grid", "2,4",
+                    "--generations", "2", *argv, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_evaluate_mode_needs_record(self, tmp_path, instance_path):
         code = run([

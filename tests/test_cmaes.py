@@ -138,6 +138,13 @@ class TestRun:
         with pytest.raises(ValueError):
             cma_run(np.zeros(3), sphere_3d, generations=0, sigma0=0.5, rng_seed=0)
 
+    @pytest.mark.parametrize("sigma0", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_step_size_that_is_not_finite_and_positive(self, sigma0):
+        with pytest.raises(ValueError, match="initial step size must be finite and positive"):
+            cma_init(np.zeros(3), sigma0)
+        with pytest.raises(ValueError, match="initial step size must be finite and positive"):
+            cma_run(np.zeros(3), sphere_3d, generations=1, sigma0=sigma0, rng_seed=0)
+
 
 def sphere_3d(x):
     return float(np.sum(x**2))

@@ -11,6 +11,7 @@ from trotteropt.model import (
     TermOrdering,
     _PAULI_MATS,
     _anticommutation_masks,
+    _generators,
     _pauli_strings,
     _popcount,
     _sector_strings,
@@ -25,6 +26,7 @@ from trotteropt.model import (
     terms_commute,
     unmerged_gate_count,
 )
+from trotteropt.records import instance_from_dict, instance_to_dict
 from trotteropt.trotter import slice_phases, suzuki_seed
 
 from sectors import dense, dense_hamiltonian
@@ -91,6 +93,18 @@ class TestChainInstance:
                 assert t.coefficient == inst.v[t.site - 1]
             else:
                 assert t.coefficient == 1.0
+
+    def test_terms_are_built_once_and_do_not_enter_equality(self):
+        inst = ChainInstance(4, (0.5, -0.25, 0.0, 1.0), 2.0, seed=3)
+        assert inst.terms() is inst.terms()
+        twin = ChainInstance(4, [0.5, -0.25, 0, 1], 2, seed=3)
+        assert twin == inst and hash(twin) == hash(inst)
+        assert hash(inst) == hash((4, (0.5, -0.25, 0.0, 1.0), 2.0, 3))
+        assert ChainInstance(4, inst.v, 2.0, seed=4) != inst
+        assert "_terms" not in repr(inst)
+        assert instance_to_dict(inst) == {"n": 4, "v": [0.5, -0.25, 0.0, 1.0], "t": 2.0, "seed": 3}
+        again = instance_from_dict(instance_to_dict(inst))
+        assert again == inst and again.terms() == inst.terms()
 
 
 class TestHamiltonian:
@@ -197,6 +211,24 @@ class TestParitySectors:
             stack = np.zeros((2, half, half))
             stack[columns // half, perm % half, columns % half] = sign
             npt.assert_array_equal(dense(stack), term_matrix(term, n))
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_generator_table_rows_follow_the_term_sequence(self, n):
+        # The table is in per-site reading order (the order checked against
+        # term_matrix above), and a shuffled sequence picks the same rows.
+        table = _generators(n)
+        assert table is _generators(n)
+        terms = ChainInstance(n, (0.5,) * n, 1.0).terms()
+        assert [table.rows[term.kind, term.site] for term in terms] == list(range(len(terms)))
+        order = np.random.default_rng(n).permutation(len(terms))
+        perms, signs = _sector_strings([terms[g] for g in order], n)
+        npt.assert_array_equal(perms, table.perms[order])
+        npt.assert_array_equal(signs, table.signs[order])
+        for array in (table.perms, table.signs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+        with pytest.raises(TypeError):
+            table.rows[TermKind.Z, 1] = 0
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_z_string_signs(self, n):
@@ -356,14 +388,20 @@ class TestMergedGateCountOracle:
                         atol=1e-12,
                     )
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_masks_match_commutation_table(self, n):
+        # merged_gate_count reads the generator table's masks, indexed by
+        # row; mapped to positions in an ordering they are its own masks.
+        table = _generators(n)
         inst = ChainInstance.random(n, np.random.default_rng(n))
         for ordering in _oracle_orderings(n):
             terms = ordered_terms(inst, ordering)
             anti = _anticommutation_masks(terms, n)
             commute = [[not (mask >> h) & 1 for h in range(len(terms))] for mask in anti]
             npt.assert_array_equal(np.array(commute), commutation_table(terms, n))
+            rows = [table.rows[term.kind, term.site] for term in terms]
+            assert anti == [sum(1 << h for h, row in enumerate(rows) if table.anti[g] >> row & 1)
+                            for g in rows]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_large_r_is_linear_and_grouped_closed_form(self, k):

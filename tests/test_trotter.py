@@ -245,7 +245,7 @@ class TestKernels:
             assert spectral_norm(ev._grouped_forward(c) - ev._pauli_forward(c)) <= 1e-12
         # To the Pauli kernel a grouped sequence is 2n flips, then one run of ZZ and Z.
         assert len(ev._run_exponents) == 1 and len(ev._flip_coefficients) == 2 * n
-        assert [perm is None for perm, _ in ev._steps] == [False] * (2 * n) + [True]
+        assert [perm is None for perm, *_ in ev._steps] == [False] * (2 * n) + [True]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("sequence", EDGE_SEQUENCES)
@@ -266,7 +266,7 @@ class TestKernels:
             assert spectral_norm(dense(ev._forward(-1j * ev.t * phase)) - expected) <= 1e-12
         # One row scaling per maximal Z/ZZ run, one signed permutation per flip.
         assert len(ev._run_exponents) == runs
-        assert sum(perm is None for perm, _ in ev._steps) == runs
+        assert sum(perm is None for perm, *_ in ev._steps) == runs
         assert len(ev._steps) - runs == len(ev._flip_coefficients) == sum(
             term.kind in (TermKind.XX, TermKind.YY) for term in terms)
 
@@ -356,23 +356,84 @@ class TestBuildApproximation:
         slow = slow @ slow  # r = 2
         assert spectral_norm(fast - slow) <= 1e-12
 
-    @pytest.mark.parametrize("ordering", ["grouped", "explicit"])
-    def test_repeated_phase_reuses_the_held_block(self, ordering, monkeypatch):
-        # The Suzuki slice (p, p, 1-4p, p, p): five s2 calls, three builds,
-        # and bit for bit the product of five fresh blocks.
-        inst = small_instance(seed=4, n=4, t=8.0)
-        spec = DecompositionSpec(2, 7, ORDERINGS[ordering](4))
+    @staticmethod
+    def fresh_product(inst, spec, p):
+        # Every block from an evaluator of its own, so nothing is shared.
+        acc = None
+        for x in slice_phases(p):
+            block = S2Evaluator.for_instance(inst, spec.ordering).s2(x / spec.r)
+            acc = block if acc is None else acc @ block
+        return matrix_power(acc, spec.r)
+
+    @staticmethod
+    def count_builds(monkeypatch):
         built = []
         forward = S2Evaluator._forward
         monkeypatch.setattr(S2Evaluator, "_forward", lambda self, c: built.append(c) or forward(self, c))
+        return built
+
+    @pytest.mark.parametrize("ordering", ["grouped", "explicit"])
+    def test_repeated_phase_reuses_the_held_block(self, ordering, monkeypatch):
+        # The Suzuki slice (p, p, 1-4p, p, p): five s2 calls, two builds,
+        # and bit for bit the product of five fresh blocks.
+        inst = small_instance(seed=4, n=4, t=8.0)
+        spec = DecompositionSpec(2, 7, ORDERINGS[ordering](4))
+        built = self.count_builds(monkeypatch)
         got = build_approximation(inst, spec, suzuki_seed(2))
-        assert len(built) == 3
-        acc = None
-        for x in slice_phases(suzuki_seed(2)):
-            block = S2Evaluator.for_instance(inst, spec.ordering).s2(x / spec.r)
-            acc = block if acc is None else acc @ block
-        assert len(built) == 3 + 5
-        assert got.tobytes() == matrix_power(acc, spec.r).tobytes()
+        assert len(built) == 2
+        expected = self.fresh_product(inst, spec, suzuki_seed(2))
+        assert len(built) == 2 + 5
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ordering", ["grouped", "explicit"])
+    @pytest.mark.parametrize("vector,builds", [
+        ("suzuki_k3", 4),  # 25 phases, the products of {p2, 1-4p2} and {p3, 1-4p3}
+        ("distinct_k2", 5),  # a CMA candidate: every phase new
+    ])
+    def test_each_distinct_phase_is_built_once(self, ordering, vector, builds, monkeypatch):
+        inst = small_instance(seed=4, n=4, t=8.0)
+        p = suzuki_seed(3) if vector == "suzuki_k3" else CoefficientVector(2, (0.41, 0.42, -0.66, 0.43, 0.4))
+        spec = DecompositionSpec(p.k, 3, ORDERINGS[ordering](4))
+        held = []
+        s2 = S2Evaluator.s2
+
+        def counting_s2(self, phase):
+            block = s2(self, phase)
+            held.append(sum(1 for ref in self._blocks.values() if ref() is not None))
+            return block
+
+        built = self.count_builds(monkeypatch)
+        monkeypatch.setattr(S2Evaluator, "s2", counting_s2)
+        got = build_approximation(inst, spec, p)
+        assert len(built) == builds
+        assert len(held) == len(slice_phases(p))
+        if vector == "distinct_k2":
+            # Nothing kept for later: at most the block just built and the
+            # slice's first factor, which is the running product until the
+            # second block arrives.
+            assert max(held) <= 2
+        assert got.tobytes() == self.fresh_product(inst, spec, p).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_block_outlives_the_call(self, k, monkeypatch):
+        inst = small_instance(seed=4, n=4, t=8.0)
+        ev = S2Evaluator.for_instance(inst, ORDERINGS["explicit"](4))
+        refs = []
+        s2 = S2Evaluator.s2
+
+        def recording_s2(self, phase):
+            block = s2(self, phase)
+            refs.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(S2Evaluator, "s2", recording_s2)
+        for r in (1, 3):
+            approx = build_approximation(inst, DecompositionSpec(k, r, ORDERINGS["explicit"](4)), suzuki_seed(k), ev)
+            assert len(refs) == 5 ** (k - 1)
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert len(ev._blocks) == 0
+            assert approx.flags.writeable
+            refs.clear()
 
     def test_s2_block_is_read_only_and_held_only_by_the_caller(self):
         ev = S2Evaluator.for_instance(small_instance(), GROUPED)
@@ -380,27 +441,41 @@ class TestBuildApproximation:
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0, 0] = 0
         assert ev.s2(0.25) is block
+        other = ev.s2(0.5)
+        assert ev.s2(0.25) is block and ev.s2(0.5) is other
         released = weakref.ref(block)
         del block
         assert released() is None
         assert ev.s2(0.25).tobytes() == S2Evaluator.for_instance(small_instance(), GROUPED).s2(0.25).tobytes()
 
-    def test_s2_reads_its_last_block_once(self):
-        # Another thread may replace the memo between its phase check and its
-        # dereference; the block returned must still be the one for the phase.
-        ev = S2Evaluator.for_instance(small_instance(), GROUPED)
-        other = ev.s2(0.7)
-        block = ev.s2(0.25)
-        swapped = (0.7, weakref.ref(other))
+    @pytest.mark.parametrize("ordering", ["grouped", "explicit"])
+    def test_threads_sharing_an_evaluator_match_serial(self, ordering):
+        # Threads scoring different vectors on one evaluator may hand each
+        # other blocks of a shared phase; every product must still be the
+        # serial one bit for bit.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
 
-        class SwappedOnPhaseRead(tuple):
-            def __getitem__(self, index):
-                if index == 0:
-                    ev._last = swapped
-                return tuple.__getitem__(self, index)
-
-        ev._last = SwappedOnPhaseRead((0.25, weakref.ref(block)))
-        assert ev.s2(0.25) is block
+        inst = small_instance(seed=6, n=4, t=8.0)
+        spec = DecompositionSpec(2, 5, ORDERINGS[ordering](4))
+        rng = np.random.default_rng(3)
+        seed = np.array(suzuki_seed(2).components)
+        # A quarter of the vectors are the Suzuki seed; the rest share some of its entries.
+        population = [CoefficientVector(2, tuple(seed)) for _ in range(8)] + [
+            CoefficientVector(2, tuple(np.where(rng.random(5) < 0.5, seed, rng.normal(0.3, 0.2, 5))))
+            for _ in range(24)
+        ]
+        serial = [build_approximation(inst, spec, p).tobytes() for p in population]
+        ev = S2Evaluator.for_instance(inst, spec.ordering)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(
+                    lambda p: build_approximation(inst, spec, p, ev).tobytes(), population, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
     def test_k_mismatch_rejected(self):
         inst = small_instance()
