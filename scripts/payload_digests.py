@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Payload digests of a fixed set of trotteropt commands.
+
+    python3 scripts/payload_digests.py
+
+Runs each command of ``COMMANDS`` in-process through ``trotteropt.cli.main``,
+against the ``src/`` tree beside this script, with every file written to a
+temporary directory that is removed afterwards. Prints one line per output
+file, ``name sha256[:16]``: the stored payload digest of a record, or the
+digest of the file's bytes for an instance. Two trees whose outputs agree
+print the same lines, so a change meant to keep every output can be checked
+with ``diff`` against the lines of its parent commit.
+"""
+
+import os
+
+# One BLAS thread, as in the benchmark, set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from trotteropt import cli  # noqa: E402
+
+# (name, argv) in run order; "{dir}" is the temporary directory, and each
+# command writes "{dir}/<name>.json". Later commands read earlier outputs.
+COMMANDS = [
+    ("instance_n4", ["generate-instance", "--n", "4", "--seed", "41"]),
+    ("instance_n5", ["generate-instance", "--n", "5", "--seed", "51"]),
+    ("instance_n8", ["generate-instance", "--n", "8", "--seed", "81"]),
+    *[
+        (f"baseline_n5_k2_{ordering}",
+         ["baseline", "--instance", "{dir}/instance_n5.json", "--k", "2", "--r", "125",
+          "--ordering", ordering])
+        for ordering in ("grouped", "canonical", "random")
+    ],
+    ("baseline_n5_k3", ["baseline", "--instance", "{dir}/instance_n5.json", "--k", "3",
+                        "--r", "7"]),
+    ("baseline_n8", ["baseline", "--instance", "{dir}/instance_n8.json", "--r", "25"]),
+    ("optimize_n5", ["optimize", "--instance", "{dir}/instance_n5.json", "--r", "125",
+                     "--generations", "5"]),
+    ("optimize_n4_random", ["optimize", "--instance", "{dir}/instance_n4.json", "--r", "25",
+                            "--ordering", "random", "--generations", "5"]),
+    ("perms_n5", ["perms", "--instance", "{dir}/instance_n5.json", "--r-grid", "25,125",
+                  "--n-random", "3"]),
+    ("perms_n4_k3", ["perms", "--instance", "{dir}/instance_n4.json", "--k", "3",
+                     "--r-grid", "3,7", "--n-random", "3"]),
+    ("generalize_v", ["generalize", "--record", "{dir}/optimize_n5.json", "--axis", "v",
+                      "--grid", "2"]),
+    ("generalize_n", ["generalize", "--record", "{dir}/optimize_n5.json", "--axis", "n",
+                      "--grid", "6,7"]),
+    ("sweep_r_jobs2", ["sweep-r", "--instance", "{dir}/instance_n5.json", "--r-grid", "25,50",
+                       "--mode", "optimize", "--generations", "3", "--jobs", "2"]),
+    ("sample_n5", ["sample", "--instance", "{dir}/instance_n5.json", "--r", "25",
+                   "--scheme", "around-suzuki", "--scales", "1e-6,1e-3", "--samples", "4"]),
+]
+
+
+def file_digest(path: Path) -> str:
+    record = json.loads(path.read_text(encoding="utf-8"))
+    if isinstance(record, dict) and "payload" in record:
+        return record["meta"]["payload_sha256"]
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="payload_digests_") as tmp:
+        for name, argv in COMMANDS:
+            argv = [arg.format(dir=tmp) for arg in argv] + ["--out", f"{tmp}/{name}.json"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.main(argv)
+            if status != 0:
+                print(f"{name} failed with exit status {status}", file=sys.stderr)
+                return 1
+            print(name, file_digest(Path(tmp) / f"{name}.json")[:16], flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,7 @@ to --out as a JSON record plus a flat CSV twin next to it (see FORMATS.md).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -187,7 +188,9 @@ def _cmd_perms(args) -> str:
     return f"ordering study over r={args.r_grid} with {args.n_random} random permutations"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a parser per call would be cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="trotteropt",
         description="Product-formula decompositions of Heisenberg-chain evolution, "

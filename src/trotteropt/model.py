@@ -4,25 +4,25 @@ The Hamiltonian is the sum of 4n local terms: XX, YY and ZZ couplings on each
 bond (j, j+1) — indices wrap, so qubit n couples back to qubit 1 — plus a Z
 field of strength v_j on each site. Sites are 1-based throughout.
 
-Every term is a Pauli string. ``_pauli_strings`` gives the strings of a
-term sequence as rows of signed permutations; ``term_matrix`` builds one
-term as a dense Kronecker chain, an independent form kept as a check on the
-first. Every term flips an even number of spins, so the fitness path
-restricts operators to the two parity sectors of ``_sectors``. This module
-owns that sector layout (``_sector_index``, built once per n) and the
-generator table (``_generators``, built once per n): a row for each of the
-4n generators, holding its string restricted to the sectors and the
-generators it anticommutes with. ``_sector_strings`` reads the table's rows
-in the order of a term sequence; from them ``hamiltonian`` builds H as its
-two real sector blocks, never at the full dimension, and the S2 kernels of
-``trotter`` build every circuit operator.
+Every term is a Pauli string. The generator table (``_generators``,
+built once per n) holds each of the 4n generators as the (x, z) bit masks
+of its string, and ``_strings`` turns masks into signed permutations;
+``term_matrix`` builds one term as a dense Kronecker chain, an independent
+form kept as a check on the first. Every term flips an even number of
+spins, so the fitness path restricts operators to the two parity sectors
+of ``_sectors``. This module owns that sector layout (``_sector_index``,
+built once per n) and the table, whose rows also hold each string
+restricted to the sectors and the generators it anticommutes with.
+``_rows`` picks the table's rows in the order of a term sequence; from
+them ``hamiltonian`` builds H as its two real sector blocks, never at the
+full dimension, and the S2 kernels of ``trotter`` build every circuit
+operator.
 
 Besides building operators, this module owns term orderings (the order of
 exponential gates in a product formula is a free choice) and the gate count
 after merging exponentials of identical generators that can be brought next
 to each other by commutation, which reads the same table's anticommutation
-rows. ``merge_gates`` walks an explicit gate stream and is the brute-force
-check on ``merged_gate_count``.
+rows.
 """
 
 from __future__ import annotations
@@ -43,11 +43,9 @@ __all__ = [
     "TermKind",
     "TermOrdering",
     "hamiltonian",
-    "merge_gates",
     "merged_gate_count",
     "ordered_terms",
     "term_matrix",
-    "terms_commute",
     "unmerged_gate_count",
 ]
 
@@ -189,7 +187,7 @@ def ordered_terms(instance: ChainInstance, ordering: TermOrdering) -> tuple[Loca
     if ordering.mode is OrderingMode.CANONICAL:
         return base
     if ordering.mode is OrderingMode.GROUPED:
-        by_kind = {kind: [] for kind in (TermKind.XX, TermKind.YY, TermKind.ZZ, TermKind.Z)}
+        by_kind = {kind: [] for kind in _KINDS}
         for term in base:
             by_kind[term.kind].append(term)
         return tuple(t for kind in by_kind for t in by_kind[kind])
@@ -214,30 +212,6 @@ def term_matrix(term: LocalTerm, n: int) -> np.ndarray:
     return term.coefficient * reduce(np.kron, factors)
 
 
-def _z_strings(terms, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bit masks of the terms' qubits (qubit 1 is the most significant bit,
-    as in the kron order of ``term_matrix``), shape (L,), and the diagonals
-    of their Z strings, one row per term: shape (L, 2^n)."""
-    masks = np.array(
-        [sum(1 << (n - site) for site in _pauli_sites(term, n)) for term in terms], dtype=np.int64
-    )
-    return masks, 1.0 - 2.0 * _parity(np.arange(2**n) & masks[:, None], n)
-
-
-def _pauli_strings(terms, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The terms' Pauli strings P, coefficients left out, as rows of signed
-    permutations, shape (L, 2^n) each: P|b> = sign[b] |perm[b]>. X flips a
-    bit, Z contributes (-1)^bit and Y = iXZ does both, so YY picks up
-    i * i = -1: the signs of every chain term are real."""
-    masks, signs = _z_strings(terms, n)
-    xx = np.array([term.kind is TermKind.XX for term in terms], dtype=bool)
-    yy = np.array([term.kind is TermKind.YY for term in terms], dtype=bool)
-    perms = np.arange(2**n) ^ np.where(xx | yy, masks, 0)[:, None]
-    signs[xx] = 1.0
-    signs[yy] *= -1.0
-    return perms, signs
-
-
 def _sectors(n: int) -> np.ndarray:
     """The basis states split by parity, shape (2, 2^(n-1)): the states of
     even popcount, then those of odd popcount, each ascending.
@@ -247,7 +221,7 @@ def _sectors(n: int) -> np.ndarray:
     one sector into the other. Every operator built from the terms is
     block-diagonal in these two sectors.
     """
-    return np.argsort(_parity(np.arange(2**n), n), kind="stable").reshape(2, -1)
+    return np.argsort(_popcount(np.arange(2**n), n) & 1, kind="stable").reshape(2, -1)
 
 
 @lru_cache(maxsize=None)
@@ -265,10 +239,18 @@ def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _GeneratorTable(NamedTuple):
     """The 4n generators of an n-site chain, one row each in per-site
-    reading order (``ChainInstance.terms``); see ``_generators``."""
+    reading order (``ChainInstance.terms``); see ``_generators``.
+
+    ``perms`` and ``signs`` hold each string restricted to the two parity
+    sectors laid one above the other: with ``states`` the flattened
+    ``_sectors(n)``, P|states[i]> = sign[i] |states[perm[i]]>, and each row
+    of ``perms`` maps a sector into itself.
+    """
 
     rows: MappingProxyType  # (kind, site) -> row
-    perms: np.ndarray  # (4n, 2M), each row's string restricted to the sectors
+    x: np.ndarray  # (4n,) X bit mask of each row's string
+    z: np.ndarray  # (4n,) Z bit mask of each row's string
+    perms: np.ndarray  # (4n, 2M)
     signs: np.ndarray  # (4n, 2M)
     anti: tuple[int, ...]  # bit h of entry g: rows g and h anticommute
 
@@ -276,20 +258,52 @@ class _GeneratorTable(NamedTuple):
 @lru_cache(maxsize=None)
 def _generators(n: int) -> _GeneratorTable:
     """The generator table of n sites, built once per n and read-only. It
-    depends on kinds and sites only, never on coefficients or orderings."""
-    terms = tuple(LocalTerm(kind, site) for site in range(1, n + 1) for kind in _KINDS)
-    states, rows = _sector_index(n)
-    perms, signs = _pauli_strings(terms, n)
+    depends on kinds and sites only, never on coefficients or orderings.
+
+    Each generator is held as the (x, z) bit masks of its Pauli string:
+    X sets its qubit's bit in x, Z in z, and Y = iXZ in both, qubit 1 being
+    the most significant bit as in ``term_matrix``. The sector strings come
+    from the masks through ``_strings``. Two strings anticommute iff they
+    carry different non-identity letters on an odd number of qubits, that
+    is iff popcount((x_g & z_h) ^ (z_g & x_h)) is odd.
+    """
+    rows, x, z = {}, [], []
+    for site in range(1, n + 1):
+        one = 1 << (n - site)
+        bond = one | (1 << (n - site % n - 1))  # with qubit site % n + 1
+        for kind, (xg, zg) in zip(_KINDS, [(bond, 0), (bond, bond), (0, bond), (0, one)]):
+            rows[kind, site] = len(x)
+            x.append(xg)
+            z.append(zg)
+    x, z = np.array(x), np.array(z)
+    states, positions = _sector_index(n)
     states = states.reshape(-1)
-    perms, signs = rows[perms[:, states]], signs[:, states]
-    for array in (perms, signs):
+    perms, signs = _strings(x, z, n)
+    perms, signs = positions[perms[:, states]], signs[:, states]
+    odd = (_popcount((x[:, None] & z) ^ (z[:, None] & x), n) & 1).tolist()
+    for array in (x, z, perms, signs):
         array.flags.writeable = False
     return _GeneratorTable(
-        MappingProxyType({(term.kind, term.site): g for g, term in enumerate(terms)}),
+        MappingProxyType(rows),
+        x,
+        z,
         perms,
         signs,
-        tuple(_anticommutation_masks(terms, n)),
+        # Python ints, not an int64 sum: 4n bits pass 63 at n = 16.
+        tuple(sum(1 << h for h, bit in enumerate(row) if bit) for row in odd),
     )
+
+
+def _strings(x, z, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Pauli strings of bit masks x and z at full dimension,
+    coefficients left out, as rows of signed permutations:
+    P|b> = sign[b] |perm[b]>, with perm[b] = b ^ x. X flips a bit, Z
+    contributes (-1)^bit and Y = iXZ does both, so each pair of Y letters
+    adds i * i = -1: the signs of every chain term are real. Masks of shape
+    (L,) give rows of shape (L, 2^n); scalar masks give one row."""
+    basis = np.arange(2**n)
+    x, z = np.asarray(x)[..., None], np.asarray(z)[..., None]
+    return basis ^ x, 1.0 - 2.0 * ((_popcount(basis & z, n) + _popcount(x & z, n) // 2) & 1)
 
 
 def _rows(terms, table: _GeneratorTable) -> list[int]:
@@ -297,28 +311,9 @@ def _rows(terms, table: _GeneratorTable) -> list[int]:
     return [table.rows[term.kind, term.site] for term in terms]
 
 
-def _sector_strings(terms, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The terms' Pauli strings restricted to the two parity sectors laid
-    one above the other, shape (L, 2M) each: with ``states`` the flattened
-    ``_sectors(n)``, P|states[i]> = sign[i] |states[perm[i]]>. Each row of
-    ``perm`` maps a sector into itself. The rows come from the generator
-    table, in term order."""
-    table = _generators(n)
-    rows = _rows(terms, table)
-    return table.perms[rows], table.signs[rows]
-
-
 def _popcount(values: np.ndarray, n: int) -> np.ndarray:
     """Popcount of each entry of an integer array below 2^n."""
     return sum((values >> bit) & 1 for bit in range(n))
-
-
-def _parity(values: np.ndarray, n: int) -> np.ndarray:
-    """Popcount parity of each entry of an integer array below 2^n."""
-    parity = np.zeros_like(values)
-    for bit in range(n):
-        parity ^= values >> bit
-    return parity & 1
 
 
 def hamiltonian(instance: ChainInstance) -> np.ndarray:
@@ -326,14 +321,16 @@ def hamiltonian(instance: ChainInstance) -> np.ndarray:
     parity-sector blocks (``_sectors``).
 
     Each term adds its coefficient times the signed permutation of its
-    Pauli string (``_sector_strings``), one entry per column, with no
+    Pauli string (``_GeneratorTable``), one entry per column, with no
     Kronecker chain. The entries are summed in term order from +0, so each
     block is bit-identical to the real part of the summed ``term_matrix``
     on its sector, whose imaginary part is zero.
     """
     n = instance.n
     terms = instance.terms()
-    perms, signs = _sector_strings(terms, n)
+    table = _generators(n)
+    rows = _rows(terms, table)
+    perms, signs = table.perms[rows], table.signs[rows]
     half = 2 ** (n - 1)
     positions = perms * half + np.arange(2 * half) % half  # of each entry in the flat stack
     weights = np.array([term.coefficient for term in terms])[:, None] * signs
@@ -348,54 +345,6 @@ def _pauli_sites(term: LocalTerm, n: int) -> dict[int, str]:
     return {term.site: letter, term.site % n + 1: letter}
 
 
-def terms_commute(a: LocalTerm, b: LocalTerm, n: int) -> bool:
-    """Pauli-string commutation: strings commute iff they anticommute on an
-    even number of shared sites."""
-    sa = _pauli_sites(a, n)
-    sb = _pauli_sites(b, n)
-    clashes = sum(1 for site, letter in sa.items() if site in sb and sb[site] != letter)
-    return clashes % 2 == 0
-
-
-def merge_gates(
-    gates: list[tuple[int, float]], commute: np.ndarray
-) -> list[tuple[int, float]]:
-    """Collapse exponentials of identical generators, allowing a gate to slide
-    left past gates that commute with it; phases of merged gates add.
-
-    ``gates`` are (generator id, phase) pairs; ``commute[i, j]`` says whether
-    generators i and j commute. Distinct generators never fuse, even when
-    they commute.
-    """
-    out: list[tuple[int, float]] = []
-    for gid, phase in gates:
-        target = -1
-        i = len(out) - 1
-        while i >= 0:
-            hid = out[i][0]
-            if hid == gid:
-                target = i
-                break
-            if not commute[hid, gid]:
-                break
-            i -= 1
-        if target >= 0:
-            out[target] = (gid, out[target][1] + phase)
-        else:
-            out.append((gid, phase))
-    return out
-
-
-def commutation_table(terms: tuple[LocalTerm, ...], n: int) -> np.ndarray:
-    """``table[i, j]`` says whether terms i and j commute (``merge_gates``'
-    input)."""
-    table = np.zeros((len(terms), len(terms)), dtype=bool)
-    for i, a in enumerate(terms):
-        for j, b in enumerate(terms):
-            table[i, j] = terms_commute(a, b, n)
-    return table
-
-
 def unmerged_gate_count(instance: ChainInstance, k: int, r: int) -> int:
     """Exponential-gate count of the order-2k formula with r time slices,
     before any merging: 2L gates per symmetric block, r * 5^(k-1) blocks."""
@@ -404,31 +353,10 @@ def unmerged_gate_count(instance: ChainInstance, k: int, r: int) -> int:
     return 2 * 4 * instance.n * r * 5 ** (k - 1)
 
 
-def _anticommutation_masks(terms: tuple[LocalTerm, ...], n: int) -> list[int]:
-    """Bit h of entry g is set when terms g and h anticommute.
-
-    As in ``terms_commute``, two Pauli strings anticommute iff they carry
-    different letters on an odd number of shared sites, so toggling bit h
-    of g once per such site leaves exactly that parity. Only terms on a
-    common site are paired, which keeps this linear in the chain length.
-    """
-    on_site: dict[int, list[tuple[int, str]]] = {}
-    for g, term in enumerate(terms):
-        for site, letter in _pauli_sites(term, n).items():
-            on_site.setdefault(site, []).append((g, letter))
-    anti = [0] * len(terms)
-    for acting in on_site.values():
-        for g, a in acting:
-            for h, b in acting:
-                if a != b:
-                    anti[g] ^= 1 << h
-    return anti
-
-
 def merged_gate_count(instance: ChainInstance, ordering: TermOrdering, k: int, r: int) -> int:
     """Gate count of the order-2k, r-slice product formula after merging
     same-generator exponentials across commuting neighbours; the same
-    integer as ``merge_gates`` gives on the full gate stream.
+    integer as a gate-by-gate merge of the full gate stream gives.
 
     The formula is r * 5^(k-1) symmetric blocks, each the L terms forward
     then reversed. Merging never moves or removes a gate, it only adds

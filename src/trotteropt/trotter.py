@@ -49,11 +49,11 @@ from .model import (
     LocalTerm,
     TermKind,
     TermOrdering,
-    _parity,
-    _pauli_strings,
+    _generators,
+    _popcount,
+    _rows,
     _sector_index,
-    _sector_strings,
-    _z_strings,
+    _strings,
     ordered_terms,
 )
 
@@ -154,7 +154,9 @@ def fast_local_expm(term: LocalTerm, n: int, c: complex) -> np.ndarray:
     exp(c * a * P) = cosh(c * a) * I + sinh(c * a) * P. Wrap-around
     couplings (site n with site 1) need no special case.
     """
-    (perm,), (sign,) = _pauli_strings((term,), n)
+    table = _generators(n)
+    g = table.rows[term.kind, term.site]
+    perm, sign = _strings(table.x[g], table.z[g], n)
     ca = c * term.coefficient
     out = np.cosh(ca) * np.eye(2**n, dtype=complex)
     out[perm, np.arange(2**n)] += np.sinh(ca) * sign
@@ -217,7 +219,9 @@ class S2Evaluator:
         self.t = float(t)
         self._blocks: dict[float, weakref.ref] = {}  # see s2
         self._states, flat = _sector_index(n)
-        perms, signs = _sector_strings(self.terms, n)
+        table = _generators(n)
+        rows = _rows(self.terms, table)
+        perms, signs = table.perms[rows], table.signs[rows]
         assert np.array_equal(np.take_along_axis(signs, perms, axis=1), signs), (
             "F^T is the reversed half-product only for symmetric generators")
         a = np.array([term.coefficient for term in self.terms])
@@ -243,7 +247,8 @@ class S2Evaluator:
         self._grouped = groups == sorted(groups)
         if not self._grouped:
             return
-        weighted = a[:, None] * _z_strings(self.terms, n)[1]
+        # In its group's basis each term is the Z string on its own qubits.
+        weighted = a[:, None] * _strings(0, table.x[rows] | table.z[rows], n)[1]
         self._diagonals = np.zeros((3, 2**n))
         for group, row in zip(groups, weighted):
             self._diagonals[group] += row
@@ -252,7 +257,7 @@ class S2Evaluator:
         # (self._walsh @ d)[self._xor] is H^n diag(d) H^n, block by block:
         # the Walsh matrix (-1)^popcount(a & b) / 2^n, on its even rows a.
         basis = np.arange(2**n)
-        parity = _parity(basis, n)
+        parity = _popcount(basis, n) & 1
         self._walsh = np.where(parity[self._states[0][:, None] & basis], -0.5**n, 0.5**n)
         self._s = reduce(np.kron, [np.array([1, 1j])] * n)[self._states]  # diagonal of S^n
 

@@ -1,8 +1,9 @@
+import gc
 import json
 
 import pytest
 
-from trotteropt.cli import main
+from trotteropt.cli import build_parser, main
 from trotteropt.records import read_record
 
 
@@ -255,3 +256,21 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestParser:
+    def test_a_command_leaves_no_argparse_garbage(self, tmp_path):
+        # Built per call, the parser would be cyclic garbage that only the
+        # collector frees; built once per process, a command leaves none.
+        assert build_parser() is build_parser()
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run(["generate-instance", "--n", "3", "--out", tmp_path / "inst.json"]) == 0
+            gc.collect()
+            leaked = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert leaked == []

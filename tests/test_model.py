@@ -10,25 +10,22 @@ from trotteropt.model import (
     TermKind,
     TermOrdering,
     _PAULI_MATS,
-    _anticommutation_masks,
     _generators,
-    _pauli_strings,
+    _pauli_sites,
     _popcount,
-    _sector_strings,
+    _rows,
     _sectors,
-    _z_strings,
-    commutation_table,
+    _strings,
     hamiltonian,
-    merge_gates,
     merged_gate_count,
     ordered_terms,
     term_matrix,
-    terms_commute,
     unmerged_gate_count,
 )
 from trotteropt.records import instance_from_dict, instance_to_dict
 from trotteropt.trotter import slice_phases, suzuki_seed
 
+from oracles import commutation_table, merge_gates, terms_commute
 from sectors import dense, dense_hamiltonian
 
 
@@ -186,7 +183,9 @@ class TestParitySectors:
         # Every site, so the wrap-around bond (n, 1) is included.
         basis = np.arange(2**n)
         terms = [LocalTerm(kind, site, 0.7) for site in range(1, n + 1)]
-        perms, signs = _pauli_strings(terms, n)
+        table = _generators(n)
+        rows = _rows(terms, table)
+        perms, signs = _strings(table.x[rows], table.z[rows], n)
         assert perms.shape == signs.shape == (n, 2**n)
         for term, perm, sign in zip(terms, perms, signs):
             npt.assert_array_equal(np.sort(perm), basis)
@@ -202,7 +201,9 @@ class TestParitySectors:
         # Column i of the (2M, M) stack holds sign[i] in row perm[i]; scattered
         # back, that is each term's Kronecker chain, which has no cross-sector entry.
         terms = [LocalTerm(kind, site) for site in range(1, n + 1) for kind in TermKind]
-        perms, signs = _sector_strings(terms, n)
+        table = _generators(n)
+        rows = _rows(terms, table)
+        perms, signs = table.perms[rows], table.signs[rows]
         half = 2 ** (n - 1)
         assert perms.shape == signs.shape == (len(terms), 2 * half)
         columns = np.arange(2 * half)
@@ -221,20 +222,38 @@ class TestParitySectors:
         terms = ChainInstance(n, (0.5,) * n, 1.0).terms()
         assert [table.rows[term.kind, term.site] for term in terms] == list(range(len(terms)))
         order = np.random.default_rng(n).permutation(len(terms))
-        perms, signs = _sector_strings([terms[g] for g in order], n)
-        npt.assert_array_equal(perms, table.perms[order])
-        npt.assert_array_equal(signs, table.signs[order])
-        for array in (table.perms, table.signs):
+        assert _rows([terms[g] for g in order], table) == order.tolist()
+        for array in (table.x, table.z, table.perms, table.signs):
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0
+                array.flat[0] = 0
         with pytest.raises(TypeError):
             table.rows[TermKind.Z, 1] = 0
 
     @pytest.mark.parametrize("n", range(3, 9))
+    def test_masks_match_pauli_letters(self, n):
+        # Every kind and site, the wrap-around bond included: X sets x, Z
+        # sets z and Y both, qubit 1 being the most significant bit.
+        table = _generators(n)
+        for (kind, site), g in table.rows.items():
+            x = z = 0
+            for qubit, letter in _pauli_sites(LocalTerm(kind, site), n).items():
+                bit = 1 << (n - qubit)
+                x |= bit if letter in "xy" else 0
+                z |= bit if letter in "yz" else 0
+            assert (table.x[g], table.z[g]) == (x, z), (kind, site)
+        assert sorted(table.rows.values()) == list(range(4 * n))
+
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_z_string_signs(self, n):
+        # The grouped kernel's diagonals: each term as the Z string on its
+        # own qubits, x = 0 and z = x | z.
         basis = np.arange(2**n)
         terms = [LocalTerm(kind, site) for site in range(1, n + 1) for kind in TermKind]
-        masks, signs = _z_strings(terms, n)
+        table = _generators(n)
+        rows = _rows(terms, table)
+        masks = table.x[rows] | table.z[rows]
+        signs = _strings(0, masks, n)[1]
+        assert signs.shape == (len(terms), 2**n)
         for term, mask, row in zip(terms, masks, signs):
             sites = [term.site] if term.kind is TermKind.Z else [term.site, term.site % n + 1]
             assert mask == sum(1 << (n - site) for site in sites)
@@ -390,18 +409,17 @@ class TestMergedGateCountOracle:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_masks_match_commutation_table(self, n):
-        # merged_gate_count reads the generator table's masks, indexed by
-        # row; mapped to positions in an ordering they are its own masks.
+        # merged_gate_count reads the generator table's anticommutation
+        # rows, indexed by row; read in an ordering's row order they are the
+        # letter-based oracle's table of that ordering.
         table = _generators(n)
+        assert all(isinstance(mask, int) for mask in table.anti)
         inst = ChainInstance.random(n, np.random.default_rng(n))
         for ordering in _oracle_orderings(n):
             terms = ordered_terms(inst, ordering)
-            anti = _anticommutation_masks(terms, n)
-            commute = [[not (mask >> h) & 1 for h in range(len(terms))] for mask in anti]
+            rows = _rows(terms, table)
+            commute = [[not (table.anti[g] >> h) & 1 for h in rows] for g in rows]
             npt.assert_array_equal(np.array(commute), commutation_table(terms, n))
-            rows = [table.rows[term.kind, term.site] for term in terms]
-            assert anti == [sum(1 << h for h, row in enumerate(rows) if table.anti[g] >> row & 1)
-                            for g in rows]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_large_r_is_linear_and_grouped_closed_form(self, k):

@@ -11,8 +11,6 @@ from trotteropt.model import (
     TermKind,
     TermOrdering,
     _sector_index,
-    commutation_table,
-    merge_gates,
     merged_gate_count,
     ordered_terms,
     term_matrix,
@@ -30,6 +28,7 @@ from trotteropt.trotter import (
     suzuki_seed,
 )
 
+from oracles import commutation_table, merge_gates
 from sectors import dense, dense_hamiltonian
 
 GROUPED = TermOrdering.grouped()
