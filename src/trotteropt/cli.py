@@ -50,7 +50,11 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
-def _emit(args, payload: dict, csv_header: list[str], csv_rows) -> None:
+def _emit(args, payload: dict, csv_header: list[str], csv_rows=None) -> None:
+    """Write the record and its CSV twin. Without ``csv_rows``, each of the
+    payload's rows gives its values under the header names ("" if absent)."""
+    if csv_rows is None:
+        csv_rows = [[row.get(col, "") for col in csv_header] for row in payload["rows"]]
     out = Path(args.out)
     write_record(out, payload)
     write_csv(out.with_suffix(".csv"), csv_header, csv_rows)
@@ -112,13 +116,7 @@ def _cmd_sample(args) -> str:
         instance=instance,
     )
     payload = experiments.sampling_report(plan, args.seed)
-    _emit(
-        args,
-        payload,
-        ["scale", "mean_fitness", "min_fitness", "max_fitness"],
-        [[row["scale"], row["mean_fitness"], row["min_fitness"], row["max_fitness"]]
-         for row in payload["rows"]],
-    )
+    _emit(args, payload, ["scale", "mean_fitness", "min_fitness", "max_fitness"])
     return f"sampled {args.samples} vectors at {len(args.scales)} scales ({args.scheme})"
 
 
@@ -143,13 +141,7 @@ def _cmd_sweep_r(args) -> str:
         threshold=args.threshold,
         jobs=args.jobs,
     )
-    _emit(
-        args,
-        payload,
-        ["r", "baseline_error", "optimized_error", "reduction_pct"],
-        [[row["r"], row["baseline_error"], row.get("optimized_error", ""),
-          row.get("reduction_pct", "")] for row in payload["rows"]],
-    )
+    _emit(args, payload, ["r", "baseline_error", "optimized_error", "reduction_pct"])
     line = f"swept r over {args.r_grid} ({args.mode})"
     if args.threshold is not None:
         line += (
@@ -164,13 +156,7 @@ def _cmd_generalize(args) -> str:
     run_payload = read_record(args.record)
     grid = _float_list(args.grid)
     payload = experiments.generalize(run_payload, args.axis, grid, n_cap=args.n_cap)
-    _emit(
-        args,
-        payload,
-        ["value", "baseline_error", "optimized_error", "reduction_pct"],
-        [[row["value"], row["baseline_error"], row["optimized_error"], row["reduction_pct"]]
-         for row in payload["rows"]],
-    )
+    _emit(args, payload, ["value", "baseline_error", "optimized_error", "reduction_pct"])
     positive = sum(1 for row in payload["rows"] if row["reduction_pct"] > 0)
     return f"generalized over {args.axis}: {positive}/{len(payload['rows'])} points improved"
 
@@ -178,13 +164,7 @@ def _cmd_generalize(args) -> str:
 def _cmd_perms(args) -> str:
     instance = load_instance(args.instance)
     payload = experiments.perms_study(instance, args.k, args.r_grid, args.n_random, args.seed)
-    _emit(
-        args,
-        payload,
-        ["ordering", "r", "merged_gates", "unmerged_gates", "error"],
-        [[row["ordering"], row["r"], row["merged_gates"], row["unmerged_gates"], row["error"]]
-         for row in payload["rows"]],
-    )
+    _emit(args, payload, ["ordering", "r", "merged_gates", "unmerged_gates", "error"])
     return f"ordering study over r={args.r_grid} with {args.n_random} random permutations"
 
 

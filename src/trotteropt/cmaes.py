@@ -202,12 +202,6 @@ def cma_step(state: CmaState, objective, rng: np.random.Generator) -> tuple[CmaS
     )
 
 
-def _as_generator(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.Generator(np.random.PCG64(rng_seed))
-
-
 def cma_run(
     seed_vector,
     objective,
@@ -225,7 +219,7 @@ def cma_run(
     """
     if generations < 1:
         raise ValueError("need at least one generation")
-    rng = _as_generator(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     state = cma_init(seed_vector, sigma0, popsize)
     best_x = np.array(seed_vector, dtype=float).ravel()
     best_f = float(objective(best_x))

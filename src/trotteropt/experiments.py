@@ -75,11 +75,12 @@ def default_sigma0(k: int) -> float:
 
 
 def pmap(fn, items, jobs: int = 1) -> list:
-    """Map preserving item order; jobs > 1 fans out across processes."""
+    """Map preserving item order; jobs > 1 fans out across processes, at
+    most one per item (a fork pool starts all its workers up front)."""
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -171,10 +172,10 @@ def optimize_instance(
     }
 
 
-def _sweep_cell(args: tuple) -> dict:
-    instance_dict, spec_dict, mode, p_fixed, generations, sigma0, master_seed, cell_index = args
-    instance = instance_from_dict(instance_dict)
-    spec = _spec_from_dict(spec_dict)
+def _sweep_cell(instance, mode, p_fixed, generations, sigma0, master_seed, cell) -> dict:
+    """One r of a sweep; ``cell`` is (index, spec). Frozen instances and
+    specs pickle as they are, so pool workers get the same objects."""
+    cell_index, spec = cell
     ctx = FitnessContext.create(instance, spec)
     baseline = evaluate(ctx, suzuki_seed(spec.k))
     row: dict = {"r": spec.r, "baseline_error": baseline}
@@ -229,20 +230,9 @@ def sweep_r(
         if generations < 1:
             raise ValueError("generations must be >= 1")
         _check_step_size(sigma0)
-    cells = [
-        (
-            instance_to_dict(instance),
-            _spec_dict(DecompositionSpec(k, r, ordering)),
-            mode,
-            p_fixed,
-            generations,
-            sigma0,
-            master_seed,
-            i,
-        )
-        for i, r in enumerate(r_grid)
-    ]
-    rows = pmap(_sweep_cell, cells, jobs)
+    cell = partial(_sweep_cell, instance, mode, p_fixed, generations, sigma0, master_seed)
+    specs = [DecompositionSpec(k, r, ordering) for r in r_grid]
+    rows = pmap(cell, enumerate(specs), jobs)
     payload = {
         "command": "sweep-r",
         "instance": instance_to_dict(instance),

@@ -48,8 +48,8 @@ class SamplingPlan:
         object.__setattr__(self, "std_devs", tuple(float(s) for s in self.std_devs))
         if self.samples_per_scale < 1:
             raise ValueError("need at least one sample per scale")
-        if not all(s > 0 for s in self.std_devs):
-            raise ValueError("standard deviations must be positive")
+        if not all(0 < s < np.inf for s in self.std_devs):
+            raise ValueError("standard deviations must be finite and positive")
         if self.spec.k < 2:
             raise ValueError("sampling requires k >= 2 (k = 1 has no coefficients)")
 
@@ -74,9 +74,7 @@ def run_sampling(plan: SamplingPlan, rng_seed) -> list[ScaleStats]:
         center = np.full(d, 1.0 / d)
     else:
         center = np.array(suzuki_seed(plan.spec.k).components)
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.Generator(
-        np.random.PCG64(rng_seed)
-    )
+    rng = np.random.default_rng(rng_seed)
     rows: list[ScaleStats] = []
     for scale in plan.std_devs:
         draws = center + scale * rng.standard_normal((plan.samples_per_scale, d))

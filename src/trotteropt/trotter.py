@@ -8,8 +8,9 @@ levels turns a coefficient vector into per-slice S2 phases
 (``slice_phases``); ``build_approximation`` divides them by r, multiplies
 the slice's S2 blocks and raises the product to the r-th power. It builds
 each distinct phase of a slice once: it holds a block while its phase
-comes up again later in the slice, and ``S2Evaluator.s2`` hands back a
-block of a phase that is still held. That is the only path from
+comes up again later in the slice and passes what it holds to
+``S2Evaluator.s2``, which returns a held block instead of building it
+again. The evaluator itself holds no block. That is the only path from
 coefficients to an approximation. The order parameter
 k = 1 is admitted as the degenerate case with an empty coefficient vector,
 meaning plain S2 slicing.
@@ -35,10 +36,9 @@ stack depends only on n and is built once per n.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import groupby
 
 import numpy as np
@@ -209,15 +209,16 @@ class S2Evaluator:
       needs a signed row. The cosh, sinh and scaling rows of a block each
       come from one vector call.
 
-    Both kernels' tables are built with the evaluator and never change, so
-    threads may share it.
+    Both kernels' tables are built with the evaluator, and nothing is
+    written to it afterwards: every block is built from them alone, and
+    block reuse is the caller's (``build_approximation``). So threads may
+    share an evaluator.
     """
 
     def __init__(self, terms, n: int, t: float):
         self.terms = tuple(terms)
         self.n = n
         self.t = float(t)
-        self._blocks: dict[float, weakref.ref] = {}  # see s2
         self._states, flat = _sector_index(n)
         table = _generators(n)
         rows = _rows(self.terms, table)
@@ -297,31 +298,23 @@ class S2Evaluator:
         half = acc.shape[1]
         return acc.reshape(2, half, half).swapaxes(-1, -2)
 
-    def s2(self, phase: float) -> np.ndarray:
+    def s2(self, phase: float, held: dict | None = None) -> np.ndarray:
         """S2 at the given fraction of the evolution parameter, as its two
         sector blocks: forward half-phase product times the reversed
         half-phase product.
 
-        The block is read-only. The evaluator keeps a weak reference to each
-        block it builds, keyed by phase: asked for a phase whose block is
-        still referenced anywhere, it returns that block instead of
-        rebuilding it. ``build_approximation`` holds a block while its phase
-        comes up again later in the slice, so the Suzuki slice
-        (p, p, 1-4p, p, p) takes 2 builds for 5 calls. No block lives longer
-        than a caller holds it. Threads that share the evaluator may hand
-        each other blocks of the same phase, which are bit-identical to a
-        rebuild.
+        ``held`` maps phases to blocks that the caller still holds: the
+        block of a held phase is returned as it is, and any other phase
+        (or one mapped to None) is built anew. A built block is read-only
+        and bit-identical to any other build of the same phase, so a
+        caller may hold it and hand it back for as long as it likes.
         """
         phase = float(phase)
-        ref = self._blocks.get(phase)
-        block = None if ref is None else ref()
+        block = held.get(phase) if held else None
         if block is None:
             forward = self._forward(-0.5j * self.t * phase)
             block = forward @ forward.swapaxes(-1, -2)
             block.flags.writeable = False
-            # The entry goes when the block does. A stale callback may drop
-            # a newer entry of the same phase, which only costs a rebuild.
-            self._blocks[phase] = weakref.ref(block, partial(self._blocks.pop, phase))
         return block
 
 
@@ -338,10 +331,12 @@ def build_approximation(
     divided by r; the slice is then raised to the r-th power. For the Suzuki
     seed this is exactly the order-2k formula with r slices.
 
-    A block is held only while its phase comes up again later in the slice,
-    so ``S2Evaluator.s2`` builds each distinct phase once (2 builds for the
-    k=2 Suzuki slice, 4 for k=3), while a slice of distinct phases keeps
-    no block past its use. No block outlives the call.
+    This call owns block reuse. It keeps a ``held`` dict, per call, of the
+    blocks whose phase comes up again later in the slice, passes it to
+    every ``S2Evaluator.s2`` call and drops a block on its phase's last
+    use. So each distinct phase is built once (2 builds for the k=2 Suzuki
+    slice, 4 for k=3), a slice of distinct phases keeps no block past its
+    use, and no block outlives the call. The evaluator is only read.
     """
     if p.k != spec.k:
         raise ValueError(f"coefficient vector k={p.k} does not match spec k={spec.k}")
@@ -351,7 +346,7 @@ def build_approximation(
     held = {}  # the block of each phase while it comes up again
     acc: np.ndarray | None = None
     for x in phases:
-        block = ev.s2(x)
+        block = ev.s2(x, held)
         remaining[x] -= 1
         held[x] = block if remaining[x] else None
         acc = block if acc is None else acc @ block

@@ -126,6 +126,18 @@ class TestSample:
         assert lines[0] == "scale,mean_fitness,min_fitness,max_fitness"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("scales", ["1e-4,inf", "nan", "0", "--scales=-1e-3"])
+    def test_bad_scales_fail_before_any_work(self, tmp_path, instance_path, capsys, no_work, scales):
+        out = tmp_path / "s.json"
+        scale_args = [scales] if scales.startswith("--") else ["--scales", scales]
+        code = run([
+            "sample", "--instance", instance_path, "--k", "2", "--r", "2",
+            "--scheme", "around-suzuki", *scale_args, "--samples", "4", "--seed", "1", "--out", out,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: standard deviations must be finite and positive\n"
+        assert not out.exists()
+
 
 class TestSweepR:
     def test_threshold_summary(self, tmp_path, instance_path, capsys):

@@ -140,6 +140,41 @@ class TestSweepR:
             sweep_r(tiny, 2, [4, 2], GROUPED)
 
 
+class TestPmap:
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """Replaces the process pool with a serial one that records its
+        worker count, so no process is started."""
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        return started
+
+    @pytest.mark.parametrize("jobs,items,workers", [(64, 2, [2]), (2, 4, [2]), (3, 3, [3]), (8, 1, [])])
+    def test_no_more_workers_than_items(self, pools, jobs, items, workers):
+        assert experiments.pmap(str, range(items), jobs) == [str(i) for i in range(items)]
+        assert pools == workers
+
+    def test_oversubscribed_sweep_matches_serial(self, tiny, pools):
+        serial = sweep_r(tiny, 2, [2, 3], GROUPED, mode="baseline")
+        wide = sweep_r(tiny, 2, [2, 3], GROUPED, mode="baseline", jobs=64)
+        assert pools == [2]
+        assert payload_digest(wide) == payload_digest(serial)
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tiny):
     return optimize_instance(tiny, DecompositionSpec(2, 2, GROUPED), 3, 2e-8, master_seed=13)

@@ -29,6 +29,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             plan_for(small_instance, SamplingScheme.AROUND_SUZUKI, [0.0])
 
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan, -0.1])
+    def test_rejects_non_finite_scale(self, small_instance, scale):
+        with pytest.raises(ValueError, match="standard deviations must be finite and positive"):
+            plan_for(small_instance, SamplingScheme.AROUND_SUZUKI, [0.1, scale])
+
     def test_rejects_zero_samples(self, small_instance):
         with pytest.raises(ValueError):
             plan_for(small_instance, SamplingScheme.AROUND_SUZUKI, [0.1], samples=0)

@@ -393,24 +393,26 @@ class TestBuildApproximation:
         inst = small_instance(seed=4, n=4, t=8.0)
         p = suzuki_seed(3) if vector == "suzuki_k3" else CoefficientVector(2, (0.41, 0.42, -0.66, 0.43, 0.4))
         spec = DecompositionSpec(p.k, 3, ORDERINGS[ordering](4))
-        held = []
+        refs, live = [], []
         s2 = S2Evaluator.s2
 
-        def counting_s2(self, phase):
-            block = s2(self, phase)
-            held.append(sum(1 for ref in self._blocks.values() if ref() is not None))
+        def counting_s2(self, phase, held=None):
+            block = s2(self, phase, held)
+            if all(ref() is not block for ref in refs):
+                refs.append(weakref.ref(block))
+            live.append(sum(1 for ref in refs if ref() is not None))
             return block
 
         built = self.count_builds(monkeypatch)
         monkeypatch.setattr(S2Evaluator, "s2", counting_s2)
         got = build_approximation(inst, spec, p)
-        assert len(built) == builds
-        assert len(held) == len(slice_phases(p))
+        assert len(built) == builds == len(refs)
+        assert len(live) == len(slice_phases(p))
         if vector == "distinct_k2":
             # Nothing kept for later: at most the block just built and the
             # slice's first factor, which is the running product until the
             # second block arrives.
-            assert max(held) <= 2
+            assert max(live) <= 2
         assert got.tobytes() == self.fresh_product(inst, spec, p).tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -420,8 +422,8 @@ class TestBuildApproximation:
         refs = []
         s2 = S2Evaluator.s2
 
-        def recording_s2(self, phase):
-            block = s2(self, phase)
+        def recording_s2(self, phase, held=None):
+            block = s2(self, phase, held)
             refs.append(weakref.ref(block))
             return block
 
@@ -430,7 +432,6 @@ class TestBuildApproximation:
             approx = build_approximation(inst, DecompositionSpec(k, r, ORDERINGS["explicit"](4)), suzuki_seed(k), ev)
             assert len(refs) == 5 ** (k - 1)
             assert [ref() for ref in refs] == [None] * len(refs)
-            assert len(ev._blocks) == 0
             assert approx.flags.writeable
             refs.clear()
 
@@ -439,19 +440,34 @@ class TestBuildApproximation:
         block = ev.s2(0.25)
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0, 0] = 0
-        assert ev.s2(0.25) is block
-        other = ev.s2(0.5)
-        assert ev.s2(0.25) is block and ev.s2(0.5) is other
+        assert ev.s2(0.25, {0.25: block}) is block
+        assert ev.s2(0.25, {0.5: block}) is not block
+        # Nothing held: a fresh build, bit for bit the one before.
+        fresh = ev.s2(0.25)
+        assert fresh is not block and fresh.tobytes() == block.tobytes()
         released = weakref.ref(block)
         del block
         assert released() is None
-        assert ev.s2(0.25).tobytes() == S2Evaluator.for_instance(small_instance(), GROUPED).s2(0.25).tobytes()
+        assert fresh.tobytes() == S2Evaluator.for_instance(small_instance(), GROUPED).s2(0.25).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_evaluator_is_not_written_by_a_call(self, k):
+        inst = small_instance(seed=4, n=4, t=8.0)
+        for ordering in ("grouped", "explicit"):
+            spec = DecompositionSpec(k, 3, ORDERINGS[ordering](4))
+            ev = S2Evaluator.for_instance(inst, spec.ordering)
+            before = dict(vars(ev))
+            contents = {name: value.tobytes() for name, value in before.items() if isinstance(value, np.ndarray)}
+            build_approximation(inst, spec, suzuki_seed(k), ev)
+            assert vars(ev).keys() == before.keys()
+            assert all(vars(ev)[name] is value for name, value in before.items())
+            assert contents == {name: vars(ev)[name].tobytes() for name in contents}
 
     @pytest.mark.parametrize("ordering", ["grouped", "explicit"])
     def test_threads_sharing_an_evaluator_match_serial(self, ordering):
-        # Threads scoring different vectors on one evaluator may hand each
-        # other blocks of a shared phase; every product must still be the
-        # serial one bit for bit.
+        # Threads scoring different vectors on one evaluator, many of them
+        # sharing phases: every product must still be the serial one bit
+        # for bit.
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
