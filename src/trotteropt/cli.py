@@ -3,6 +3,11 @@
 Subcommands: generate-instance, baseline, optimize, sample, sweep-r,
 generalize, perms. Every command is deterministic given --seed; results go
 to --out as a JSON record plus a flat CSV twin next to it (see FORMATS.md).
+
+Each command loads only the modules it runs: the parser needs none of the
+numerics, and a handler imports ``experiments``, ``trotter`` or ``sampler``
+where it uses them. ``generate-instance`` loads ``records`` and ``model``
+alone, and only ``sweep-r --jobs`` above 1 loads the process pool.
 """
 
 from __future__ import annotations
@@ -12,10 +17,14 @@ import functools
 import sys
 from pathlib import Path
 
-from . import experiments
-from .records import load_instance, read_record, save_instance, write_csv, write_record
-from .sampler import DEFAULT_SCALES, SamplingPlan, SamplingScheme
-from .trotter import DecompositionSpec
+from .records import (
+    generate_instance,
+    load_instance,
+    read_record,
+    save_instance,
+    write_csv,
+    write_record,
+)
 
 __all__ = ["main"]
 
@@ -60,16 +69,26 @@ def _emit(args, payload: dict, csv_header: list[str], csv_rows=None) -> None:
     write_csv(out.with_suffix(".csv"), csv_header, csv_rows)
 
 
+def _instance_and_spec(args):
+    """The instance and decomposition named by --instance, --k, --r, --ordering and --seed."""
+    from .experiments import make_ordering
+    from .trotter import DecompositionSpec
+
+    instance = load_instance(args.instance)
+    ordering = make_ordering(args.ordering, instance, args.seed)
+    return instance, DecompositionSpec(args.k, args.r, ordering)
+
+
 def _cmd_generate_instance(args) -> str:
-    instance = experiments.generate_instance(args.n, args.t, args.seed)
+    instance = generate_instance(args.n, args.t, args.seed)
     save_instance(args.out, instance)
     return f"wrote instance n={instance.n} t={instance.t} to {args.out}"
 
 
 def _cmd_baseline(args) -> str:
-    instance = load_instance(args.instance)
-    ordering = experiments.make_ordering(args.ordering, instance, args.seed)
-    payload = experiments.baseline_report(instance, DecompositionSpec(args.k, args.r, ordering))
+    from . import experiments
+
+    payload = experiments.baseline_report(*_instance_and_spec(args))
     if args.out:
         _emit(
             args,
@@ -85,9 +104,9 @@ def _cmd_baseline(args) -> str:
 
 
 def _cmd_optimize(args) -> str:
-    instance = load_instance(args.instance)
-    ordering = experiments.make_ordering(args.ordering, instance, args.seed)
-    spec = DecompositionSpec(args.k, args.r, ordering)
+    from . import experiments
+
+    instance, spec = _instance_and_spec(args)
     generations = (
         experiments.default_generations(args.k) if args.generations is None else args.generations
     )
@@ -106,28 +125,27 @@ def _cmd_optimize(args) -> str:
 
 
 def _cmd_sample(args) -> str:
-    instance = load_instance(args.instance)
-    ordering = experiments.make_ordering(args.ordering, instance, args.seed)
-    plan = SamplingPlan(
-        scheme=SamplingScheme(args.scheme),
-        std_devs=tuple(args.scales),
-        samples_per_scale=args.samples,
-        spec=DecompositionSpec(args.k, args.r, ordering),
-        instance=instance,
-    )
+    from . import experiments
+    from .sampler import DEFAULT_SCALES, SamplingPlan
+
+    instance, spec = _instance_and_spec(args)
+    scales = DEFAULT_SCALES if args.scales is None else args.scales
+    plan = SamplingPlan(args.scheme, scales, args.samples, spec, instance)
     payload = experiments.sampling_report(plan, args.seed)
     _emit(args, payload, ["scale", "mean_fitness", "min_fitness", "max_fitness"])
-    return f"sampled {args.samples} vectors at {len(args.scales)} scales ({args.scheme})"
+    return f"sampled {args.samples} vectors at {len(scales)} scales ({args.scheme})"
 
 
 def _cmd_sweep_r(args) -> str:
+    from . import experiments
+
     instance = load_instance(args.instance)
     ordering = experiments.make_ordering(args.ordering, instance, args.seed)
     p_fixed = None
     if args.mode == "evaluate":
         if not args.record:
             raise ValueError("--mode evaluate needs --record with an optimize run")
-        p_fixed = read_record(args.record)["p_final"]
+        p_fixed = read_record(args.record, command="optimize")["p_final"]
     payload = experiments.sweep_r(
         instance,
         args.k,
@@ -153,15 +171,20 @@ def _cmd_sweep_r(args) -> str:
 
 
 def _cmd_generalize(args) -> str:
-    run_payload = read_record(args.record)
+    from . import experiments
+
+    run_payload = read_record(args.record, command="optimize")
     grid = _float_list(args.grid)
-    payload = experiments.generalize(run_payload, args.axis, grid, n_cap=args.n_cap)
+    n_cap = experiments.GENERALIZE_N_CAP if args.n_cap is None else args.n_cap
+    payload = experiments.generalize(run_payload, args.axis, grid, n_cap=n_cap)
     _emit(args, payload, ["value", "baseline_error", "optimized_error", "reduction_pct"])
     positive = sum(1 for row in payload["rows"] if row["reduction_pct"] > 0)
     return f"generalized over {args.axis}: {positive}/{len(payload['rows'])} points improved"
 
 
 def _cmd_perms(args) -> str:
+    from . import experiments
+
     instance = load_instance(args.instance)
     payload = experiments.perms_study(instance, args.k, args.r_grid, args.n_random, args.seed)
     _emit(args, payload, ["ordering", "r", "merged_gates", "unmerged_gates", "error"])
@@ -197,8 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="fitness landscape sampling")
     _add_common(p, "instance", "k", "r", "ordering", "seed", "out")
-    p.add_argument("--scheme", choices=[s.value for s in SamplingScheme], required=True)
-    p.add_argument("--scales", type=_float_list, default=list(DEFAULT_SCALES),
+    # The values of sampler.SamplingScheme, spelled out so that parsing
+    # loads no numerics (a test keeps the two equal).
+    p.add_argument("--scheme", choices=("around-uniform", "around-suzuki"), required=True)
+    p.add_argument("--scales", type=_float_list, default=None,
                    help="comma-separated std devs (default 1e-9..1)")
     p.add_argument("--samples", type=int, default=100, help="samples per scale (default 100)")
     p.set_defaults(func=_cmd_sample)
@@ -219,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=["v", "n", "t", "r"], required=True)
     p.add_argument("--grid", required=True,
                    help="comma-separated grid (axis=v: a single hold-out count)")
-    p.add_argument("--n-cap", type=int, default=experiments.GENERALIZE_N_CAP)
+    p.add_argument("--n-cap", type=int, default=None)
     _add_common(p, "out")
     p.set_defaults(func=_cmd_generalize)
 

@@ -10,7 +10,6 @@ parallelism never changes the output.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -28,7 +27,6 @@ from .records import (
     PURPOSE_APPEND,
     PURPOSE_CMA,
     PURPOSE_HOLDOUT,
-    PURPOSE_INSTANCE,
     PURPOSE_ORDERING,
     PURPOSE_PERMS,
     PURPOSE_SAMPLING,
@@ -45,7 +43,6 @@ __all__ = [
     "default_generations",
     "default_sigma0",
     "generalize",
-    "generate_instance",
     "make_ordering",
     "optimize_instance",
     "perms_study",
@@ -76,10 +73,16 @@ def default_sigma0(k: int) -> float:
 
 def pmap(fn, items, jobs: int = 1) -> list:
     """Map preserving item order; jobs > 1 fans out across processes, at
-    most one per item (a fork pool starts all its workers up front)."""
+    most one per item (a fork pool starts all its workers up front).
+
+    The process pool is imported only when it fans out, so a serial command
+    never loads ``concurrent.futures.process`` or ``multiprocessing``.
+    """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
@@ -97,11 +100,6 @@ def make_ordering(name: str, instance: ChainInstance, master_seed: int | None = 
         rng = derive_generator(master_seed, PURPOSE_ORDERING)
         return TermOrdering.explicit(rng.permutation(4 * instance.n))
     raise ValueError(f"unknown ordering {name!r}")
-
-
-def generate_instance(n: int, t: float | None, master_seed: int) -> ChainInstance:
-    rng = derive_generator(master_seed, PURPOSE_INSTANCE)
-    return ChainInstance.random(n, rng, t=t, seed=master_seed)
 
 
 def _spec_dict(spec: DecompositionSpec) -> dict:
@@ -224,9 +222,10 @@ def sweep_r(
         raise ValueError(f"unknown sweep mode {mode!r}")
     if mode == "evaluate" and p_fixed is None:
         raise ValueError("evaluate mode needs a coefficient vector")
-    generations = default_generations(k) if generations is None else generations
-    sigma0 = default_sigma0(k) if sigma0 is None else sigma0
     if mode == "optimize":
+        # Only optimize mode has a budget, so the other modes take any k, 1 included.
+        generations = default_generations(k) if generations is None else generations
+        sigma0 = default_sigma0(k) if sigma0 is None else sigma0
         if generations < 1:
             raise ValueError("generations must be >= 1")
         _check_step_size(sigma0)

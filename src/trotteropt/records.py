@@ -1,4 +1,4 @@
-"""Persistence and seeding for the experiment harness.
+"""Persistence, seeding and instance generation for the experiment harness.
 
 RNG policy: every random draw in the harness comes from numpy's PCG64,
 seeded through a SeedSequence derived from the command's master seed and a
@@ -42,6 +42,7 @@ __all__ = [
     "canonical_json",
     "derive_generator",
     "derive_seed_sequence",
+    "generate_instance",
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",
@@ -69,6 +70,14 @@ def derive_seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
 
 def derive_generator(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed_sequence(master_seed, *key)))
+
+
+def generate_instance(n: int, t: float | None, master_seed: int) -> ChainInstance:
+    """The chain instance of ``generate-instance``: disorder drawn from the
+    master seed's instance stream. It lives here, beside that stream, so the
+    command loads only this module and ``model``."""
+    rng = derive_generator(master_seed, PURPOSE_INSTANCE)
+    return ChainInstance.random(n, rng, t=t, seed=master_seed)
 
 
 def canonical_json(obj) -> str:
@@ -111,14 +120,20 @@ def write_record(path, payload: dict) -> dict:
     return record
 
 
-def read_record(path) -> dict:
-    """Load a record and return its payload; verifies the stored digest."""
+def read_record(path, command: str | None = None) -> dict:
+    """Load a record and return its payload; verifies the stored digest and,
+    given ``command``, that the record was written by that command."""
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
+    if not isinstance(record, dict) or not isinstance(record.get("payload"), dict):
+        raise ValueError(f"{path} is not a record: it has no payload")
     payload = record["payload"]
     stored = record.get("meta", {}).get("payload_sha256")
     if stored is not None and stored != payload_digest(payload):
         raise ValueError(f"record {path} is corrupt: payload digest mismatch")
+    if command is not None and payload.get("command") != command:
+        raise ValueError(
+            f"record {path} comes from {payload.get('command')}, not from {command}")
     return payload
 
 

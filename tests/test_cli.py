@@ -1,10 +1,11 @@
+import argparse
 import gc
 import json
 
 import pytest
 
 from trotteropt.cli import build_parser, main
-from trotteropt.records import read_record
+from trotteropt.records import read_record, write_record
 
 
 @pytest.fixture()
@@ -179,6 +180,49 @@ class TestSweepR:
         ])
         assert code == 1
 
+    def test_k1_baseline_sweep_matches_baseline(self, tmp_path, instance_path):
+        # k = 1 has nothing to optimize, but its baseline sweeps like any k.
+        out, base = tmp_path / "sweep.json", tmp_path / "base.json"
+        assert run(["sweep-r", "--instance", instance_path, "--k", "1", "--r-grid", "2,4",
+                    "--out", out]) == 0
+        assert run(["baseline", "--instance", instance_path, "--k", "1", "--r", "2",
+                    "--out", base]) == 0
+        rows = read_record(out)["rows"]
+        assert [row["r"] for row in rows] == [2, 4]
+        assert rows[0]["baseline_error"] == read_record(base)["error"]
+
+
+class TestWrongRecord:
+    """A --record that is not an optimize record is refused by name, before
+    any work starts."""
+
+    @pytest.fixture()
+    def perms_record(self, tmp_path):
+        path = tmp_path / "perms.json"
+        write_record(path, {"command": "perms", "rows": []})
+        return path
+
+    @pytest.fixture(params=["sweep-r", "generalize"])
+    def argv(self, request, instance_path):
+        if request.param == "sweep-r":
+            return ["sweep-r", "--instance", instance_path, "--mode", "evaluate",
+                    "--r-grid", "2,4"]
+        return ["generalize", "--axis", "v", "--grid", "1"]
+
+    def test_instance_file(self, tmp_path, instance_path, capsys, no_work, argv):
+        out = tmp_path / "out.json"
+        assert run([*argv, "--record", instance_path, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {instance_path} is not a record: it has no payload\n")
+        assert not out.exists()
+
+    def test_record_of_another_command(self, tmp_path, perms_record, capsys, no_work, argv):
+        out = tmp_path / "out.json"
+        assert run([*argv, "--record", perms_record, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: record {perms_record} comes from perms, not from optimize\n")
+        assert not out.exists()
+
 
 class TestGeneralizeAndPerms:
     def test_generalize_from_record(self, tmp_path, instance_path):
@@ -270,7 +314,42 @@ class TestErrors:
         assert exc.value.code == 2
 
 
+def _option(command: str, flag: str) -> argparse.Action:
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return next(a for a in commands.choices[command]._actions if flag in a.option_strings)
+
+
 class TestParser:
+    def test_scheme_choices_are_the_sampling_schemes(self):
+        from trotteropt.sampler import SamplingScheme
+
+        assert list(_option("sample", "--scheme").choices) == [s.value for s in SamplingScheme]
+
+    def test_omitted_defaults_resolve_in_the_handlers(self, tmp_path, instance_path, monkeypatch):
+        # The parser leaves --scales and --n-cap unset, so that it needs no
+        # numerics; the handlers fill in the defaults of sampler and experiments.
+        from trotteropt import experiments
+        from trotteropt.sampler import DEFAULT_SCALES
+
+        seen = {}
+
+        def stop(name):
+            def record_call(*args, **kwargs):
+                seen[name] = args, kwargs
+                raise ValueError("stop")
+            return record_call
+
+        monkeypatch.setattr(experiments, "sampling_report", stop("sample"))
+        monkeypatch.setattr(experiments, "generalize", stop("generalize"))
+        record = tmp_path / "run.json"
+        write_record(record, {"command": "optimize"})
+        assert run(["sample", "--instance", instance_path, "--k", "2", "--r", "2",
+                    "--scheme", "around-suzuki", "--out", tmp_path / "s.json"]) == 1
+        assert run(["generalize", "--record", record, "--axis", "v", "--grid", "1",
+                    "--out", tmp_path / "g.json"]) == 1
+        assert seen["sample"][0][0].std_devs == DEFAULT_SCALES
+        assert seen["generalize"][1]["n_cap"] == experiments.GENERALIZE_N_CAP
+
     def test_a_command_leaves_no_argparse_garbage(self, tmp_path):
         # Built per call, the parser would be cyclic garbage that only the
         # collector frees; built once per process, a command leaves none.

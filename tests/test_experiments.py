@@ -7,7 +7,6 @@ from trotteropt.experiments import (
     default_generations,
     default_sigma0,
     generalize,
-    generate_instance,
     make_ordering,
     optimize_instance,
     perms_study,
@@ -15,7 +14,7 @@ from trotteropt.experiments import (
 )
 from trotteropt.fitness import FitnessContext, evaluate, exact_propagator
 from trotteropt.model import OrderingMode, TermOrdering
-from trotteropt.records import payload_digest
+from trotteropt.records import generate_instance, payload_digest
 from trotteropt.trotter import CoefficientVector, DecompositionSpec, S2Evaluator, suzuki_seed
 
 GROUPED = TermOrdering.grouped()
@@ -125,6 +124,14 @@ class TestSweepR:
         for row in payload["rows"]:
             assert "optimized_error" in row and "reduction_pct" in row
 
+    @pytest.mark.parametrize("mode,p_fixed", [("baseline", None), ("evaluate", [])])
+    def test_k1_needs_no_optimizer_defaults(self, tiny, mode, p_fixed):
+        # k = 1 has no coefficients to optimize, which only optimize mode needs.
+        payload = sweep_r(tiny, 1, [2, 4], GROUPED, mode=mode, p_fixed=p_fixed)
+        assert [row["r"] for row in payload["rows"]] == [2, 4]
+        with pytest.raises(ValueError, match="k = 1 has no coefficients to optimize"):
+            sweep_r(tiny, 1, [2, 4], GROUPED, mode="optimize")
+
     def test_optimize_mode_parallel_matches_serial(self, tiny):
         kwargs = dict(mode="optimize", generations=2, sigma0=2e-8, master_seed=5)
         serial = sweep_r(tiny, 2, [2, 3], GROUPED, jobs=1, **kwargs)
@@ -160,7 +167,7 @@ class TestPmap:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         return started
 
     @pytest.mark.parametrize("jobs,items,workers", [(64, 2, [2]), (2, 4, [2]), (3, 3, [3]), (8, 1, [])])

@@ -1,5 +1,10 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +21,63 @@ def test_all_names_resolve(name):
     assert len(module.__all__) == len(set(module.__all__))
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_names_are_their_home_objects():
+    # The package root resolves its names on first access; each must be the
+    # very object that its defining module holds.
+    for attr in trotteropt.__all__:
+        if attr == "__version__":
+            continue
+        obj = getattr(trotteropt, attr)
+        assert getattr(importlib.import_module(obj.__module__), attr) is obj
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        trotteropt.no_such_name
+    # `from package import submodule` relies on that AttributeError.
+    from trotteropt import experiments
+
+    assert experiments.__name__ == "trotteropt.experiments"
+
+
+# Modules of the process pool, which only `sweep-r --jobs` above 1 needs.
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+
+def modules_after(argv) -> list[str]:
+    """Names in sys.modules after one CLI command, run in a fresh interpreter."""
+    script = (
+        "import json, sys\n"
+        "from trotteropt import cli\n"
+        f"assert cli.main({[str(a) for a in argv]!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(trotteropt.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def pool_modules(modules: list[str]) -> list[str]:
+    return [m for m in modules if m in POOL_MODULES or m.startswith("multiprocessing.")]
+
+
+def test_generate_instance_loads_no_numerics(tmp_path):
+    modules = modules_after(["generate-instance", "--n", "3", "--out", tmp_path / "inst.json"])
+    package = [m for m in modules if m.split(".")[0] == "trotteropt"]
+    assert package == ["trotteropt", "trotteropt.cli", "trotteropt.model", "trotteropt.records"]
+    assert pool_modules(modules) == []
+
+
+def test_serial_optimize_loads_no_process_pool(tmp_path):
+    from trotteropt.cli import main
+
+    instance = tmp_path / "inst.json"
+    assert main(["generate-instance", "--n", "3", "--seed", "2", "--out", str(instance)]) == 0
+    modules = modules_after(["optimize", "--instance", instance, "--r", "2", "--generations", "1",
+                             "--out", tmp_path / "run.json"])
+    assert "trotteropt.experiments" in modules
+    assert pool_modules(modules) == []

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,22 @@ class TestRecords:
         path.write_text(json.dumps(record))
         with pytest.raises(ValueError, match="digest"):
             read_record(path)
+
+    @pytest.mark.parametrize("content", [{"n": 3, "v": [0.1], "t": 6.0}, [1, 2], {"payload": [1]}])
+    def test_file_without_payload_is_named(self, tmp_path, content):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(content))
+        message = f"{path} is not a record: it has no payload"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_record(path)
+
+    def test_record_of_another_command_is_refused(self, tmp_path):
+        path = tmp_path / "rec.json"
+        write_record(path, {"command": "perms", "rows": []})
+        assert read_record(path, command="perms") == {"command": "perms", "rows": []}
+        message = f"record {path} comes from perms, not from optimize"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_record(path, command="optimize")
 
     def test_canonical_json_is_key_order_independent(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
