@@ -61,6 +61,18 @@ COMMANDS = [
                        "--mode", "optimize", "--generations", "3", "--jobs", "2"]),
     ("sample_n5", ["sample", "--instance", "{dir}/instance_n5.json", "--r", "25",
                    "--scheme", "around-suzuki", "--scales", "1e-6,1e-3", "--samples", "4"]),
+    # Serial paths that score a stored or drawn vector, after the first 16
+    # so that those lines stay comparable with older trees.
+    ("sweep_r_evaluate", ["sweep-r", "--instance", "{dir}/instance_n5.json", "--r-grid", "25,50",
+                          "--mode", "evaluate", "--record", "{dir}/optimize_n5.json",
+                          "--jobs", "1"]),
+    ("generalize_r", ["generalize", "--record", "{dir}/optimize_n5.json", "--axis", "r",
+                      "--grid", "25,50"]),
+    ("generalize_t", ["generalize", "--record", "{dir}/optimize_n5.json", "--axis", "t",
+                      "--grid", "5,15"]),
+    ("sample_n5_uniform", ["sample", "--instance", "{dir}/instance_n5.json", "--r", "25",
+                           "--scheme", "around-uniform", "--scales", "1e-6,1e-3",
+                           "--samples", "4"]),
 ]
 
 

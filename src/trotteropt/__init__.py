@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # Home module -> the public names it defines.
 _NAMES = {
     "model": ("ChainInstance", "LocalTerm", "OrderingMode", "Pauli", "TermKind", "TermOrdering"),
-    "trotter": ("CoefficientVector", "DecompositionSpec", "suzuki_coefficient", "suzuki_seed"),
+    "trotter": ("DecompositionSpec", "suzuki_coefficient", "suzuki_seed"),
     "fitness": ("FitnessContext", "error_reduction_pct", "evaluate", "exact_propagator"),
     "cmaes": ("CmaRunResult", "cma_run"),
 }

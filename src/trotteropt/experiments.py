@@ -15,13 +15,7 @@ from functools import partial
 import numpy as np
 
 from .cmaes import _check_step_size, cma_run
-from .fitness import (
-    FitnessContext,
-    error_reduction_pct,
-    evaluate,
-    evaluate_components,
-    exact_propagator,
-)
+from .fitness import FitnessContext, error_reduction_pct, evaluate, exact_propagator
 from .model import ChainInstance, OrderingMode, TermOrdering, merged_gate_count, unmerged_gate_count
 from .records import (
     PURPOSE_APPEND,
@@ -36,7 +30,7 @@ from .records import (
     instance_to_dict,
 )
 from .sampler import SamplingPlan, run_sampling
-from .trotter import CoefficientVector, DecompositionSpec, S2Evaluator, suzuki_seed
+from .trotter import DecompositionSpec, S2Evaluator, _check_coefficients, suzuki_seed
 
 __all__ = [
     "baseline_report",
@@ -85,6 +79,16 @@ def pmap(fn, items, jobs: int = 1) -> list:
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+def _check_r_grid(r_grid: list[int]) -> None:
+    """An r grid must be non-empty and strictly increasing, from r >= 1."""
+    if not r_grid:
+        raise ValueError("r grid must be non-empty")
+    if any(b <= a for a, b in zip(r_grid, r_grid[1:])):
+        raise ValueError("r grid must be strictly increasing")
+    if r_grid[0] < 1:
+        raise ValueError(f"r grid values must be >= 1, got {r_grid[0]}")
 
 
 def make_ordering(name: str, instance: ChainInstance, master_seed: int | None = None) -> TermOrdering:
@@ -139,8 +143,8 @@ def optimize_instance(
     ctx = FitnessContext.create(instance, spec)
     seed_vec = suzuki_seed(spec.k)
     result = cma_run(
-        seed_vec.components,
-        partial(evaluate_components, ctx),
+        seed_vec,
+        partial(evaluate, ctx),
         generations=generations,
         sigma0=sigma0,
         rng_seed=derive_seed_sequence(master_seed, *rng_key),
@@ -154,7 +158,7 @@ def optimize_instance(
         "seed": master_seed,
         "sigma0": sigma0,
         "generations": generations,
-        "p_initial": list(seed_vec.components),
+        "p_initial": list(seed_vec),
         "p_final": [float(x) for x in result.best_x],
         "error_initial": error_initial,
         "error_final": error_final,
@@ -184,7 +188,7 @@ def _sweep_cell(instance, mode, p_fixed, generations, sigma0, master_seed, cell)
         row["optimized_error"] = run["error_final"]
         row["p_final"] = run["p_final"]
     elif mode == "evaluate":
-        row["optimized_error"] = evaluate_components(ctx, p_fixed)
+        row["optimized_error"] = evaluate(ctx, p_fixed)
     if "optimized_error" in row:
         row["reduction_pct"] = error_reduction_pct(baseline, row["optimized_error"])
     return row
@@ -210,18 +214,17 @@ def sweep_r(
     r whose error beats it, for the gate-saving readout. Every argument is
     checked before any cell runs.
     """
-    if not r_grid:
-        raise ValueError("r grid must be non-empty")
+    _check_r_grid(r_grid)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if threshold is not None and not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    if sorted(r_grid) != list(r_grid) or len(set(r_grid)) != len(r_grid):
-        raise ValueError("r grid must be strictly increasing")
     if mode not in ("baseline", "optimize", "evaluate"):
         raise ValueError(f"unknown sweep mode {mode!r}")
-    if mode == "evaluate" and p_fixed is None:
-        raise ValueError("evaluate mode needs a coefficient vector")
+    if mode == "evaluate":
+        if p_fixed is None:
+            raise ValueError("evaluate mode needs a coefficient vector")
+        _check_coefficients(p_fixed, k)
     if mode == "optimize":
         # Only optimize mode has a budget, so the other modes take any k, 1 included.
         generations = default_generations(k) if generations is None else generations
@@ -279,7 +282,7 @@ def generalize(
     base_instance = instance_from_dict(run_payload["instance"])
     spec = _spec_from_dict(run_payload["spec"])
     k = spec.k
-    p_opt = CoefficientVector(k, tuple(run_payload["p_final"]))
+    p_opt = _check_coefficients(run_payload["p_final"], k)
     p_seed = suzuki_seed(k)
     record_seed = int(run_payload["seed"])
 
@@ -340,7 +343,7 @@ def generalize(
         "source_instance": run_payload["instance"],
         "spec": run_payload["spec"],
         "seed": record_seed,
-        "p_optimized": list(p_opt.components),
+        "p_optimized": p_opt.tolist(),
         "rows": rows,
     }
 
@@ -354,8 +357,7 @@ def perms_study(
 ) -> dict:
     """Gate count vs Suzuki-seed error for grouped, canonical, and averaged
     random term orderings, per r."""
-    if not r_grid:
-        raise ValueError("r grid must be non-empty")
+    _check_r_grid(r_grid)
     if n_random < 1:
         raise ValueError("n_random must be >= 1")
     seed_vec = suzuki_seed(k)

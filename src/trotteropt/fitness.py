@@ -7,6 +7,9 @@ or shared by the callers that score one instance many ways, never inside an
 optimization loop. H also conserves the popcount, so it is diagonalized
 in blocks of at most C(n, n/2) rows (70 at n=8).
 
+A coefficient vector is any sequence of floats (an optimizer's array row,
+the Suzuki seed's tuple, a record's list), and ``evaluate`` scores it as it is.
+
 Every chain term commutes with the parity Z^n, so H, exp(-i t H), the
 circuit and their difference are block-diagonal in the even- and
 odd-popcount sectors. Both operators are held as ``(2, 2^(n-1), 2^(n-1))``
@@ -23,14 +26,12 @@ import numpy as np
 
 from .linalg import expm_scaled_hermitian, spectral_norm
 from .model import ChainInstance, _popcount, _sector_index, hamiltonian
-from .trotter import CoefficientVector, DecompositionSpec, S2Evaluator, build_approximation
+from .trotter import DecompositionSpec, S2Evaluator, build_approximation
 
 __all__ = [
-    "DecompositionSpec",
     "FitnessContext",
     "error_reduction_pct",
     "evaluate",
-    "evaluate_components",
     "exact_propagator",
 ]
 
@@ -82,24 +83,17 @@ class FitnessContext:
         return cls(instance=instance, spec=spec, exact=exact, evaluator=evaluator)
 
 
-def evaluate(ctx: FitnessContext, p: CoefficientVector) -> float:
-    """Spectral-norm error of the circuit built from ``p``.
+def evaluate(ctx: FitnessContext, p) -> float:
+    """Spectral-norm error of the circuit built from coefficients ``p``.
 
-    Deterministic: identical inputs give bit-identical values. No S2 block
-    is kept from one evaluation to the next; within one, a block reused for
-    a repeated phase is the block a rebuild would give. Non-finite
-    components signal a diverged search and raise rather than scoring.
+    Deterministic: the same floats give bit-identical values, whatever
+    sequence holds them. No S2 block is kept from one evaluation to the
+    next; within one, a block reused for a repeated phase is the block a
+    rebuild would give. A vector of the wrong length, or with non-finite
+    components (a diverged search), raises rather than scoring.
     """
-    comps = np.asarray(p.components, dtype=float)
-    if not np.all(np.isfinite(comps)):
-        raise ValueError("coefficient vector has non-finite components")
     approx = build_approximation(ctx.instance, ctx.spec, p, ctx.evaluator)
     return spectral_norm(ctx.exact - approx)
-
-
-def evaluate_components(ctx: FitnessContext, components) -> float:
-    """`evaluate` for a bare component sequence (optimizer-facing)."""
-    return evaluate(ctx, CoefficientVector(ctx.spec.k, tuple(float(x) for x in components)))
 
 
 def error_reduction_pct(baseline: float, optimized: float) -> float:

@@ -3,8 +3,8 @@
 Two schemes: draw coefficient vectors from an isotropic normal centred on
 the uniform vector (every component 1/d, so the expected component sum is
 one), or centred on the Suzuki seed. Each scale in the plan gets the same
-number of i.i.d. samples; the summary rows report mean, min and max fitness
-per scale.
+number of i.i.d. samples, drawn as array rows that are scored as they are;
+the summary rows report mean, min and max fitness per scale.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .fitness import FitnessContext, evaluate
 from .model import ChainInstance
-from .trotter import CoefficientVector, DecompositionSpec, suzuki_seed
+from .trotter import DecompositionSpec, suzuki_seed
 
 __all__ = [
     "DEFAULT_SCALES",
@@ -48,7 +48,7 @@ class SamplingPlan:
         object.__setattr__(self, "std_devs", tuple(float(s) for s in self.std_devs))
         if self.samples_per_scale < 1:
             raise ValueError("need at least one sample per scale")
-        if not all(0 < s < np.inf for s in self.std_devs):
+        if not self.std_devs or not all(0 < s < np.inf for s in self.std_devs):
             raise ValueError("standard deviations must be finite and positive")
         if self.spec.k < 2:
             raise ValueError("sampling requires k >= 2 (k = 1 has no coefficients)")
@@ -73,14 +73,12 @@ def run_sampling(plan: SamplingPlan, rng_seed) -> list[ScaleStats]:
     if plan.scheme is SamplingScheme.AROUND_UNIFORM:
         center = np.full(d, 1.0 / d)
     else:
-        center = np.array(suzuki_seed(plan.spec.k).components)
+        center = np.array(suzuki_seed(plan.spec.k))
     rng = np.random.default_rng(rng_seed)
     rows: list[ScaleStats] = []
     for scale in plan.std_devs:
         draws = center + scale * rng.standard_normal((plan.samples_per_scale, d))
-        fits = np.array(
-            [evaluate(ctx, CoefficientVector(plan.spec.k, tuple(row))) for row in draws]
-        )
+        fits = np.array([evaluate(ctx, row) for row in draws])
         rows.append(
             ScaleStats(
                 scale=float(scale),

@@ -2,9 +2,11 @@
 second-order block evaluation.
 
 The order-2k formula is built recursively from the symmetric second-order
-block S2; a coefficient vector holds one 5-entry block per recursion level
-(levels 2..k), the Suzuki values being (p, p, 1-4p, p, p). Expanding the
-levels turns a coefficient vector into per-slice S2 phases
+block S2. A coefficient vector is a plain sequence of 5(k-1) floats (a
+tuple, a list or an array row), one 5-entry block per recursion level
+(levels 2..k), the Suzuki values being (p, p, 1-4p, p, p); it carries no k
+of its own and is checked against the k of the spec it is scored under.
+Expanding the levels turns a coefficient vector into per-slice S2 phases
 (``slice_phases``); ``build_approximation`` divides them by r, multiplies
 the slice's S2 blocks and raises the product to the r-th power. It builds
 each distinct phase of a slice once: it holds a block while its phase
@@ -58,7 +60,6 @@ from .model import (
 )
 
 __all__ = [
-    "CoefficientVector",
     "DecompositionSpec",
     "S2Evaluator",
     "build_approximation",
@@ -67,36 +68,6 @@ __all__ = [
     "suzuki_coefficient",
     "suzuki_seed",
 ]
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """The recursion coefficients under optimization: 5(k-1) reals, laid out
-    as concatenated 5-blocks for levels 2..k.
-
-    Suzuki's own blocks each sum to 1; optimized vectors may not (the search
-    runs unconstrained).
-    """
-
-    k: int
-    components: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError("order parameter k must be an integer >= 1")
-        object.__setattr__(
-            self, "components", tuple(float(x) for x in self.components)
-        )
-        if len(self.components) != 5 * (self.k - 1):
-            raise ValueError(
-                f"k={self.k} needs {5 * (self.k - 1)} components, got {len(self.components)}"
-            )
-
-    def block(self, level: int) -> tuple[float, ...]:
-        """The 5-entry block for one recursion level (2 <= level <= k)."""
-        if not 2 <= level <= self.k:
-            raise ValueError(f"level {level} out of range 2..{self.k}")
-        return self.components[5 * (level - 2) : 5 * (level - 1)]
 
 
 @dataclass(frozen=True)
@@ -122,7 +93,7 @@ def suzuki_coefficient(k: int) -> float:
     return 1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1)))
 
 
-def suzuki_seed(k: int) -> CoefficientVector:
+def suzuki_seed(k: int) -> tuple[float, ...]:
     """The Suzuki vector: blocks (p, p, 1-4p, p, p) concatenated for levels
     2..k. Empty for k = 1 (plain second-order slicing)."""
     if k < 1:
@@ -131,10 +102,23 @@ def suzuki_seed(k: int) -> CoefficientVector:
     for level in range(2, k + 1):
         p = suzuki_coefficient(level)
         comps.extend([p, p, 1.0 - 4.0 * p, p, p])
-    return CoefficientVector(k, tuple(comps))
+    return tuple(comps)
 
 
-def slice_phases(p: CoefficientVector) -> np.ndarray:
+def _check_coefficients(p, k: int) -> np.ndarray:
+    """A coefficient vector for order parameter k as a float array: it must
+    have 5(k-1) components, all finite (a non-finite one signals a diverged
+    search)."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (5 * (k - 1),):
+        got = p.size if p.ndim == 1 else f"shape {p.shape}"
+        raise ValueError(f"k={k} needs {5 * (k - 1)} components, got {got}")
+    if not np.isfinite(p).all():
+        raise ValueError("coefficient vector has non-finite components")
+    return p
+
+
+def slice_phases(p) -> np.ndarray:
     """Multiply the recursion out for a single time slice: 5^(k-1) S2 phases.
 
     Each level's block entries scale the expansion of the level below (one
@@ -142,8 +126,8 @@ def slice_phases(p: CoefficientVector) -> np.ndarray:
     a single unit S2 phase.
     """
     phases = np.array([1.0])
-    for level in range(2, p.k + 1):
-        phases = np.multiply.outer(p.block(level), phases).ravel()
+    for block in np.asarray(p, dtype=float).reshape(-1, 5):
+        phases = np.multiply.outer(block, phases).ravel()
     return phases
 
 
@@ -321,7 +305,7 @@ class S2Evaluator:
 def build_approximation(
     instance: ChainInstance,
     spec: DecompositionSpec,
-    p: CoefficientVector,
+    p,
     evaluator: S2Evaluator | None = None,
 ) -> np.ndarray:
     """The full product-formula approximation to exp(-i t H), as the stack
@@ -338,8 +322,7 @@ def build_approximation(
     slice, 4 for k=3), a slice of distinct phases keeps no block past its
     use, and no block outlives the call. The evaluator is only read.
     """
-    if p.k != spec.k:
-        raise ValueError(f"coefficient vector k={p.k} does not match spec k={spec.k}")
+    p = _check_coefficients(p, spec.k)
     ev = evaluator if evaluator is not None else S2Evaluator.for_instance(instance, spec.ordering)
     phases = (slice_phases(p) / spec.r).tolist()
     remaining = Counter(phases)  # uses of each phase still to come

@@ -33,7 +33,6 @@ from trotteropt.model import (
 )
 from trotteropt.records import read_record, write_record
 from trotteropt.trotter import (
-    CoefficientVector,
     DecompositionSpec,
     build_approximation,
     fast_local_expm,
@@ -203,7 +202,7 @@ def test_criterion_7_fitness_bounds_and_determinism(tmp_path):
     rng = np.random.Generator(np.random.PCG64(7))
     values = []
     for _ in range(1000):
-        p = CoefficientVector(2, tuple(rng.normal(0.2, 1.0, 5)))
+        p = tuple(rng.normal(0.2, 1.0, 5))
         values.append(evaluate(ctx, p))
     in_range = all(0.0 <= v <= 2.0 + 1e-12 for v in values)
 

@@ -103,7 +103,8 @@ class TestOptimize:
 
 @pytest.fixture()
 def no_work(monkeypatch):
-    """Fails the test if a command starts scoring or fans out."""
+    """Fails the test if a command starts scoring, builds a propagator or
+    fans out."""
     from trotteropt import experiments
     from trotteropt.fitness import FitnessContext
 
@@ -111,6 +112,7 @@ def no_work(monkeypatch):
         raise AssertionError("work started before the arguments were checked")
 
     monkeypatch.setattr(FitnessContext, "create", started)
+    monkeypatch.setattr(experiments, "exact_propagator", started)
     monkeypatch.setattr(experiments, "pmap", started)
 
 
@@ -127,7 +129,7 @@ class TestSample:
         assert lines[0] == "scale,mean_fitness,min_fitness,max_fitness"
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("scales", ["1e-4,inf", "nan", "0", "--scales=-1e-3"])
+    @pytest.mark.parametrize("scales", ["1e-4,inf", "nan", "0", "--scales=-1e-3", ","])
     def test_bad_scales_fail_before_any_work(self, tmp_path, instance_path, capsys, no_work, scales):
         out = tmp_path / "s.json"
         scale_args = [scales] if scales.startswith("--") else ["--scales", scales]
@@ -163,6 +165,9 @@ class TestSweepR:
         (["--mode", "optimize", "--sigma0", "0", "--jobs", "2"],
          "initial step size must be finite and positive, got 0.0"),
         (["--mode", "optimize", "--generations", "0", "--jobs", "2"], "generations must be >= 1"),
+        (["--r-grid", "0"], "r grid values must be >= 1, got 0"),
+        (["--r-grid", "4,4"], "r grid must be strictly increasing"),
+        (["--r-grid", "4,2"], "r grid must be strictly increasing"),
     ])
     def test_bad_arguments_fail_before_any_work(self, tmp_path, instance_path, capsys,
                                                 no_work, argv, message):
@@ -171,6 +176,16 @@ class TestSweepR:
                     "--generations", "2", *argv, "--out", out])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_evaluate_mode_checks_the_vector_before_any_work(self, tmp_path, instance_path,
+                                                             capsys, no_work):
+        record, out = tmp_path / "run.json", tmp_path / "sweep.json"
+        write_record(record, {"command": "optimize", "p_final": [0.1, 0.2, 0.3, 0.2, 0.1]})
+        code = run(["sweep-r", "--instance", instance_path, "--k", "3", "--r-grid", "2,4",
+                    "--mode", "evaluate", "--record", record, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: k=3 needs 10 components, got 5\n"
         assert not out.exists()
 
     def test_evaluate_mode_needs_record(self, tmp_path, instance_path):
@@ -294,6 +309,20 @@ class TestGeneralizeAndPerms:
         assert code == 0
         rows = read_record(out)["rows"]
         assert {row["ordering"] for row in rows} == {"grouped", "canonical", "random"}
+
+    @pytest.mark.parametrize("grid,message", [
+        ("0", "r grid values must be >= 1, got 0"),
+        ("3,3", "r grid must be strictly increasing"),
+        ("5,3", "r grid must be strictly increasing"),
+    ])
+    def test_perms_checks_the_r_grid_before_any_work(self, tmp_path, instance_path, capsys,
+                                                     no_work, grid, message):
+        out = tmp_path / "perms.json"
+        code = run(["perms", "--instance", instance_path, "--k", "2",
+                    "--r-grid", grid, "--n-random", "3", "--seed", "2", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_perms_rejects_zero_random(self, tmp_path, instance_path, capsys):
         out = tmp_path / "perms.json"

@@ -15,7 +15,7 @@ from trotteropt.experiments import (
 from trotteropt.fitness import FitnessContext, evaluate, exact_propagator
 from trotteropt.model import OrderingMode, TermOrdering
 from trotteropt.records import generate_instance, payload_digest
-from trotteropt.trotter import CoefficientVector, DecompositionSpec, S2Evaluator, suzuki_seed
+from trotteropt.trotter import DecompositionSpec, S2Evaluator, suzuki_seed
 
 GROUPED = TermOrdering.grouped()
 
@@ -254,7 +254,7 @@ class TestGeneralize:
         assert calls == [tiny]
         # Same errors, bit for bit, as contexts that build their own propagator.
         monkeypatch.undo()
-        p_opt = CoefficientVector(2, tuple(tiny_run["p_final"]))
+        p_opt = tiny_run["p_final"]
         for row in rows:
             ctx = FitnessContext.create(tiny, DecompositionSpec(2, int(row["value"]), GROUPED))
             assert row["baseline_error"] == evaluate(ctx, suzuki_seed(2))

@@ -6,12 +6,11 @@ from trotteropt.fitness import (
     FitnessContext,
     error_reduction_pct,
     evaluate,
-    evaluate_components,
     exact_propagator,
 )
 from trotteropt.linalg import expm_scaled_hermitian, spectral_norm
 from trotteropt.model import ChainInstance, TermOrdering, ordered_terms, term_matrix
-from trotteropt.trotter import CoefficientVector, DecompositionSpec, slice_phases, suzuki_seed
+from trotteropt.trotter import DecompositionSpec, slice_phases, suzuki_seed
 
 from sectors import dense, dense_hamiltonian
 
@@ -64,7 +63,7 @@ class TestEvaluate:
     def test_zero_vector_error_near_two(self):
         inst = instance(seed=3, n=3, t=6.0)
         ctx = FitnessContext.create(inst, DecompositionSpec(2, 4, GROUPED))
-        value = evaluate(ctx, CoefficientVector(2, (0.0,) * 5))
+        value = evaluate(ctx, (0.0,) * 5)
         assert value == pytest.approx(spectral_norm(dense(ctx.exact) - np.eye(8)), abs=1e-12)
         assert 1.0 < value <= 2.0
 
@@ -73,7 +72,7 @@ class TestEvaluate:
         ctx = FitnessContext.create(inst, DecompositionSpec(2, 2, GROUPED))
         rng = np.random.default_rng(0)
         for _ in range(50):
-            p = CoefficientVector(2, tuple(rng.normal(0.2, 1.0, 5)))
+            p = tuple(rng.normal(0.2, 1.0, 5))
             assert 0.0 <= evaluate(ctx, p) <= 2.0 + 1e-12
 
     def test_deterministic_and_cache_independent(self):
@@ -89,9 +88,9 @@ class TestEvaluate:
         inst = instance(seed=6)
         ctx = FitnessContext.create(inst, DecompositionSpec(2, 2, GROUPED))
         with pytest.raises(ValueError, match="finite"):
-            evaluate(ctx, CoefficientVector(2, (0.1, np.nan, 0.1, 0.1, 0.1)))
+            evaluate(ctx, (0.1, np.nan, 0.1, 0.1, 0.1))
         with pytest.raises(ValueError, match="finite"):
-            evaluate(ctx, CoefficientVector(2, (np.inf, 0.1, 0.1, 0.1, 0.1)))
+            evaluate(ctx, (np.inf, 0.1, 0.1, 0.1, 0.1))
 
     def test_monotone_in_r_at_full_scale(self):
         inst = instance(seed=8, n=5, t=10.0)
@@ -113,10 +112,21 @@ class TestEvaluate:
     def test_continuity_under_tiny_rescale(self):
         inst = instance(seed=10)
         ctx = FitnessContext.create(inst, DecompositionSpec(2, 2, GROUPED))
-        p = np.array(suzuki_seed(2).components)
-        base = evaluate_components(ctx, p)
-        bumped = evaluate_components(ctx, p * (1 + 1e-9))
+        p = np.array(suzuki_seed(2))
+        base = evaluate(ctx, p)
+        bumped = evaluate(ctx, p * (1 + 1e-9))
         assert abs(bumped - base) < 1e-6
+
+    @pytest.mark.parametrize("ordering", ["grouped", "random"])
+    def test_same_floats_in_any_sequence_score_the_same(self, ordering):
+        inst = instance(seed=13, n=4, t=8.0)
+        order = GROUPED if ordering == "grouped" else TermOrdering.explicit(
+            np.random.default_rng(13).permutation(16))
+        ctx = FitnessContext.create(inst, DecompositionSpec(2, 3, order))
+        draws = np.random.default_rng(4).normal(0.2, 0.3, (4, 5))
+        for row in [np.array(suzuki_seed(2)), *draws]:
+            values = {evaluate(ctx, p) for p in (tuple(row.tolist()), row.tolist(), row)}
+            assert len(values) == 1
 
 
 def full_dimension_error(inst, spec, p):
@@ -171,7 +181,7 @@ class TestConcurrentEvaluate:
         ctx = FitnessContext.create(inst, DecompositionSpec(2, 3, GROUPED))
         rng = np.random.default_rng(1)
         population = [
-            CoefficientVector(2, tuple(rng.normal(0.2, 0.3, 5))) for _ in range(16)
+            tuple(rng.normal(0.2, 0.3, 5)) for _ in range(16)
         ]
         serial = [evaluate(FitnessContext.create(inst, ctx.spec), p) for p in population]
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -186,7 +196,7 @@ class TestConcurrentEvaluate:
         spec = DecompositionSpec(2, 3, TermOrdering.explicit(np.random.default_rng(5).permutation(16)))
         rng = np.random.default_rng(2)
         population = [
-            CoefficientVector(2, tuple(rng.normal(0.2, 0.3, 5))) for _ in range(16)
+            tuple(rng.normal(0.2, 0.3, 5)) for _ in range(16)
         ]
         serial = [evaluate(FitnessContext.create(inst, spec), p) for p in population]
         ctx = FitnessContext.create(inst, spec)

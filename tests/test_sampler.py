@@ -4,7 +4,7 @@ import pytest
 from trotteropt.fitness import FitnessContext, evaluate
 from trotteropt.model import ChainInstance, TermOrdering
 from trotteropt.sampler import DEFAULT_SCALES, SamplingPlan, SamplingScheme, run_sampling
-from trotteropt.trotter import CoefficientVector, DecompositionSpec, suzuki_seed
+from trotteropt.trotter import DecompositionSpec, suzuki_seed
 
 GROUPED = TermOrdering.grouped()
 
@@ -85,7 +85,7 @@ class TestRunSampling:
         # slicing with 5r slices.
         spec = DecompositionSpec(2, 4, GROUPED)
         ctx = FitnessContext.create(small_instance, spec)
-        center_fit = evaluate(ctx, CoefficientVector(2, (0.2,) * 5))
+        center_fit = evaluate(ctx, (0.2,) * 5)
         plain_spec = DecompositionSpec(1, 20, GROUPED)
         plain_ctx = FitnessContext.create(small_instance, plain_spec)
         plain_fit = evaluate(plain_ctx, suzuki_seed(1))

@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -17,9 +18,9 @@ from trotteropt.model import (
     unmerged_gate_count,
 )
 from trotteropt.trotter import (
-    CoefficientVector,
     DecompositionSpec,
     S2Evaluator,
+    _check_coefficients,
     _identity_stack,
     build_approximation,
     fast_local_expm,
@@ -61,27 +62,53 @@ class TestSuzukiCoefficient:
 class TestSuzukiSeed:
     def test_k2_block(self):
         p = suzuki_coefficient(2)
-        assert suzuki_seed(2).components == (p, p, 1 - 4 * p, p, p)
+        assert suzuki_seed(2) == (p, p, 1 - 4 * p, p, p)
 
     def test_k3_concatenation(self):
         seed = suzuki_seed(3)
-        assert len(seed.components) == 10
-        assert seed.block(2) == suzuki_seed(2).components
+        assert len(seed) == 10
+        assert seed[:5] == suzuki_seed(2)
         p = suzuki_coefficient(3)
-        assert seed.block(3) == (p, p, 1 - 4 * p, p, p)
+        assert seed[5:] == (p, p, 1 - 4 * p, p, p)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_blocks_sum_to_one(self, k):
         seed = suzuki_seed(k)
         for level in range(2, k + 1):
-            assert sum(seed.block(level)) == pytest.approx(1.0, abs=1e-15)
+            assert sum(seed[5 * (level - 2) : 5 * (level - 1)]) == pytest.approx(1.0, abs=1e-15)
 
     def test_k1_is_empty(self):
-        assert suzuki_seed(1).components == ()
+        assert suzuki_seed(1) == ()
 
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            CoefficientVector(2, (0.1, 0.2))
+
+class TestCheckCoefficients:
+    def test_returns_a_float_array(self):
+        got = _check_coefficients([1, 2, 3, 4, 5], 2)
+        assert got.dtype == np.float64
+        npt.assert_array_equal(got, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert _check_coefficients((), 1).shape == (0,)
+
+    @pytest.mark.parametrize("p,k,got", [
+        ((0.1, 0.2), 2, 2),
+        (suzuki_seed(2), 3, 5),
+        (suzuki_seed(3), 2, 10),
+        ((0.5,), 1, 1),
+        (np.zeros((2, 5)), 3, "shape (2, 5)"),
+        (0.5, 2, "shape ()"),
+        ((np.nan, 0.1), 2, 2),  # the length is checked first
+    ])
+    def test_wrong_length_rejected(self, p, k, got):
+        message = f"k={k} needs {5 * (k - 1)} components, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _check_coefficients(p, k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        for i in (0, 4):
+            p = [0.1] * 5
+            p[i] = bad
+            with pytest.raises(ValueError, match="^coefficient vector has non-finite components$"):
+                _check_coefficients(p, 2)
 
 
 class TestPhaseExpansion:
@@ -97,13 +124,13 @@ class TestPhaseExpansion:
         assert spectral_norm(dense(got) - expected) <= 1e-12
 
     def test_k2_r1_unchanged(self):
-        npt.assert_array_equal(slice_phases(suzuki_seed(2)), suzuki_seed(2).components)
+        npt.assert_array_equal(slice_phases(suzuki_seed(2)), suzuki_seed(2))
 
     def test_k3_outer_product(self):
         phases = slice_phases(suzuki_seed(3))
         assert phases.shape == (25,)
-        b2 = np.array(suzuki_seed(3).block(2))
-        b3 = np.array(suzuki_seed(3).block(3))
+        b2 = np.array(suzuki_seed(3)[:5])
+        b3 = np.array(suzuki_seed(3)[5:])
         npt.assert_allclose(phases, np.concatenate([c * b2 for c in b3]), atol=0)
         assert phases.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -113,6 +140,19 @@ class TestPhaseExpansion:
         phases = slice_phases(suzuki_seed(k))
         for r in list(range(1, 21)) + [50, 125, 200]:
             assert float(np.tile(phases / r, r).sum()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_vectors_match_nested_expansion(self, k):
+        # Level by level, each block entry scales the whole expansion below.
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            p = rng.normal(0.2, 1.0, 5 * (k - 1))
+            expected = [1.0]
+            for level in range(k - 1):
+                block = p[5 * level : 5 * level + 5]
+                expected = [c * x for c in block for x in expected]
+            npt.assert_allclose(slice_phases(p), expected, rtol=0, atol=0)
+            npt.assert_allclose(slice_phases(tuple(p.tolist())), expected, rtol=0, atol=0)
 
     def test_k1_plain_slicing(self):
         npt.assert_array_equal(slice_phases(suzuki_seed(1)), [1.0])
@@ -306,7 +346,7 @@ class TestBuildApproximation:
     def test_zero_vector_gives_identity(self):
         inst = small_instance()
         spec = DecompositionSpec(2, 3, GROUPED)
-        approx = build_approximation(inst, spec, CoefficientVector(2, (0.0,) * 5))
+        approx = build_approximation(inst, spec, (0.0,) * 5)
         npt.assert_allclose(dense(approx), np.eye(8), atol=1e-12)
 
     def test_error_decreases_with_r(self):
@@ -391,8 +431,8 @@ class TestBuildApproximation:
     ])
     def test_each_distinct_phase_is_built_once(self, ordering, vector, builds, monkeypatch):
         inst = small_instance(seed=4, n=4, t=8.0)
-        p = suzuki_seed(3) if vector == "suzuki_k3" else CoefficientVector(2, (0.41, 0.42, -0.66, 0.43, 0.4))
-        spec = DecompositionSpec(p.k, 3, ORDERINGS[ordering](4))
+        k, p = (3, suzuki_seed(3)) if vector == "suzuki_k3" else (2, (0.41, 0.42, -0.66, 0.43, 0.4))
+        spec = DecompositionSpec(k, 3, ORDERINGS[ordering](4))
         refs, live = [], []
         s2 = S2Evaluator.s2
 
@@ -474,11 +514,10 @@ class TestBuildApproximation:
         inst = small_instance(seed=6, n=4, t=8.0)
         spec = DecompositionSpec(2, 5, ORDERINGS[ordering](4))
         rng = np.random.default_rng(3)
-        seed = np.array(suzuki_seed(2).components)
+        seed = np.array(suzuki_seed(2))
         # A quarter of the vectors are the Suzuki seed; the rest share some of its entries.
-        population = [CoefficientVector(2, tuple(seed)) for _ in range(8)] + [
-            CoefficientVector(2, tuple(np.where(rng.random(5) < 0.5, seed, rng.normal(0.3, 0.2, 5))))
-            for _ in range(24)
+        population = [tuple(seed) for _ in range(8)] + [
+            tuple(np.where(rng.random(5) < 0.5, seed, rng.normal(0.3, 0.2, 5))) for _ in range(24)
         ]
         serial = [build_approximation(inst, spec, p).tobytes() for p in population]
         ev = S2Evaluator.for_instance(inst, spec.ordering)
@@ -494,7 +533,7 @@ class TestBuildApproximation:
 
     def test_k_mismatch_rejected(self):
         inst = small_instance()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k=3 needs 10 components, got 5"):
             build_approximation(inst, DecompositionSpec(3, 1, GROUPED), suzuki_seed(2))
 
 
