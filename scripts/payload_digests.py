@@ -7,9 +7,11 @@ Runs each command of ``COMMANDS`` in-process through ``trotteropt.cli.main``,
 against the ``src/`` tree beside this script, with every file written to a
 temporary directory that is removed afterwards. Prints one line per output
 file, ``name sha256[:16]``: the stored payload digest of a record, or the
-digest of the file's bytes for an instance. Two trees whose outputs agree
-print the same lines, so a change meant to keep every output can be checked
-with ``diff`` against the lines of its parent commit.
+digest of the file's bytes for an instance. Then, so that those lines stay
+comparable with older trees, one ``name.csv sha256[:16]`` line per CSV twin,
+the digest of its bytes. Two trees whose outputs agree print the same
+lines, so a change meant to keep every output can be checked with ``diff``
+against the lines of its parent commit.
 """
 
 import os
@@ -93,6 +95,10 @@ def main() -> int:
                 print(f"{name} failed with exit status {status}", file=sys.stderr)
                 return 1
             print(name, file_digest(Path(tmp) / f"{name}.json")[:16], flush=True)
+        for name, _ in COMMANDS:
+            csv = Path(tmp) / f"{name}.csv"
+            if csv.exists():
+                print(f"{name}.csv", hashlib.sha256(csv.read_bytes()).hexdigest()[:16], flush=True)
     return 0
 
 

@@ -126,12 +126,13 @@ def _cmd_optimize(args) -> str:
 
 def _cmd_sample(args) -> str:
     from . import experiments
-    from .sampler import DEFAULT_SCALES, SamplingPlan
+    from .sampler import DEFAULT_SCALES
 
     instance, spec = _instance_and_spec(args)
     scales = DEFAULT_SCALES if args.scales is None else args.scales
-    plan = SamplingPlan(args.scheme, scales, args.samples, spec, instance)
-    payload = experiments.sampling_report(plan, args.seed)
+    payload = experiments.sampling_report(
+        instance, spec, args.scheme, scales, args.samples, args.seed
+    )
     _emit(args, payload, ["scale", "mean_fitness", "min_fitness", "max_fitness"])
     return f"sampled {args.samples} vectors at {len(scales)} scales ({args.scheme})"
 
@@ -220,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="fitness landscape sampling")
     _add_common(p, "instance", "k", "r", "ordering", "seed", "out")
-    # The values of sampler.SamplingScheme, spelled out so that parsing
-    # loads no numerics (a test keeps the two equal).
+    # sampler.SCHEMES, spelled out so that parsing loads no numerics (a
+    # test keeps the two equal).
     p.add_argument("--scheme", choices=("around-uniform", "around-suzuki"), required=True)
     p.add_argument("--scales", type=_float_list, default=None,
                    help="comma-separated std devs (default 1e-9..1)")

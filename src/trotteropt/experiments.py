@@ -29,7 +29,7 @@ from .records import (
     instance_from_dict,
     instance_to_dict,
 )
-from .sampler import SamplingPlan, run_sampling
+from .sampler import run_sampling
 from .trotter import DecompositionSpec, S2Evaluator, _check_coefficients, suzuki_seed
 
 __all__ = [
@@ -81,14 +81,14 @@ def pmap(fn, items, jobs: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def _check_r_grid(r_grid: list[int]) -> None:
-    """An r grid must be non-empty and strictly increasing, from r >= 1."""
-    if not r_grid:
-        raise ValueError("r grid must be non-empty")
-    if any(b <= a for a, b in zip(r_grid, r_grid[1:])):
-        raise ValueError("r grid must be strictly increasing")
-    if r_grid[0] < 1:
-        raise ValueError(f"r grid values must be >= 1, got {r_grid[0]}")
+def _check_grid(grid: list, name: str, least: int | None = None) -> None:
+    """A grid must be non-empty and strictly increasing, from ``least`` if given."""
+    if not grid:
+        raise ValueError(f"{name} grid must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} grid must be strictly increasing")
+    if least is not None and grid[0] < least:
+        raise ValueError(f"{name} grid values must be >= {least}, got {grid[0]}")
 
 
 def make_ordering(name: str, instance: ChainInstance, master_seed: int | None = None) -> TermOrdering:
@@ -214,7 +214,7 @@ def sweep_r(
     r whose error beats it, for the gate-saving readout. Every argument is
     checked before any cell runs.
     """
-    _check_r_grid(r_grid)
+    _check_grid(r_grid, "r", least=1)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if threshold is not None and not np.isfinite(threshold):
@@ -271,7 +271,8 @@ def generalize(
     Hold-out disorder vectors and appended components derive from the run's
     seed lineage, so the study is reproducible from the record alone. The v,
     n and r grids count things and must hold integers; only t is real. The
-    v grid is a single hold-out count N, giving hold-outs 1..N.
+    v grid is a single hold-out count N, giving hold-outs 1..N; the n, t and
+    r grids must be non-empty and strictly increasing.
     """
     if axis in ("v", "n", "r"):
         for value in grid:
@@ -279,6 +280,8 @@ def generalize(
                 raise ValueError(f"axis={axis} grid values must be integers, got {value}")
     if axis == "v" and len(grid) != 1:
         raise ValueError(f"axis=v takes a single hold-out count, got {len(grid)} values")
+    if axis in ("n", "t", "r"):
+        _check_grid(grid, f"axis={axis}")
     base_instance = instance_from_dict(run_payload["instance"])
     spec = _spec_from_dict(run_payload["spec"])
     k = spec.k
@@ -357,7 +360,7 @@ def perms_study(
 ) -> dict:
     """Gate count vs Suzuki-seed error for grouped, canonical, and averaged
     random term orderings, per r."""
-    _check_r_grid(r_grid)
+    _check_grid(r_grid, "r", least=1)
     if n_random < 1:
         raise ValueError("n_random must be >= 1")
     seed_vec = suzuki_seed(k)
@@ -402,22 +405,22 @@ def perms_study(
     }
 
 
-def sampling_report(plan: SamplingPlan, master_seed: int) -> dict:
-    stats = run_sampling(plan, derive_generator(master_seed, PURPOSE_SAMPLING))
+def sampling_report(
+    instance: ChainInstance,
+    spec: DecompositionSpec,
+    scheme: str,
+    std_devs,
+    samples_per_scale: int,
+    master_seed: int,
+) -> dict:
+    rng = derive_generator(master_seed, PURPOSE_SAMPLING)
+    rows = run_sampling(instance, spec, scheme, std_devs, samples_per_scale, rng)
     return {
         "command": "sample",
-        "instance": instance_to_dict(plan.instance),
-        "spec": _spec_dict(plan.spec),
-        "scheme": plan.scheme.value,
-        "samples_per_scale": plan.samples_per_scale,
+        "instance": instance_to_dict(instance),
+        "spec": _spec_dict(spec),
+        "scheme": scheme,
+        "samples_per_scale": samples_per_scale,
         "seed": master_seed,
-        "rows": [
-            {
-                "scale": s.scale,
-                "mean_fitness": s.mean_fitness,
-                "min_fitness": s.min_fitness,
-                "max_fitness": s.max_fitness,
-            }
-            for s in stats
-        ],
+        "rows": rows,
     }

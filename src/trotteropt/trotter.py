@@ -48,7 +48,6 @@ import numpy as np
 from .linalg import matrix_power
 from .model import (
     ChainInstance,
-    LocalTerm,
     TermKind,
     TermOrdering,
     _generators,
@@ -63,7 +62,6 @@ __all__ = [
     "DecompositionSpec",
     "S2Evaluator",
     "build_approximation",
-    "fast_local_expm",
     "slice_phases",
     "suzuki_coefficient",
     "suzuki_seed",
@@ -131,22 +129,6 @@ def slice_phases(p) -> np.ndarray:
     return phases
 
 
-def fast_local_expm(term: LocalTerm, n: int, c: complex) -> np.ndarray:
-    """exp(c * H_term) in closed form.
-
-    H_term is its coefficient a times a Pauli string P with P^2 = I, so
-    exp(c * a * P) = cosh(c * a) * I + sinh(c * a) * P. Wrap-around
-    couplings (site n with site 1) need no special case.
-    """
-    table = _generators(n)
-    g = table.rows[term.kind, term.site]
-    perm, sign = _strings(table.x[g], table.z[g], n)
-    ca = c * term.coefficient
-    out = np.cosh(ca) * np.eye(2**n, dtype=complex)
-    out[perm, np.arange(2**n)] += np.sinh(ca) * sign
-    return out
-
-
 @lru_cache(maxsize=None)
 def _identity_stack(n: int) -> np.ndarray:
     """The identities of both sectors laid one above the other, (2M, M),
@@ -212,6 +194,7 @@ class S2Evaluator:
         a = np.array([term.coefficient for term in self.terms])
         # Pauli kernel: a Z/ZZ string has the identity permutation, so a
         # maximal run of them scales row i by exp(c sum_j a_j sign_j[i]).
+        # Grouped evaluators build it too: tests check the grouped kernel against it.
         diagonal = (perms == np.arange(perms.shape[1])).all(axis=1)
         unsigned = (signs == 1.0).all(axis=1).tolist()  # XX: the flip scales by sinh alone
         # Steps in term order: (None, run, False) or (perm, flip, unsigned).

@@ -302,6 +302,27 @@ class TestGeneralizeAndPerms:
         assert capsys.readouterr().err == f"error: axis={axis} grid values must be integers, got {bad}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,grid,message", [
+        ("r", "3,3", "axis=r grid must be strictly increasing"),
+        ("r", "5,3", "axis=r grid must be strictly increasing"),
+        ("t", "2,2", "axis=t grid must be strictly increasing"),
+        ("n", "5,4", "axis=n grid must be strictly increasing"),
+        ("n", "4,4", "axis=n grid must be strictly increasing"),
+        ("t", ",", "axis=t grid must be non-empty"),
+    ])
+    def test_generalize_checks_the_grid_before_any_work(self, tmp_path, instance_path, capsys,
+                                                        request, axis, grid, message):
+        record = tmp_path / "run.json"
+        run(["optimize", "--instance", instance_path, "--k", "2", "--r", "2",
+             "--generations", "2", "--seed", "3", "--out", record])
+        capsys.readouterr()
+        request.getfixturevalue("no_work")
+        out = tmp_path / "gen.json"
+        code = run(["generalize", "--record", record, "--axis", axis, "--grid", grid, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_perms_table(self, tmp_path, instance_path):
         out = tmp_path / "perms.json"
         code = run(["perms", "--instance", instance_path, "--k", "2",
@@ -350,9 +371,9 @@ def _option(command: str, flag: str) -> argparse.Action:
 
 class TestParser:
     def test_scheme_choices_are_the_sampling_schemes(self):
-        from trotteropt.sampler import SamplingScheme
+        from trotteropt.sampler import SCHEMES
 
-        assert list(_option("sample", "--scheme").choices) == [s.value for s in SamplingScheme]
+        assert tuple(_option("sample", "--scheme").choices) == SCHEMES
 
     def test_omitted_defaults_resolve_in_the_handlers(self, tmp_path, instance_path, monkeypatch):
         # The parser leaves --scales and --n-cap unset, so that it needs no
@@ -376,7 +397,7 @@ class TestParser:
                     "--scheme", "around-suzuki", "--out", tmp_path / "s.json"]) == 1
         assert run(["generalize", "--record", record, "--axis", "v", "--grid", "1",
                     "--out", tmp_path / "g.json"]) == 1
-        assert seen["sample"][0][0].std_devs == DEFAULT_SCALES
+        assert seen["sample"][0][3] == DEFAULT_SCALES
         assert seen["generalize"][1]["n_cap"] == experiments.GENERALIZE_N_CAP
 
     def test_a_command_leaves_no_argparse_garbage(self, tmp_path):
