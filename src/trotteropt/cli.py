@@ -7,7 +7,8 @@ to --out as a JSON record plus a flat CSV twin next to it (see FORMATS.md).
 Each command loads only the modules it runs: the parser needs none of the
 numerics, and a handler imports ``experiments``, ``trotter`` or ``sampler``
 where it uses them. ``generate-instance`` loads ``records`` and ``model``
-alone, and only ``sweep-r --jobs`` above 1 loads the process pool.
+alone, only ``sample`` loads ``sampler``, and only ``sweep-r --jobs``
+above 1 loads the process pool.
 """
 
 from __future__ import annotations
@@ -125,14 +126,11 @@ def _cmd_optimize(args) -> str:
 
 
 def _cmd_sample(args) -> str:
-    from . import experiments
-    from .sampler import DEFAULT_SCALES
+    from . import sampler
 
     instance, spec = _instance_and_spec(args)
-    scales = DEFAULT_SCALES if args.scales is None else args.scales
-    payload = experiments.sampling_report(
-        instance, spec, args.scheme, scales, args.samples, args.seed
-    )
+    scales = sampler.DEFAULT_SCALES if args.scales is None else args.scales
+    payload = sampler.sampling_report(instance, spec, args.scheme, scales, args.samples, args.seed)
     _emit(args, payload, ["scale", "mean_fitness", "min_fitness", "max_fitness"])
     return f"sampled {args.samples} vectors at {len(scales)} scales ({args.scheme})"
 

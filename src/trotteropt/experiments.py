@@ -23,13 +23,11 @@ from .records import (
     PURPOSE_HOLDOUT,
     PURPOSE_ORDERING,
     PURPOSE_PERMS,
-    PURPOSE_SAMPLING,
     derive_generator,
     derive_seed_sequence,
     instance_from_dict,
     instance_to_dict,
 )
-from .sampler import run_sampling
 from .trotter import DecompositionSpec, S2Evaluator, _check_coefficients, suzuki_seed
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "optimize_instance",
     "perms_study",
     "pmap",
-    "sampling_report",
     "sweep_r",
 ]
 
@@ -81,6 +78,15 @@ def pmap(fn, items, jobs: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
+def _check_run(k: int, generations: int, sigma0: float) -> None:
+    """An optimize run needs coefficients (k >= 2), a generation or more and a usable step size."""
+    if k < 2:
+        raise ValueError(f"k = {k} has no coefficients to optimize")
+    if generations < 1:
+        raise ValueError("generations must be >= 1")
+    _check_step_size(sigma0)
+
+
 def _check_grid(grid: list, name: str, least: int | None = None) -> None:
     """A grid must be non-empty and strictly increasing, from ``least`` if given."""
     if not grid:
@@ -106,14 +112,6 @@ def make_ordering(name: str, instance: ChainInstance, master_seed: int | None = 
     raise ValueError(f"unknown ordering {name!r}")
 
 
-def _spec_dict(spec: DecompositionSpec) -> dict:
-    return {"k": spec.k, "r": spec.r, "ordering": spec.ordering.to_dict()}
-
-
-def _spec_from_dict(d: dict) -> DecompositionSpec:
-    return DecompositionSpec(int(d["k"]), int(d["r"]), TermOrdering.from_dict(d["ordering"]))
-
-
 def baseline_report(instance: ChainInstance, spec: DecompositionSpec) -> dict:
     """Suzuki-seed error plus gate counts for one decomposition."""
     ctx = FitnessContext.create(instance, spec)
@@ -121,7 +119,7 @@ def baseline_report(instance: ChainInstance, spec: DecompositionSpec) -> dict:
     return {
         "command": "baseline",
         "instance": instance_to_dict(instance),
-        "spec": _spec_dict(spec),
+        "spec": spec.to_dict(),
         "error": error,
         "unmerged_gates": unmerged_gate_count(instance, spec.k, spec.r),
         "merged_gates": merged_gate_count(instance, spec.ordering, spec.k, spec.r),
@@ -137,9 +135,7 @@ def optimize_instance(
     rng_key: tuple[int, ...] = (PURPOSE_CMA,),
 ) -> dict:
     """One CMA-ES run from the Suzuki seed; returns the run-record payload."""
-    if generations < 1:
-        raise ValueError("generations must be >= 1")
-    _check_step_size(sigma0)
+    _check_run(spec.k, generations, sigma0)
     ctx = FitnessContext.create(instance, spec)
     seed_vec = suzuki_seed(spec.k)
     result = cma_run(
@@ -154,7 +150,7 @@ def optimize_instance(
     return {
         "command": "optimize",
         "instance": instance_to_dict(instance),
-        "spec": _spec_dict(spec),
+        "spec": spec.to_dict(),
         "seed": master_seed,
         "sigma0": sigma0,
         "generations": generations,
@@ -229,9 +225,7 @@ def sweep_r(
         # Only optimize mode has a budget, so the other modes take any k, 1 included.
         generations = default_generations(k) if generations is None else generations
         sigma0 = default_sigma0(k) if sigma0 is None else sigma0
-        if generations < 1:
-            raise ValueError("generations must be >= 1")
-        _check_step_size(sigma0)
+        _check_run(k, generations, sigma0)
     cell = partial(_sweep_cell, instance, mode, p_fixed, generations, sigma0, master_seed)
     specs = [DecompositionSpec(k, r, ordering) for r in r_grid]
     rows = pmap(cell, enumerate(specs), jobs)
@@ -283,7 +277,7 @@ def generalize(
     if axis in ("n", "t", "r"):
         _check_grid(grid, f"axis={axis}")
     base_instance = instance_from_dict(run_payload["instance"])
-    spec = _spec_from_dict(run_payload["spec"])
+    spec = DecompositionSpec.from_dict(run_payload["spec"])
     k = spec.k
     p_opt = _check_coefficients(run_payload["p_final"], k)
     p_seed = suzuki_seed(k)
@@ -404,23 +398,3 @@ def perms_study(
         "rows": rows,
     }
 
-
-def sampling_report(
-    instance: ChainInstance,
-    spec: DecompositionSpec,
-    scheme: str,
-    std_devs,
-    samples_per_scale: int,
-    master_seed: int,
-) -> dict:
-    rng = derive_generator(master_seed, PURPOSE_SAMPLING)
-    rows = run_sampling(instance, spec, scheme, std_devs, samples_per_scale, rng)
-    return {
-        "command": "sample",
-        "instance": instance_to_dict(instance),
-        "spec": _spec_dict(spec),
-        "scheme": scheme,
-        "samples_per_scale": samples_per_scale,
-        "seed": master_seed,
-        "rows": rows,
-    }

@@ -265,7 +265,8 @@ def _generators(n: int) -> _GeneratorTable:
     the most significant bit as in ``term_matrix``. The sector strings come
     from the masks through ``_strings``. Two strings anticommute iff they
     carry different non-identity letters on an odd number of qubits, that
-    is iff popcount((x_g & z_h) ^ (z_g & x_h)) is odd.
+    is iff popcount((x_g & z_h) ^ (z_g & x_h)) is odd. Each sector string is
+    checked to be symmetric, as the S2 kernels of ``trotter`` need.
     """
     rows, x, z = {}, [], []
     for site in range(1, n + 1):
@@ -280,6 +281,8 @@ def _generators(n: int) -> _GeneratorTable:
     states = states.reshape(-1)
     perms, signs = _strings(x, z, n)
     perms, signs = positions[perms[:, states]], signs[:, states]
+    assert np.array_equal(np.take_along_axis(signs, perms, axis=1), signs), (
+        "F^T is the reversed half-product only for symmetric generators")
     odd = (_popcount((x[:, None] & z) ^ (z[:, None] & x), n) & 1).tolist()
     for array in (x, z, perms, signs):
         array.flags.writeable = False

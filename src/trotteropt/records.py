@@ -165,4 +165,7 @@ def save_instance(path, instance: ChainInstance) -> None:
 
 def load_instance(path) -> ChainInstance:
     with open(path, encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        data = json.load(fh)
+    if not (isinstance(data, dict) and {"n", "v", "t"} <= data.keys()):
+        raise ValueError(f"{path} is not an instance file: it is not an object with n, v and t")
+    return instance_from_dict(data)

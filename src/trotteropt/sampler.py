@@ -1,11 +1,12 @@
-"""Fitness-landscape sampling around two reference points.
+"""The ``sample`` command: fitness-landscape sampling around two points.
 
 Two schemes (``SCHEMES``): draw coefficient vectors from an isotropic
 normal centred on the uniform vector (every component 1/d, so the expected
 component sum is one), or centred on the Suzuki seed. Each standard
 deviation gets the same number of i.i.d. samples, drawn as array rows that
-are scored as they are; ``run_sampling`` returns one row dict per scale
-with the mean, min and max fitness, as the sample payload stores them.
+are scored as they are; ``sampling_report`` returns the sample payload,
+with one row per scale holding the mean, min and max fitness. Only the
+``sample`` command loads this module.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import numpy as np
 
 from .fitness import FitnessContext, evaluate
 from .model import ChainInstance
+from .records import PURPOSE_SAMPLING, derive_generator, instance_to_dict
 from .trotter import DecompositionSpec, suzuki_seed
 
-__all__ = ["DEFAULT_SCALES", "SCHEMES", "run_sampling"]
+__all__ = ["DEFAULT_SCALES", "SCHEMES", "sampling_report"]
 
 # Powers of ten spanning "essentially at the centre" to "all structure lost".
 DEFAULT_SCALES = tuple(10.0**e for e in range(-9, 1))
@@ -24,20 +26,21 @@ DEFAULT_SCALES = tuple(10.0**e for e in range(-9, 1))
 SCHEMES = ("around-uniform", "around-suzuki")
 
 
-def run_sampling(
+def sampling_report(
     instance: ChainInstance,
     spec: DecompositionSpec,
     scheme: str,
     std_devs,
     samples_per_scale: int,
-    rng_seed,
-) -> list[dict]:
-    """Draw, evaluate and aggregate; deterministic given the seed. Every
-    argument is checked before any work.
+    master_seed: int,
+) -> dict:
+    """Draw, evaluate and aggregate from the master seed's sampling stream;
+    deterministic given the seed. Every argument is checked before any work.
 
     Samples for each scale are drawn in one fixed-order batch and aggregated
     in index order, so results do not depend on evaluation scheduling.
     """
+    rng = derive_generator(master_seed, PURPOSE_SAMPLING)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown sampling scheme {scheme!r}")
     std_devs = [float(s) for s in std_devs]
@@ -50,7 +53,6 @@ def run_sampling(
     ctx = FitnessContext.create(instance, spec)
     d = 5 * (spec.k - 1)
     center = np.full(d, 1.0 / d) if scheme == "around-uniform" else np.array(suzuki_seed(spec.k))
-    rng = np.random.default_rng(rng_seed)
     rows = []
     for scale in std_devs:
         draws = center + scale * rng.standard_normal((samples_per_scale, d))
@@ -61,4 +63,12 @@ def run_sampling(
             "min_fitness": float(fits.min()),
             "max_fitness": float(fits.max()),
         })
-    return rows
+    return {
+        "command": "sample",
+        "instance": instance_to_dict(instance),
+        "spec": spec.to_dict(),
+        "scheme": scheme,
+        "samples_per_scale": samples_per_scale,
+        "seed": master_seed,
+        "rows": rows,
+    }

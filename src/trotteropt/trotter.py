@@ -83,6 +83,13 @@ class DecompositionSpec:
         if not isinstance(self.r, int) or self.r < 1:
             raise ValueError("r must be an integer >= 1")
 
+    def to_dict(self) -> dict:
+        return {"k": self.k, "r": self.r, "ordering": self.ordering.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DecompositionSpec":
+        return cls(int(d["k"]), int(d["r"]), TermOrdering.from_dict(d["ordering"]))
+
 
 def suzuki_coefficient(k: int) -> float:
     """Suzuki's recursion coefficient 1 / (4 - 4^(1/(2k-1))) for level k >= 2."""
@@ -152,10 +159,11 @@ class S2Evaluator:
     blocks, as a ``(2, 2^(n-1), 2^(n-1))`` stack, which halves every
     dimension and quarters every matmul.
 
-    Every term is a real symmetric Pauli string, so each term exponential
-    is symmetric, the reversed half-product is the transpose of the forward
-    half-product F, and S2 = F @ F^T block by block. Which kernel computes
-    F depends on the term sequence:
+    Every term is a real symmetric Pauli string (``model._generators``
+    checks this once per n), so each term exponential is symmetric, the
+    reversed half-product is the transpose of the forward half-product F,
+    and S2 = F @ F^T block by block. Which kernel computes F depends on the
+    term sequence:
 
     - Grouped: kinds come as XX, then YY, then ZZ and Z in any mix (the
       grouped ordering). Each group commutes and is diagonal in a fixed
@@ -175,10 +183,10 @@ class S2Evaluator:
       needs a signed row. The cosh, sinh and scaling rows of a block each
       come from one vector call.
 
-    Both kernels' tables are built with the evaluator, and nothing is
-    written to it afterwards: every block is built from them alone, and
-    block reuse is the caller's (``build_approximation``). So threads may
-    share an evaluator.
+    An evaluator builds the tables of its own kernel alone, when it is
+    made, and nothing is written to it afterwards: every block is built
+    from them alone, and block reuse is the caller's
+    (``build_approximation``). So threads may share an evaluator.
     """
 
     def __init__(self, terms, n: int, t: float):
@@ -188,13 +196,27 @@ class S2Evaluator:
         self._states, flat = _sector_index(n)
         table = _generators(n)
         rows = _rows(self.terms, table)
-        perms, signs = table.perms[rows], table.signs[rows]
-        assert np.array_equal(np.take_along_axis(signs, perms, axis=1), signs), (
-            "F^T is the reversed half-product only for symmetric generators")
         a = np.array([term.coefficient for term in self.terms])
+        groups = [_GROUP[term.kind] for term in self.terms]
+        self._grouped = groups == sorted(groups)
+        if self._grouped:
+            # In its group's basis each term is the Z string on its own qubits.
+            weighted = a[:, None] * _strings(0, table.x[rows] | table.z[rows], n)[1]
+            self._diagonals = np.zeros((3, 2**n))
+            for group, row in zip(groups, weighted):
+                self._diagonals[group] += row
+            # Within a sector a ^ b is an even state, stored at row flat[a ^ b] < M.
+            self._xor = flat[self._states[:, :, None] ^ self._states[:, None, :]]
+            # (self._walsh @ d)[self._xor] is H^n diag(d) H^n, block by block:
+            # the Walsh matrix (-1)^popcount(a & b) / 2^n, on its even rows a.
+            basis = np.arange(2**n)
+            parity = _popcount(basis, n) & 1
+            self._walsh = np.where(parity[self._states[0][:, None] & basis], -0.5**n, 0.5**n)
+            self._s = reduce(np.kron, [np.array([1, 1j])] * n)[self._states]  # diagonal of S^n
+            return
         # Pauli kernel: a Z/ZZ string has the identity permutation, so a
         # maximal run of them scales row i by exp(c sum_j a_j sign_j[i]).
-        # Grouped evaluators build it too: tests check the grouped kernel against it.
+        perms, signs = table.perms[rows], table.signs[rows]
         diagonal = (perms == np.arange(perms.shape[1])).all(axis=1)
         unsigned = (signs == 1.0).all(axis=1).tolist()  # XX: the flip scales by sinh alone
         # Steps in term order: (None, run, False) or (perm, flip, unsigned).
@@ -211,23 +233,6 @@ class S2Evaluator:
         self._flip_coefficients = a[flips]
         self._flip_signs = signs[flips]
         self._steps = tuple(steps)
-        groups = [_GROUP[term.kind] for term in self.terms]
-        self._grouped = groups == sorted(groups)
-        if not self._grouped:
-            return
-        # In its group's basis each term is the Z string on its own qubits.
-        weighted = a[:, None] * _strings(0, table.x[rows] | table.z[rows], n)[1]
-        self._diagonals = np.zeros((3, 2**n))
-        for group, row in zip(groups, weighted):
-            self._diagonals[group] += row
-        # Within a sector a ^ b is an even state, stored at row flat[a ^ b] < M.
-        self._xor = flat[self._states[:, :, None] ^ self._states[:, None, :]]
-        # (self._walsh @ d)[self._xor] is H^n diag(d) H^n, block by block:
-        # the Walsh matrix (-1)^popcount(a & b) / 2^n, on its even rows a.
-        basis = np.arange(2**n)
-        parity = _popcount(basis, n) & 1
-        self._walsh = np.where(parity[self._states[0][:, None] & basis], -0.5**n, 0.5**n)
-        self._s = reduce(np.kron, [np.array([1, 1j])] * n)[self._states]  # diagonal of S^n
 
     @classmethod
     def for_instance(cls, instance: ChainInstance, ordering: TermOrdering) -> "S2Evaluator":

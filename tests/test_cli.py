@@ -100,6 +100,34 @@ class TestOptimize:
             f"error: initial step size must be finite and positive, got {float(sigma0)}\n")
         assert not out.exists()
 
+    def test_k1_with_step_size_fails_before_any_work(self, tmp_path, instance_path, capsys,
+                                                     no_work):
+        out = tmp_path / "run.json"
+        code = run([
+            "optimize", "--instance", instance_path, "--k", "1", "--r", "2",
+            "--sigma0", "1e-3", "--generations", "2", "--out", out,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: k = 1 has no coefficients to optimize\n"
+        assert not out.exists()
+
+
+class TestWrongInstance:
+    """An --instance file that holds no instance object is refused by name,
+    before any work starts."""
+
+    @pytest.mark.parametrize("content", ["optimize_record", "list"])
+    def test_refused_before_any_work(self, tmp_path, capsys, no_work, content):
+        path = tmp_path / "not_an_instance.json"
+        if content == "list":
+            path.write_text("[3, 4]\n")
+        else:
+            write_record(path, {"command": "optimize", "p_final": [0.1] * 5})
+        code = run(["baseline", "--instance", path, "--k", "2", "--r", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} is not an instance file: it is not an object with n, v and t\n")
+
 
 @pytest.fixture()
 def no_work(monkeypatch):
@@ -168,6 +196,8 @@ class TestSweepR:
         (["--r-grid", "0"], "r grid values must be >= 1, got 0"),
         (["--r-grid", "4,4"], "r grid must be strictly increasing"),
         (["--r-grid", "4,2"], "r grid must be strictly increasing"),
+        (["--mode", "optimize", "--k", "1", "--sigma0", "1e-3"],
+         "k = 1 has no coefficients to optimize"),
     ])
     def test_bad_arguments_fail_before_any_work(self, tmp_path, instance_path, capsys,
                                                 no_work, argv, message):
@@ -378,7 +408,7 @@ class TestParser:
     def test_omitted_defaults_resolve_in_the_handlers(self, tmp_path, instance_path, monkeypatch):
         # The parser leaves --scales and --n-cap unset, so that it needs no
         # numerics; the handlers fill in the defaults of sampler and experiments.
-        from trotteropt import experiments
+        from trotteropt import experiments, sampler
         from trotteropt.sampler import DEFAULT_SCALES
 
         seen = {}
@@ -389,7 +419,7 @@ class TestParser:
                 raise ValueError("stop")
             return record_call
 
-        monkeypatch.setattr(experiments, "sampling_report", stop("sample"))
+        monkeypatch.setattr(sampler, "sampling_report", stop("sample"))
         monkeypatch.setattr(experiments, "generalize", stop("generalize"))
         record = tmp_path / "run.json"
         write_record(record, {"command": "optimize"})

@@ -81,3 +81,20 @@ def test_serial_optimize_loads_no_process_pool(tmp_path):
                              "--out", tmp_path / "run.json"])
     assert "trotteropt.experiments" in modules
     assert pool_modules(modules) == []
+
+
+def test_only_sample_loads_the_sampler(tmp_path):
+    from trotteropt.cli import main
+
+    instance = tmp_path / "inst.json"
+    assert main(["generate-instance", "--n", "3", "--seed", "2", "--out", str(instance)]) == 0
+    common = ["--instance", instance, "--r", "2"]
+    optimize = modules_after(["optimize", *common, "--generations", "1",
+                              "--out", tmp_path / "run.json"])
+    sample = modules_after(["sample", *common, "--scheme", "around-suzuki", "--scales", "1e-3",
+                            "--samples", "1", "--out", tmp_path / "sample.json"])
+    package = [m for m in optimize if m.split(".")[0] == "trotteropt"]
+    assert package == ["trotteropt", *(f"trotteropt.{name}" for name in (
+        "cli", "cmaes", "experiments", "fitness", "linalg", "model", "records", "trotter"))]
+    assert [m for m in sample if m.split(".")[0] == "trotteropt"] == sorted(
+        [*package, "trotteropt.sampler"])

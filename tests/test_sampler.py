@@ -3,14 +3,16 @@ import pytest
 
 from trotteropt.fitness import FitnessContext, evaluate
 from trotteropt.model import ChainInstance, TermOrdering
-from trotteropt.sampler import DEFAULT_SCALES, run_sampling
+from trotteropt.sampler import DEFAULT_SCALES, sampling_report
 from trotteropt.trotter import DecompositionSpec, suzuki_seed
 
 GROUPED = TermOrdering.grouped()
 
 
 def sample(instance, scheme, scales, seed=0, samples=20, k=2, r=4):
-    return run_sampling(instance, DecompositionSpec(k, r, GROUPED), scheme, scales, samples, seed)
+    """The payload's rows."""
+    spec = DecompositionSpec(k, r, GROUPED)
+    return sampling_report(instance, spec, scheme, scales, samples, seed)["rows"]
 
 
 @pytest.fixture(scope="module")

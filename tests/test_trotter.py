@@ -1,3 +1,4 @@
+import json
 import re
 import weakref
 
@@ -265,6 +266,17 @@ def edge_sequence(name, n):
 EDGE_SEQUENCES = ("interleaved_runs", "no_diagonal", "only_diagonal", "runs_at_both_ends")
 
 
+class TestDecompositionSpec:
+    @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
+    def test_record_form_round_trips(self, ordering):
+        spec = DecompositionSpec(3, 7, ORDERINGS[ordering](4))
+        d = spec.to_dict()
+        assert d == {"k": 3, "r": 7, "ordering": spec.ordering.to_dict()}
+        assert DecompositionSpec.from_dict(json.loads(json.dumps(d))) == spec
+        # Counts read back as floats become the integers a spec needs.
+        assert DecompositionSpec.from_dict({**d, "k": 3.0, "r": 7.0}) == spec
+
+
 class TestKernels:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
@@ -282,23 +294,27 @@ class TestKernels:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_kernels_agree_on_grouped_sequence(self, n):
+        # The grouped kernel against the full-dimension product, off the
+        # imaginary axis too; a grouped evaluator builds no Pauli-rotation plan.
         inst = small_instance(seed=n, n=n, t=2.0 * n)
-        ev = S2Evaluator.for_instance(inst, GROUPED)
+        terms = ordered_terms(inst, GROUPED)
+        ev = S2Evaluator(terms, n, inst.t)
+        assert ev._grouped and not hasattr(ev, "_steps")
         for c in (-0.5j * inst.t * -0.41449, -0.5j * inst.t * 1.7, 0.3 - 0.2j):
-            assert spectral_norm(ev._grouped_forward(c) - ev._pauli_forward(c)) <= 1e-12
-        # To the Pauli kernel a grouped sequence is 2n flips, then one run of ZZ and Z.
-        assert len(ev._run_exponents) == 1 and len(ev._flip_coefficients) == 2 * n
-        assert [perm is None for perm, *_ in ev._steps] == [False] * (2 * n) + [True]
+            expected = oracle_product(terms, n, c, symmetric=False)
+            assert spectral_norm(dense(ev._forward(c)) - expected) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("sequence", EDGE_SEQUENCES)
     def test_pauli_kernel_on_edge_sequences(self, n, sequence):
         terms, runs = edge_sequence(sequence, n)
         ev = S2Evaluator(terms, n, 2.0 * n)
+        # ZZ and Z alone are a grouped sequence, which the grouped kernel runs.
+        assert ev._grouped == (sequence == "only_diagonal")
         # At a c off the imaginary axis the products are not unitary (norm up
         # to ~10 here), so the bound is relative to the oracle's norm.
         for c in (-0.5j * ev.t * -0.41449, -0.5j * ev.t * 1.7, 0.3 - 0.2j):
-            forward = ev._pauli_forward(c)
+            forward = ev._forward(c)
             for got, symmetric in ((forward, False), (forward @ forward.swapaxes(-1, -2), True)):
                 expected = oracle_product(terms, n, c, symmetric=symmetric)
                 assert spectral_norm(dense(got) - expected) <= 1e-12 * max(1.0, spectral_norm(expected))
@@ -307,11 +323,12 @@ class TestKernels:
             assert spectral_norm(dense(ev.s2(phase)) - expected) <= 1e-12
             expected = oracle_product(terms, n, -1j * ev.t * phase, symmetric=False)
             assert spectral_norm(dense(ev._forward(-1j * ev.t * phase)) - expected) <= 1e-12
-        # One row scaling per maximal Z/ZZ run, one signed permutation per flip.
-        assert len(ev._run_exponents) == runs
-        assert sum(perm is None for perm, *_ in ev._steps) == runs
-        assert len(ev._steps) - runs == len(ev._flip_coefficients) == sum(
-            term.kind in (TermKind.XX, TermKind.YY) for term in terms)
+        if not ev._grouped:
+            # One row scaling per maximal Z/ZZ run, one signed permutation per flip.
+            assert len(ev._run_exponents) == runs
+            assert sum(perm is None for perm, *_ in ev._steps) == runs
+            assert len(ev._steps) - runs == len(ev._flip_coefficients) == sum(
+                term.kind in (TermKind.XX, TermKind.YY) for term in terms)
 
     def test_cached_tables_are_read_only(self):
         ev = S2Evaluator.for_instance(small_instance(), GROUPED)
