@@ -9,16 +9,22 @@ temporary directory that is removed afterwards. Prints one line per output
 file, ``name sha256[:16]``: the stored payload digest of a record, or the
 digest of the file's bytes for an instance. Then, so that those lines stay
 comparable with older trees, one ``name.csv sha256[:16]`` line per CSV twin,
-the digest of its bytes. Two trees whose outputs agree print the same
-lines, so a change meant to keep every output can be checked with ``diff``
-against the lines of its parent commit.
+the digest of its bytes. ``LATER_COMMANDS`` follow in the same way, after
+all of those lines. Two trees whose outputs agree print the same lines, so
+a change meant to keep every output can be checked with ``diff`` against
+the lines of its parent commit.
+
+BLAS runs on one thread unless the environment already sets a count, so
+``OPENBLAS_NUM_THREADS=2 python3 scripts/payload_digests.py`` checks that
+the outputs do not depend on the thread count.
 """
 
 import os
 
-# One BLAS thread, as in the benchmark, set before numpy is first imported.
+# One BLAS thread by default, as in the benchmark, set before numpy is first
+# imported; an inherited count is kept.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ.setdefault(_var, "1")
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
@@ -77,6 +83,19 @@ COMMANDS = [
                            "--samples", "4"]),
 ]
 
+# Printed after every line of COMMANDS, so that those lines stay comparable
+# with older trees: both sides of the S2 stack bound, an optimize at n=6
+# (grouped, two phases per stack) and a canonical baseline at n=7 (one phase
+# per stack), with their instances.
+LATER_COMMANDS = [
+    ("instance_n6", ["generate-instance", "--n", "6", "--seed", "61"]),
+    ("instance_n7", ["generate-instance", "--n", "7", "--seed", "71"]),
+    ("optimize_n6", ["optimize", "--instance", "{dir}/instance_n6.json", "--r", "25",
+                     "--generations", "5"]),
+    ("baseline_n7_canonical", ["baseline", "--instance", "{dir}/instance_n7.json", "--r", "25",
+                               "--ordering", "canonical"]),
+]
+
 
 def file_digest(path: Path) -> str:
     record = json.loads(path.read_text(encoding="utf-8"))
@@ -85,21 +104,28 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run(commands, tmp: str) -> bool:
+    """Runs the commands in order and prints their lines, then their CSV
+    lines; False after the first command that fails."""
+    for name, argv in commands:
+        argv = [arg.format(dir=tmp) for arg in argv] + ["--out", f"{tmp}/{name}.json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(argv)
+        if status != 0:
+            print(f"{name} failed with exit status {status}", file=sys.stderr)
+            return False
+        print(name, file_digest(Path(tmp) / f"{name}.json")[:16], flush=True)
+    for name, _ in commands:
+        csv = Path(tmp) / f"{name}.csv"
+        if csv.exists():
+            print(f"{name}.csv", hashlib.sha256(csv.read_bytes()).hexdigest()[:16], flush=True)
+    return True
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="payload_digests_") as tmp:
-        for name, argv in COMMANDS:
-            argv = [arg.format(dir=tmp) for arg in argv] + ["--out", f"{tmp}/{name}.json"]
-            with contextlib.redirect_stdout(io.StringIO()):
-                status = cli.main(argv)
-            if status != 0:
-                print(f"{name} failed with exit status {status}", file=sys.stderr)
-                return 1
-            print(name, file_digest(Path(tmp) / f"{name}.json")[:16], flush=True)
-        for name, _ in COMMANDS:
-            csv = Path(tmp) / f"{name}.csv"
-            if csv.exists():
-                print(f"{name}.csv", hashlib.sha256(csv.read_bytes()).hexdigest()[:16], flush=True)
-    return 0
+        ok = run(COMMANDS, tmp) and run(LATER_COMMANDS, tmp)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

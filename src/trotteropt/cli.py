@@ -259,6 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Every seed roots a SeedSequence, which takes no negative value.
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         print(args.func(args))
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,11 +9,13 @@ of its own and is checked against the k of the spec it is scored under.
 Expanding the levels turns a coefficient vector into per-slice S2 phases
 (``slice_phases``); ``build_approximation`` divides them by r, multiplies
 the slice's S2 blocks and raises the product to the r-th power. It builds
-each distinct phase of a slice once: it holds a block while its phase
-comes up again later in the slice and passes what it holds to
-``S2Evaluator.s2``, which returns a held block instead of building it
-again. The evaluator itself holds no block. That is the only path from
-coefficients to an approximation. The order parameter
+each distinct phase of a slice once, several at a time: when a phase that
+it does not hold comes up, it builds that phase and the next distinct ones,
+in order of first use, as one stack (``S2Evaluator.s2_stack``) of at most
+``_STACK_BYTES`` of blocks. It holds each block until its phase's last use
+in the slice and passes what it holds to ``S2Evaluator.s2``, which returns
+a held block instead of building it again. The evaluator itself holds no block. That is the only
+path from coefficients to an approximation. The order parameter
 k = 1 is admitted as the degenerate case with an empty coefficient vector,
 meaning plain S2 slicing.
 
@@ -38,10 +40,9 @@ stack depends only on n and is built once per n.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import groupby
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -145,6 +146,22 @@ def _identity_stack(n: int) -> np.ndarray:
     return eye
 
 
+# Bytes of the S2 blocks that one s2_stack call of build_approximation
+# builds. Kept under glibc's default 128 KiB mmap threshold: numpy
+# temporaries above it are mapped afresh and page-faulted on every call: a
+# 5-phase stack at n=8 took 1,226 minor faults per build (grouped kernel)
+# against 22 for five single builds, and 86 against 2 at n=6. 64 KiB holds
+# 8 phases at n=5 (8 KiB blocks), 2 at n=6 and 1 from n=7 on, where every
+# build stays single.
+_STACK_BYTES = 64 * 1024
+
+
+def _phases_per_stack(n: int) -> int:
+    """Phases per stack at n: as many (2, 2^(n-1), 2^(n-1)) complex blocks
+    as fit in ``_STACK_BYTES``, and at least one."""
+    return max(1, _STACK_BYTES // (2 * 16 * 4 ** (n - 1)))
+
+
 # Group of each kind in the grouped ordering: ZZ and Z are both diagonal.
 _GROUP = {TermKind.XX: 0, TermKind.YY: 1, TermKind.ZZ: 2, TermKind.Z: 2}
 
@@ -182,6 +199,14 @@ class S2Evaluator:
       +1, so its product is scaled by the scalar sinh(ca); only a YY term
       needs a signed row. The cosh, sinh and scaling rows of a block each
       come from one vector call.
+
+    Both kernels build K phases at once, as a ``(K, 2, M, M)`` stack with
+    the phase as the leading axis (``s2_stack``): each numpy call of a
+    build covers all K, so at n=5 five phases cost about the numpy calls
+    of one. Every step is elementwise along that axis, a gather along the
+    next, or one BLAS call per phase and block (the Walsh products are one
+    gemv per phase, not a gemm over all of them), so each block is
+    bit-identical to a build of its phase alone.
 
     An evaluator builds the tables of its own kernel alone, when it is
     made, and nothing is written to it afterwards: every block is built
@@ -238,37 +263,51 @@ class S2Evaluator:
     def for_instance(cls, instance: ChainInstance, ordering: TermOrdering) -> "S2Evaluator":
         return cls(ordered_terms(instance, ordering), instance.n, instance.t)
 
-    def _forward(self, c: complex) -> np.ndarray:
-        return self._grouped_forward(c) if self._grouped else self._pauli_forward(c)
+    def _forwards(self, c: np.ndarray) -> np.ndarray:
+        return self._grouped_forwards(c) if self._grouped else self._pauli_forwards(c)
 
-    def _grouped_forward(self, c: complex) -> np.ndarray:
-        dxx, dyy, dzz = np.exp(c * self._diagonals)
-        yy = (self._walsh @ dyy)[self._xor]
+    def _grouped_forwards(self, c: np.ndarray) -> np.ndarray:
+        # The Walsh products take each phase's diagonal as a column: one gemv
+        # per phase, as for a single vector, where a gemm over all phases
+        # could round differently.
+        d = np.exp(c[:, None, None] * self._diagonals)
+        yy = np.take(np.matmul(self._walsh, d[:, 1, :, None])[:, :, 0], self._xor, axis=1)
         yy *= self._s[:, :, None]
-        yy *= (self._s.conj() * dzz[self._states])[:, None, :]
-        return (self._walsh @ dxx)[self._xor] @ yy
+        yy *= (self._s.conj() * np.take(d[:, 2], self._states, axis=1))[:, :, None, :]
+        return np.take(np.matmul(self._walsh, d[:, 0, :, None])[:, :, 0], self._xor, axis=1) @ yy
 
-    def _pauli_forward(self, c: complex) -> np.ndarray:
-        # Builds F^T = E_L ... E_1 on the two blocks stacked as (2M, M) rows,
-        # since numpy gathers rows faster than columns.
-        ca = c * self._flip_coefficients
-        cosh = np.cosh(ca).tolist()
+    def _pauli_forwards(self, c: np.ndarray) -> np.ndarray:
+        # Builds each F^T = E_L ... E_1 on the two blocks stacked as (2M, M)
+        # rows, since numpy gathers rows faster than columns.
+        ca = c[:, None] * self._flip_coefficients
+        cosh = np.cosh(ca)[:, :, None, None]
         sinh = np.sinh(ca)
-        signed_sinh = (sinh[:, None] * self._flip_signs)[:, :, None]
-        sinh = sinh.tolist()
-        scales = np.exp(c * self._run_exponents)[:, :, None]
-        acc = _identity_stack(self.n).copy()
+        signed_sinh = (sinh[:, :, None] * self._flip_signs)[:, :, :, None]
+        sinh = sinh[:, :, None, None]
+        scales = np.exp(c[:, None, None] * self._run_exponents)[:, :, :, None]
+        eye = _identity_stack(self.n)
+        acc = np.broadcast_to(eye, (len(c), *eye.shape)).copy()
         rotated = np.empty_like(acc)
         for perm, i, unsigned in self._steps:
             if perm is None:
-                acc *= scales[i]
+                acc *= scales[:, i]
             else:
-                acc.take(perm, axis=0, out=rotated)
-                rotated *= sinh[i] if unsigned else signed_sinh[i]
-                acc *= cosh[i]
+                acc.take(perm, axis=1, out=rotated)
+                rotated *= sinh[:, i] if unsigned else signed_sinh[:, i]
+                acc *= cosh[:, i]
                 acc += rotated
-        half = acc.shape[1]
-        return acc.reshape(2, half, half).swapaxes(-1, -2)
+        half = acc.shape[-1]
+        return acc.reshape(len(c), 2, half, half).swapaxes(-1, -2)
+
+    def s2_stack(self, phases) -> np.ndarray:
+        """S2 at each of the phases, as one read-only ``(K, 2, M, M)``
+        stack with the phase as the leading axis: one pass of numpy calls
+        builds all K blocks, each bit-identical to a build of its phase
+        alone."""
+        forward = self._forwards(np.array([-0.5j * self.t * float(x) for x in phases]))
+        stack = forward @ forward.swapaxes(-1, -2)
+        stack.flags.writeable = False
+        return stack
 
     def s2(self, phase: float, held: dict | None = None) -> np.ndarray:
         """S2 at the given fraction of the evolution parameter, as its two
@@ -277,16 +316,15 @@ class S2Evaluator:
 
         ``held`` maps phases to blocks that the caller still holds: the
         block of a held phase is returned as it is, and any other phase
-        (or one mapped to None) is built anew. A built block is read-only
-        and bit-identical to any other build of the same phase, so a
-        caller may hold it and hand it back for as long as it likes.
+        (or one mapped to None) is built anew, as a 1-phase ``s2_stack``.
+        A built block is read-only and bit-identical to any other build of
+        the same phase, so a caller may hold it and hand it back for as
+        long as it likes.
         """
         phase = float(phase)
         block = held.get(phase) if held else None
         if block is None:
-            forward = self._forward(-0.5j * self.t * phase)
-            block = forward @ forward.swapaxes(-1, -2)
-            block.flags.writeable = False
+            block = self.s2_stack((phase,))[0]
         return block
 
 
@@ -303,23 +341,31 @@ def build_approximation(
     divided by r; the slice is then raised to the r-th power. For the Suzuki
     seed this is exactly the order-2k formula with r slices.
 
-    This call owns block reuse. It keeps a ``held`` dict, per call, of the
-    blocks whose phase comes up again later in the slice, passes it to
-    every ``S2Evaluator.s2`` call and drops a block on its phase's last
-    use. So each distinct phase is built once (2 builds for the k=2 Suzuki
-    slice, 4 for k=3), a slice of distinct phases keeps no block past its
-    use, and no block outlives the call. The evaluator is only read.
+    This call owns block reuse. When a phase that it does not hold comes
+    up, it builds the next ``_phases_per_stack(n)`` distinct phases, in
+    order of first use, with one ``S2Evaluator.s2_stack`` call. It keeps a
+    ``held`` dict, per call, of each block from its build to its phase's
+    last use, passes it to every ``S2Evaluator.s2`` call and drops a block
+    on its phase's last use. So each distinct phase is built once (2
+    builds for the k=2 Suzuki slice, 4 for k=3), blocks are streamed a
+    stack at a time, and no block outlives the call. The evaluator is only
+    read.
     """
     p = _check_coefficients(p, spec.k)
     ev = evaluator if evaluator is not None else S2Evaluator.for_instance(instance, spec.ordering)
     phases = (slice_phases(p) / spec.r).tolist()
-    remaining = Counter(phases)  # uses of each phase still to come
-    held = {}  # the block of each phase while it comes up again
+    last = {x: i for i, x in enumerate(phases)}  # last use of each phase
+    unbuilt = iter(last)  # distinct phases in order of first use
+    per_stack = _phases_per_stack(ev.n)
+    held = {}  # the block of each phase from its build to its last use
     acc: np.ndarray | None = None
-    for x in phases:
+    for i, x in enumerate(phases):
+        if x not in held:
+            batch = list(islice(unbuilt, per_stack))
+            held.update(zip(batch, ev.s2_stack(batch)))
         block = ev.s2(x, held)
-        remaining[x] -= 1
-        held[x] = block if remaining[x] else None
+        if last[x] == i:
+            del held[x]
         acc = block if acc is None else acc @ block
     assert acc is not None
     return matrix_power(acc, spec.r)

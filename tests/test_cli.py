@@ -394,6 +394,46 @@ class TestErrors:
         assert exc.value.code == 2
 
 
+# Each command that takes --seed, with its other arguments; "{instance}" is
+# an instance path. baseline runs both with and without a drawn ordering.
+SEEDED = {
+    "generate-instance": ["--n", "3"],
+    "baseline": ["--instance", "{instance}", "--k", "2", "--r", "2"],
+    "baseline-random": ["--instance", "{instance}", "--k", "2", "--r", "2", "--ordering", "random"],
+    "optimize": ["--instance", "{instance}", "--k", "2", "--r", "2", "--generations", "2"],
+    "sample": ["--instance", "{instance}", "--k", "2", "--r", "2", "--scheme", "around-suzuki",
+               "--scales", "1e-3", "--samples", "2"],
+    "sweep-r": ["--instance", "{instance}", "--k", "2", "--r-grid", "2", "--mode", "optimize",
+                "--generations", "2"],
+    "perms": ["--instance", "{instance}", "--k", "2", "--r-grid", "2", "--n-random", "2"],
+}
+
+
+class TestNegativeSeed:
+    def test_every_seeded_command_is_covered(self):
+        (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        seeded = {name for name, parser in commands.choices.items()
+                  if any("--seed" in a.option_strings for a in parser._actions)}
+        assert seeded == {name.removesuffix("-random") for name in SEEDED}
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_refused_by_name_before_any_work(self, tmp_path, instance_path, capsys, no_work,
+                                             monkeypatch, command):
+        from trotteropt import cli
+
+        def started(*_args, **_kwargs):
+            raise AssertionError("work started before the seed was checked")
+
+        monkeypatch.setattr(cli, "generate_instance", started)
+        monkeypatch.setattr(cli, "load_instance", started)
+        out = tmp_path / "out.json"
+        args = [arg.format(instance=instance_path) for arg in SEEDED[command]]
+        code = run([command.removesuffix("-random"), *args, "--seed", "-1", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+
 def _option(command: str, flag: str) -> argparse.Action:
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return next(a for a in commands.choices[command]._actions if flag in a.option_strings)

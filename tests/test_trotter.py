@@ -19,10 +19,12 @@ from trotteropt.model import (
     unmerged_gate_count,
 )
 from trotteropt.trotter import (
+    _STACK_BYTES,
     DecompositionSpec,
     S2Evaluator,
     _check_coefficients,
     _identity_stack,
+    _phases_per_stack,
     build_approximation,
     slice_phases,
     suzuki_coefficient,
@@ -42,6 +44,12 @@ P3 = 0.3730658277332728247758630410734168185043
 def small_instance(seed=1, n=3, t=1.0):
     rng = np.random.default_rng(seed)
     return ChainInstance.random(n, rng, t=t, seed=seed)
+
+
+def forward(ev, c):
+    """The evaluator's forward half-product at the exponent scale c: the
+    one block of a 1-phase stack."""
+    return ev._forwards(np.array([c]))[0]
 
 
 class TestSuzukiCoefficient:
@@ -290,7 +298,7 @@ class TestKernels:
             # The forward half-product F that S2 = F F^T is built from is,
             # at the full phase, the first-order product S1.
             expected = oracle_product(terms, n, -1j * inst.t * phase, symmetric=False)
-            assert spectral_norm(dense(ev._forward(-1j * inst.t * phase)) - expected) <= 1e-12
+            assert spectral_norm(dense(forward(ev, -1j * inst.t * phase)) - expected) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_kernels_agree_on_grouped_sequence(self, n):
@@ -302,7 +310,7 @@ class TestKernels:
         assert ev._grouped and not hasattr(ev, "_steps")
         for c in (-0.5j * inst.t * -0.41449, -0.5j * inst.t * 1.7, 0.3 - 0.2j):
             expected = oracle_product(terms, n, c, symmetric=False)
-            assert spectral_norm(dense(ev._forward(c)) - expected) <= 1e-12
+            assert spectral_norm(dense(forward(ev, c)) - expected) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("sequence", EDGE_SEQUENCES)
@@ -314,15 +322,15 @@ class TestKernels:
         # At a c off the imaginary axis the products are not unitary (norm up
         # to ~10 here), so the bound is relative to the oracle's norm.
         for c in (-0.5j * ev.t * -0.41449, -0.5j * ev.t * 1.7, 0.3 - 0.2j):
-            forward = ev._forward(c)
-            for got, symmetric in ((forward, False), (forward @ forward.swapaxes(-1, -2), True)):
+            half = forward(ev, c)
+            for got, symmetric in ((half, False), (half @ half.swapaxes(-1, -2), True)):
                 expected = oracle_product(terms, n, c, symmetric=symmetric)
                 assert spectral_norm(dense(got) - expected) <= 1e-12 * max(1.0, spectral_norm(expected))
         for phase in (-0.41449, 1.7):
             expected = oracle_product(terms, n, -0.5j * ev.t * phase, symmetric=True)
             assert spectral_norm(dense(ev.s2(phase)) - expected) <= 1e-12
             expected = oracle_product(terms, n, -1j * ev.t * phase, symmetric=False)
-            assert spectral_norm(dense(ev._forward(-1j * ev.t * phase)) - expected) <= 1e-12
+            assert spectral_norm(dense(forward(ev, -1j * ev.t * phase)) - expected) <= 1e-12
         if not ev._grouped:
             # One row scaling per maximal Z/ZZ run, one signed permutation per flip.
             assert len(ev._run_exponents) == runs
@@ -426,10 +434,20 @@ class TestBuildApproximation:
         return matrix_power(acc, spec.r)
 
     @staticmethod
-    def count_builds(monkeypatch):
+    def count_builds(monkeypatch, stacks=None):
+        """Records every phase that ``s2_stack`` builds, in build order, and
+        in ``stacks`` a weak reference to each stack it returns."""
         built = []
-        forward = S2Evaluator._forward
-        monkeypatch.setattr(S2Evaluator, "_forward", lambda self, c: built.append(c) or forward(self, c))
+        s2_stack = S2Evaluator.s2_stack
+
+        def recording_s2_stack(self, phases):
+            stack = s2_stack(self, phases)
+            built.extend(phases)
+            if stacks is not None:
+                stacks.append(weakref.ref(stack))
+            return stack
+
+        monkeypatch.setattr(S2Evaluator, "s2_stack", recording_s2_stack)
         return built
 
     @pytest.mark.parametrize("ordering", ["grouped", "explicit"])
@@ -451,10 +469,20 @@ class TestBuildApproximation:
         ("distinct_k2", 5),  # a CMA candidate: every phase new
     ])
     def test_each_distinct_phase_is_built_once(self, ordering, vector, builds, monkeypatch):
-        inst = small_instance(seed=4, n=4, t=8.0)
+        self.check_built_once(4, ordering, vector, builds, monkeypatch)
+
+    @pytest.mark.parametrize("ordering", ["grouped", "explicit"])
+    @pytest.mark.parametrize("vector,builds", [("suzuki_k3", 4), ("distinct_k2", 5)])
+    def test_each_distinct_phase_is_built_once_in_single_stacks(self, ordering, vector, builds,
+                                                                monkeypatch):
+        # From n=7 on a stack holds one phase, and builds are single.
+        self.check_built_once(7, ordering, vector, builds, monkeypatch)
+
+    def check_built_once(self, n, ordering, vector, builds, monkeypatch):
+        inst = small_instance(seed=4, n=n, t=2.0 * n)
         k, p = (3, suzuki_seed(3)) if vector == "suzuki_k3" else (2, (0.41, 0.42, -0.66, 0.43, 0.4))
-        spec = DecompositionSpec(k, 3, ORDERINGS[ordering](4))
-        refs, live = [], []
+        spec = DecompositionSpec(k, 3, ORDERINGS[ordering](n))
+        refs, live, stacks, live_stacks = [], [], [], []
         s2 = S2Evaluator.s2
 
         def counting_s2(self, phase, held=None):
@@ -462,19 +490,72 @@ class TestBuildApproximation:
             if all(ref() is not block for ref in refs):
                 refs.append(weakref.ref(block))
             live.append(sum(1 for ref in refs if ref() is not None))
+            live_stacks.append(sum(1 for ref in stacks if ref() is not None))
             return block
 
-        built = self.count_builds(monkeypatch)
+        built = self.count_builds(monkeypatch, stacks)
         monkeypatch.setattr(S2Evaluator, "s2", counting_s2)
         got = build_approximation(inst, spec, p)
-        assert len(built) == builds == len(refs)
+        assert len(built) == len(set(built)) == builds == len(refs)
         assert len(live) == len(slice_phases(p))
         if vector == "distinct_k2":
-            # Nothing kept for later: at most the block just built and the
-            # slice's first factor, which is the running product until the
-            # second block arrives.
-            assert max(live) <= 2
+            if _phases_per_stack(n) == 1:
+                # Nothing kept for later: at most the block just built and
+                # the slice's first factor, which is the running product
+                # until the second block arrives.
+                assert max(live) <= 2
+            else:
+                # All five phases come from one stack, the first factor
+                # among them, and every later running product is a new array.
+                assert len(stacks) == 1 and max(live_stacks) == 1
         assert got.tobytes() == self.fresh_product(inst, spec, p).tobytes()
+
+    @staticmethod
+    def distinct_k3():
+        """A k=3 vector whose 25 slice phases are all distinct."""
+        p = np.array(suzuki_seed(3)) + 1e-3 * np.arange(1, 11)
+        assert len(set(slice_phases(p).tolist())) == 25
+        return tuple(p)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
+    def test_stacks_match_single_builds(self, n, ordering, monkeypatch):
+        # 25 distinct phases in stacks of _phases_per_stack(n): one stack at
+        # n = 3 and 4, 8 + 8 + 8 + 1 at n=5, twelve of 2 and one at n=6, and
+        # one phase per stack from n=7 on. Each stack stays within the bound.
+        inst = small_instance(seed=n, n=n, t=2.0 * n)
+        spec = DecompositionSpec(3, 5, ORDERINGS[ordering](n))
+        p = self.distinct_k3()
+        sizes = []
+        s2_stack = S2Evaluator.s2_stack
+
+        def sizing_s2_stack(self, phases):
+            stack = s2_stack(self, phases)
+            assert stack.shape == (len(phases), 2, 2 ** (n - 1), 2 ** (n - 1))
+            assert len(phases) == 1 or stack.nbytes <= _STACK_BYTES
+            sizes.append(len(phases))
+            return stack
+
+        monkeypatch.setattr(S2Evaluator, "s2_stack", sizing_s2_stack)
+        got = build_approximation(inst, spec, p)
+        assert _phases_per_stack(n) == {3: 128, 4: 32, 5: 8, 6: 2, 7: 1, 8: 1}[n]
+        per_stack = min(_phases_per_stack(n), 25)
+        assert sizes == [per_stack] * (25 // per_stack) + [25 % per_stack] * (25 % per_stack > 0)
+        assert got.tobytes() == self.fresh_product(inst, spec, p).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 8])
+    @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
+    def test_stack_blocks_are_single_builds(self, n, ordering):
+        # Phase by phase, byte for byte, whatever the stack's size, and
+        # read-only like a block of s2.
+        inst = small_instance(seed=n, n=n, t=2.0 * n)
+        ev = S2Evaluator.for_instance(inst, ORDERINGS[ordering](n))
+        phases = [0.0, -0.41449, 0.3, 1.7, 0.3 + 1e-9]
+        stack = ev.s2_stack(phases)
+        assert not stack.flags.writeable
+        for phase, block in zip(phases, stack):
+            assert block.tobytes() == ev.s2(phase).tobytes()
+        assert ev.s2_stack(phases[1:3]).tobytes() == stack[1:3].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_no_block_outlives_the_call(self, k, monkeypatch):
