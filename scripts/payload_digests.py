@@ -86,7 +86,8 @@ COMMANDS = [
 # Printed after every line of COMMANDS, so that those lines stay comparable
 # with older trees: both sides of the S2 stack bound, an optimize at n=6
 # (grouped, two phases per stack) and a canonical baseline at n=7 (one phase
-# per stack), with their instances.
+# per stack), with their instances; then sweep_r_jobs2 run serially, whose
+# record must have sweep_r_jobs2's digest.
 LATER_COMMANDS = [
     ("instance_n6", ["generate-instance", "--n", "6", "--seed", "61"]),
     ("instance_n7", ["generate-instance", "--n", "7", "--seed", "71"]),
@@ -94,6 +95,8 @@ LATER_COMMANDS = [
                      "--generations", "5"]),
     ("baseline_n7_canonical", ["baseline", "--instance", "{dir}/instance_n7.json", "--r", "25",
                                "--ordering", "canonical"]),
+    ("sweep_r_jobs1", ["sweep-r", "--instance", "{dir}/instance_n5.json", "--r-grid", "25,50",
+                       "--mode", "optimize", "--generations", "3", "--jobs", "1"]),
 ]
 
 

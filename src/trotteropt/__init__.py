@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # Home module -> the public names it defines.
 _NAMES = {
-    "model": ("ChainInstance", "LocalTerm", "OrderingMode", "Pauli", "TermKind", "TermOrdering"),
+    "model": ("ChainInstance", "LocalTerm", "OrderingMode", "TermKind", "TermOrdering"),
     "trotter": ("DecompositionSpec", "suzuki_coefficient", "suzuki_seed"),
     "fitness": ("FitnessContext", "error_reduction_pct", "evaluate", "exact_propagator"),
     "cmaes": ("CmaRunResult", "cma_run"),

@@ -97,16 +97,14 @@ def _check_grid(grid: list, name: str, least: int | None = None) -> None:
         raise ValueError(f"{name} grid values must be >= {least}, got {grid[0]}")
 
 
-def make_ordering(name: str, instance: ChainInstance, master_seed: int | None = None) -> TermOrdering:
+def make_ordering(name: str, instance: ChainInstance, master_seed: int) -> TermOrdering:
     """Resolve a CLI ordering name; "random" draws a permutation of the term
-    list from the seed's ordering stream."""
+    list from the master seed's ordering stream, the others ignore the seed."""
     if name == "canonical":
         return TermOrdering.canonical()
     if name == "grouped":
         return TermOrdering.grouped()
     if name == "random":
-        if master_seed is None:
-            raise ValueError("random ordering needs a seed")
         rng = derive_generator(master_seed, PURPOSE_ORDERING)
         return TermOrdering.explicit(rng.permutation(4 * instance.n))
     raise ValueError(f"unknown ordering {name!r}")
@@ -132,33 +130,37 @@ def optimize_instance(
     generations: int,
     sigma0: float,
     master_seed: int,
-    rng_key: tuple[int, ...] = (PURPOSE_CMA,),
 ) -> dict:
-    """One CMA-ES run from the Suzuki seed; returns the run-record payload."""
+    """One CMA-ES run from the Suzuki seed, its arguments checked before any
+    work, drawing from the master seed's CMA stream; the run-record payload."""
     _check_run(spec.k, generations, sigma0)
-    ctx = FitnessContext.create(instance, spec)
-    seed_vec = suzuki_seed(spec.k)
+    return _optimize(FitnessContext.create(instance, spec), generations, sigma0, master_seed, PURPOSE_CMA)
+
+
+def _optimize(ctx: FitnessContext, generations: int, sigma0: float, master_seed: int, *key: int) -> dict:
+    """The run-record payload of one CMA-ES run from the Suzuki seed, every
+    score on ``ctx``, drawing from the master seed's stream ``key``."""
+    seed_vec = suzuki_seed(ctx.spec.k)
     result = cma_run(
         seed_vec,
         partial(evaluate, ctx),
         generations=generations,
         sigma0=sigma0,
-        rng_seed=derive_seed_sequence(master_seed, *rng_key),
+        rng_seed=derive_seed_sequence(master_seed, *key),
     )
     error_initial = evaluate(ctx, seed_vec)
-    error_final = result.best_fitness
     return {
         "command": "optimize",
-        "instance": instance_to_dict(instance),
-        "spec": spec.to_dict(),
+        "instance": instance_to_dict(ctx.instance),
+        "spec": ctx.spec.to_dict(),
         "seed": master_seed,
         "sigma0": sigma0,
         "generations": generations,
         "p_initial": list(seed_vec),
         "p_final": [float(x) for x in result.best_x],
         "error_initial": error_initial,
-        "error_final": error_final,
-        "reduction_pct": error_reduction_pct(error_initial, error_final),
+        "error_final": result.best_fitness,
+        "reduction_pct": error_reduction_pct(error_initial, result.best_fitness),
         "final_centroid": [float(x) for x in result.final_mean],
         "final_centroid_error": result.final_mean_fitness,
         "evaluations": result.evaluations,
@@ -178,9 +180,7 @@ def _sweep_cell(instance, mode, p_fixed, generations, sigma0, master_seed, cell)
     baseline = evaluate(ctx, suzuki_seed(spec.k))
     row: dict = {"r": spec.r, "baseline_error": baseline}
     if mode == "optimize":
-        run = optimize_instance(
-            instance, spec, generations, sigma0, master_seed, rng_key=(PURPOSE_CMA, cell_index)
-        )
+        run = _optimize(ctx, generations, sigma0, master_seed, PURPOSE_CMA, cell_index)
         row["optimized_error"] = run["error_final"]
         row["p_final"] = run["p_final"]
     elif mode == "evaluate":

@@ -56,12 +56,13 @@ def exact_propagator(instance: ChainInstance) -> np.ndarray:
 
 @dataclass
 class FitnessContext:
-    """Everything reused across evaluations on one (instance, spec) pair;
-    ``exact`` is the sector stack of ``exact_propagator``.
-
-    Neither ``exact`` nor the evaluator depends on r, so a caller that
-    scores one instance at several r may build them once and pass them to
-    ``create``; the evaluator must be built for ``spec.ordering``."""
+    """Everything reused across evaluations on one (instance, spec) pair:
+    ``exact`` is the sector stack of ``exact_propagator``, and ``evaluator``
+    builds the S2 blocks. ``create`` builds whichever it is not given, and
+    one context serves every score of a pair (a baseline, a CMA-ES run, its
+    seed). Neither depends on r, so a caller that scores one instance at
+    several r may build them once and pass them to ``create``; the
+    evaluator must be built for ``spec.ordering``."""
 
     instance: ChainInstance
     spec: DecompositionSpec
@@ -89,10 +90,10 @@ def evaluate(ctx: FitnessContext, p) -> float:
     Deterministic: the same floats give bit-identical values, whatever
     sequence holds them. No S2 block is kept from one evaluation to the
     next; within one, a block reused for a repeated phase is the block a
-    rebuild would give. A vector of the wrong length, or with non-finite
-    components (a diverged search), raises rather than scoring.
+    rebuild would give. A vector of the wrong length, or one that a
+    diverged search left non-finite or too large, raises ``ValueError``.
     """
-    approx = build_approximation(ctx.instance, ctx.spec, p, ctx.evaluator)
+    approx = build_approximation(ctx.evaluator, ctx.spec, p)
     return spectral_norm(ctx.exact - approx)
 
 

@@ -67,13 +67,11 @@ def spectral_norm(a) -> float:
 
 
 def matrix_power(a, r: int) -> np.ndarray:
-    """a**r by binary exponentiation, block by block; r = 0 returns the identity."""
+    """a**r for r >= 1 by binary exponentiation, block by block."""
     a = _as_square(a)
     r = int(r)
-    if r < 0:
-        raise ValueError("negative powers are not supported")
-    if r == 0:
-        return np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+    if r < 1:
+        raise ValueError(f"powers below 1 are not supported, got {r}")
     result: np.ndarray | None = None
     base = a
     while r:

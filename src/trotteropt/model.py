@@ -39,7 +39,6 @@ __all__ = [
     "ChainInstance",
     "LocalTerm",
     "OrderingMode",
-    "Pauli",
     "TermKind",
     "TermOrdering",
     "hamiltonian",
@@ -50,16 +49,11 @@ __all__ = [
 ]
 
 
-class Pauli(str, Enum):
-    X = "x"
-    Y = "y"
-    Z = "z"
-
-
+# The 2x2 Pauli matrices by letter, for ``term_matrix``.
 _PAULI_MATS = {
-    Pauli.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    Pauli.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    Pauli.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
 
@@ -208,7 +202,7 @@ def term_matrix(term: LocalTerm, n: int) -> np.ndarray:
     """
     factors = [np.eye(2, dtype=complex)] * n
     for site, letter in _pauli_sites(term, n).items():
-        factors[site - 1] = _PAULI_MATS[Pauli(letter)]
+        factors[site - 1] = _PAULI_MATS[letter]
     return term.coefficient * reduce(np.kron, factors)
 
 

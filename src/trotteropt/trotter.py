@@ -8,16 +8,16 @@ tuple, a list or an array row), one 5-entry block per recursion level
 of its own and is checked against the k of the spec it is scored under.
 Expanding the levels turns a coefficient vector into per-slice S2 phases
 (``slice_phases``); ``build_approximation`` divides them by r, multiplies
-the slice's S2 blocks and raises the product to the r-th power. It builds
-each distinct phase of a slice once, several at a time: when a phase that
-it does not hold comes up, it builds that phase and the next distinct ones,
-in order of first use, as one stack (``S2Evaluator.s2_stack``) of at most
-``_STACK_BYTES`` of blocks. It holds each block until its phase's last use
-in the slice and passes what it holds to ``S2Evaluator.s2``, which returns
-a held block instead of building it again. The evaluator itself holds no block. That is the only
-path from coefficients to an approximation. The order parameter
-k = 1 is admitted as the degenerate case with an empty coefficient vector,
-meaning plain S2 slicing.
+the S2 blocks that the ``S2Evaluator`` it is given builds, and raises the
+product to the r-th power. It builds each distinct phase of a slice once,
+several at a time: when a phase that it does not hold comes up, it builds
+that phase and the next distinct ones, in order of first use, as one stack
+(``S2Evaluator.s2_stack``) of at most ``_STACK_BYTES`` of blocks. It holds
+each block until its phase's last use and passes what it holds to
+``S2Evaluator.s2``, which returns a held block rather than build it again.
+The evaluator holds no block. That is the only path from coefficients to
+an approximation. The order parameter k = 1 is admitted as the degenerate
+case with an empty coefficient vector, meaning plain S2 slicing.
 
 The evolution parameter is factored as -i * t: phases are stored as real
 fractions and the -i * t is applied at exponentiation time.
@@ -40,6 +40,7 @@ stack depends only on n and is built once per n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import groupby, islice
@@ -222,6 +223,8 @@ class S2Evaluator:
         table = _generators(n)
         rows = _rows(self.terms, table)
         a = np.array([term.coefficient for term in self.terms])
+        # Per unit |phase|: a bound on |c| = 0.5 t |phase| and on c times any sum of a_j.
+        self._exponent_scale = 0.5 * self.t * max(1.0, float(np.abs(a).sum()))
         groups = [_GROUP[term.kind] for term in self.terms]
         self._grouped = groups == sorted(groups)
         if self._grouped:
@@ -328,18 +331,17 @@ class S2Evaluator:
         return block
 
 
-def build_approximation(
-    instance: ChainInstance,
-    spec: DecompositionSpec,
-    p,
-    evaluator: S2Evaluator | None = None,
-) -> np.ndarray:
+def build_approximation(evaluator: S2Evaluator, spec: DecompositionSpec, p) -> np.ndarray:
     """The full product-formula approximation to exp(-i t H), as the stack
-    of its two parity-sector blocks (see ``S2Evaluator``).
+    of its two parity-sector blocks (see ``S2Evaluator``), from the blocks
+    of ``evaluator``, which must be made for ``spec.ordering``.
 
     One time slice is the product of S2 blocks at the expanded phases
     divided by r; the slice is then raised to the r-th power. For the Suzuki
     seed this is exactly the order-2k formula with r slices.
+
+    A vector of the wrong length, non-finite, or large enough to overflow
+    an S2 exponent raises ``ValueError`` before any kernel runs.
 
     This call owns block reuse. When a phase that it does not hold comes
     up, it builds the next ``_phases_per_stack(n)`` distinct phases, in
@@ -352,18 +354,21 @@ def build_approximation(
     read.
     """
     p = _check_coefficients(p, spec.k)
-    ev = evaluator if evaluator is not None else S2Evaluator.for_instance(instance, spec.ordering)
-    phases = (slice_phases(p) / spec.r).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, quietly
+        phases = slice_phases(p) / spec.r
+    if not math.isfinite(float(np.abs(phases).max()) * evaluator._exponent_scale):
+        raise ValueError("coefficient vector overflows the S2 exponents")
+    phases = phases.tolist()
     last = {x: i for i, x in enumerate(phases)}  # last use of each phase
     unbuilt = iter(last)  # distinct phases in order of first use
-    per_stack = _phases_per_stack(ev.n)
+    per_stack = _phases_per_stack(evaluator.n)
     held = {}  # the block of each phase from its build to its last use
     acc: np.ndarray | None = None
     for i, x in enumerate(phases):
         if x not in held:
             batch = list(islice(unbuilt, per_stack))
-            held.update(zip(batch, ev.s2_stack(batch)))
-        block = ev.s2(x, held)
+            held.update(zip(batch, evaluator.s2_stack(batch)))
+        block = evaluator.s2(x, held)
         if last[x] == i:
             del held[x]
         acc = block if acc is None else acc @ block

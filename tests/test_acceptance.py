@@ -95,8 +95,9 @@ def test_criterion_1_order_scaling():
     rs = [1, 2, 4, 8, 16]
     slopes = {}
     for k in (1, 2):
+        ev = S2Evaluator.for_instance(inst, GROUPED)
         errs = [
-            spectral_norm(exact - build_approximation(inst, DecompositionSpec(k, r, GROUPED), suzuki_seed(k)))
+            spectral_norm(exact - build_approximation(ev, DecompositionSpec(k, r, GROUPED), suzuki_seed(k)))
             for r in rs
         ]
         slopes[k] = float(np.polyfit(np.log(rs), np.log(errs), 1)[0])

@@ -1,9 +1,14 @@
 import argparse
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trotteropt
 from trotteropt.cli import build_parser, main
 from trotteropt.records import read_record, write_record
 
@@ -392,6 +397,32 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestOverflowingCoefficients:
+    """Finite coefficients whose S2 exponents overflow (a sampling scale or
+    a step size far too large) end a command with one error line: no numpy
+    warning, and no traceback when warnings are errors."""
+
+    @pytest.mark.parametrize("warnings,argv", [
+        ("default", ["sample", "--k", "3", "--r", "25", "--scheme", "around-suzuki",
+                     "--scales", "1e200", "--samples", "2"]),
+        ("error", ["sample", "--k", "3", "--r", "25", "--scheme", "around-suzuki",
+                   "--scales", "1e200", "--samples", "2"]),
+        ("error", ["optimize", "--r", "2", "--generations", "40", "--sigma0", "1e307"]),
+    ])
+    def test_refused_with_one_error_line(self, tmp_path, warnings, argv):
+        instance = tmp_path / "n4.json"
+        assert run(["generate-instance", "--n", "4", "--seed", "1", "--out", instance]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(trotteropt.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-W", warnings, "-m", "trotteropt.cli", *argv,
+             "--instance", str(instance), "--out", str(tmp_path / "out.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == "error: coefficient vector overflows the S2 exponents\n"
+        assert not (tmp_path / "out.json").exists()
 
 
 # Each command that takes --seed, with its other arguments; "{instance}" is

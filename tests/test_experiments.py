@@ -53,8 +53,8 @@ class TestGenerateInstance:
 
 class TestMakeOrdering:
     def test_named(self, tiny):
-        assert make_ordering("canonical", tiny).mode is OrderingMode.CANONICAL
-        assert make_ordering("grouped", tiny).mode is OrderingMode.GROUPED
+        assert make_ordering("canonical", tiny, 0).mode is OrderingMode.CANONICAL
+        assert make_ordering("grouped", tiny, 0).mode is OrderingMode.GROUPED
 
     def test_random_is_seeded(self, tiny):
         a = make_ordering("random", tiny, 5)
@@ -63,10 +63,6 @@ class TestMakeOrdering:
         assert a == b
         assert a != c
         assert sorted(a.permutation) == list(range(12))
-
-    def test_random_needs_seed(self, tiny):
-        with pytest.raises(ValueError):
-            make_ordering("random", tiny, None)
 
     def test_unknown_name(self, tiny):
         with pytest.raises(ValueError):
@@ -137,6 +133,29 @@ class TestSweepR:
         serial = sweep_r(tiny, 2, [2, 3], GROUPED, jobs=1, **kwargs)
         parallel = sweep_r(tiny, 2, [2, 3], GROUPED, jobs=2, **kwargs)
         assert payload_digest(serial) == payload_digest(parallel)
+
+    def test_optimize_cell_scores_on_one_context(self, tiny, monkeypatch):
+        # A cell's baseline, its CMA-ES run and the run's seed score share one
+        # context: one propagator and one evaluator per cell, and still
+        # 3 + G(lambda + 1) evaluations (lambda = 8 at k=2).
+        calls = dict.fromkeys(["create", "exact", "evaluator", "evaluate"], 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(FitnessContext, "create",
+                            classmethod(counting("create", FitnessContext.create.__func__)))
+        monkeypatch.setattr(fitness, "exact_propagator", counting("exact", exact_propagator))
+        monkeypatch.setattr(S2Evaluator, "__init__", counting("evaluator", S2Evaluator.__init__))
+        monkeypatch.setattr(experiments, "evaluate", counting("evaluate", evaluate))
+        generations, cells = 2, 2
+        sweep_r(tiny, 2, [2, 3], GROUPED, mode="optimize", generations=generations, sigma0=2e-8,
+                jobs=1)
+        assert calls == {"create": cells, "exact": cells, "evaluator": cells,
+                         "evaluate": cells * (3 + generations * (8 + 1))}
 
     def test_empty_grid_rejected(self, tiny):
         with pytest.raises(ValueError):
@@ -340,6 +359,6 @@ class TestPerms:
         monkeypatch.undo()
         for row in payload["rows"]:
             if row["ordering"] != "random":
-                ordering = make_ordering(row["ordering"], tiny)
+                ordering = make_ordering(row["ordering"], tiny, 0)
                 ctx = FitnessContext.create(tiny, DecompositionSpec(2, row["r"], ordering))
                 assert row["error"] == evaluate(ctx, suzuki_seed(2))

@@ -6,7 +6,6 @@ from trotteropt.linalg import spectral_norm
 from trotteropt.model import (
     ChainInstance,
     LocalTerm,
-    Pauli,
     TermKind,
     TermOrdering,
     _PAULI_MATS,
@@ -31,13 +30,13 @@ from sectors import dense, dense_hamiltonian
 
 class TestPauli:
     def test_x(self):
-        npt.assert_array_equal(_PAULI_MATS[Pauli.X], [[0, 1], [1, 0]])
+        npt.assert_array_equal(_PAULI_MATS["x"], [[0, 1], [1, 0]])
 
     def test_y(self):
-        npt.assert_array_equal(_PAULI_MATS[Pauli.Y], [[0, -1j], [1j, 0]])
+        npt.assert_array_equal(_PAULI_MATS["y"], [[0, -1j], [1j, 0]])
 
     def test_z(self):
-        npt.assert_array_equal(_PAULI_MATS[Pauli.Z], [[1, 0], [0, -1]])
+        npt.assert_array_equal(_PAULI_MATS["z"], [[1, 0], [0, -1]])
 
 
 class TestTermMatrix:

@@ -52,6 +52,11 @@ def forward(ev, c):
     return ev._forwards(np.array([c]))[0]
 
 
+def approximation(inst, spec, p):
+    """``build_approximation`` on an evaluator of its own."""
+    return build_approximation(S2Evaluator.for_instance(inst, spec.ordering), spec, p)
+
+
 class TestSuzukiCoefficient:
     def test_level_2(self):
         assert suzuki_coefficient(2) == pytest.approx(P2, abs=1e-15)
@@ -128,7 +133,7 @@ class TestPhaseExpansion:
         expected = np.eye(8, dtype=complex)
         for x in np.tile(np.array([p, p, 1 - 4 * p, p, p]) / 3, 3):
             expected = expected @ dense(ev.s2(x))
-        got = build_approximation(inst, DecompositionSpec(2, 3, GROUPED), suzuki_seed(2), ev)
+        got = build_approximation(ev, DecompositionSpec(2, 3, GROUPED), suzuki_seed(2))
         assert spectral_norm(dense(got) - expected) <= 1e-12
 
     def test_k2_r1_unchanged(self):
@@ -166,7 +171,7 @@ class TestPhaseExpansion:
         npt.assert_array_equal(slice_phases(suzuki_seed(1)), [1.0])
         inst = small_instance()
         ev = S2Evaluator.for_instance(inst, GROUPED)
-        got = build_approximation(inst, DecompositionSpec(1, 4, GROUPED), suzuki_seed(1), ev)
+        got = build_approximation(ev, DecompositionSpec(1, 4, GROUPED), suzuki_seed(1))
         npt.assert_array_equal(got, matrix_power(ev.s2(0.25), 4))
 
 
@@ -375,14 +380,14 @@ class TestBuildApproximation:
     def test_zero_vector_gives_identity(self):
         inst = small_instance()
         spec = DecompositionSpec(2, 3, GROUPED)
-        approx = build_approximation(inst, spec, (0.0,) * 5)
+        approx = approximation(inst, spec, (0.0,) * 5)
         npt.assert_allclose(dense(approx), np.eye(8), atol=1e-12)
 
     def test_error_decreases_with_r(self):
         inst = small_instance()
         exact = expm_scaled_hermitian(dense_hamiltonian(inst), -1j * inst.t)
         errs = [
-            spectral_norm(exact - dense(build_approximation(inst, DecompositionSpec(2, r, GROUPED), suzuki_seed(2))))
+            spectral_norm(exact - dense(approximation(inst, DecompositionSpec(2, r, GROUPED), suzuki_seed(2))))
             for r in (2, 4, 8)
         ]
         assert errs[0] > errs[1] > errs[2]
@@ -395,7 +400,7 @@ class TestBuildApproximation:
         exact = expm_scaled_hermitian(dense_hamiltonian(inst), -1j * inst.t)
         rs = [1, 2, 4, 8, 16]
         errs = [
-            spectral_norm(exact - dense(build_approximation(inst, DecompositionSpec(k, r, GROUPED), suzuki_seed(k))))
+            spectral_norm(exact - dense(approximation(inst, DecompositionSpec(k, r, GROUPED), suzuki_seed(k))))
             for r in rs
         ]
         slope = np.polyfit(np.log(rs), np.log(errs), 1)[0]
@@ -406,7 +411,7 @@ class TestBuildApproximation:
         # or from full-dimension exponentiation of each term.
         inst = small_instance(seed=5)
         spec = DecompositionSpec(2, 2, GROUPED)
-        fast = dense(build_approximation(inst, spec, suzuki_seed(2)))
+        fast = dense(approximation(inst, spec, suzuki_seed(2)))
 
         from trotteropt.model import ordered_terms
 
@@ -457,7 +462,7 @@ class TestBuildApproximation:
         inst = small_instance(seed=4, n=4, t=8.0)
         spec = DecompositionSpec(2, 7, ORDERINGS[ordering](4))
         built = self.count_builds(monkeypatch)
-        got = build_approximation(inst, spec, suzuki_seed(2))
+        got = approximation(inst, spec, suzuki_seed(2))
         assert len(built) == 2
         expected = self.fresh_product(inst, spec, suzuki_seed(2))
         assert len(built) == 2 + 5
@@ -495,7 +500,7 @@ class TestBuildApproximation:
 
         built = self.count_builds(monkeypatch, stacks)
         monkeypatch.setattr(S2Evaluator, "s2", counting_s2)
-        got = build_approximation(inst, spec, p)
+        got = approximation(inst, spec, p)
         assert len(built) == len(set(built)) == builds == len(refs)
         assert len(live) == len(slice_phases(p))
         if vector == "distinct_k2":
@@ -537,7 +542,7 @@ class TestBuildApproximation:
             return stack
 
         monkeypatch.setattr(S2Evaluator, "s2_stack", sizing_s2_stack)
-        got = build_approximation(inst, spec, p)
+        got = approximation(inst, spec, p)
         assert _phases_per_stack(n) == {3: 128, 4: 32, 5: 8, 6: 2, 7: 1, 8: 1}[n]
         per_stack = min(_phases_per_stack(n), 25)
         assert sizes == [per_stack] * (25 // per_stack) + [25 % per_stack] * (25 % per_stack > 0)
@@ -571,7 +576,7 @@ class TestBuildApproximation:
 
         monkeypatch.setattr(S2Evaluator, "s2", recording_s2)
         for r in (1, 3):
-            approx = build_approximation(inst, DecompositionSpec(k, r, ORDERINGS["explicit"](4)), suzuki_seed(k), ev)
+            approx = build_approximation(ev, DecompositionSpec(k, r, ORDERINGS["explicit"](4)), suzuki_seed(k))
             assert len(refs) == 5 ** (k - 1)
             assert [ref() for ref in refs] == [None] * len(refs)
             assert approx.flags.writeable
@@ -600,7 +605,7 @@ class TestBuildApproximation:
             ev = S2Evaluator.for_instance(inst, spec.ordering)
             before = dict(vars(ev))
             contents = {name: value.tobytes() for name, value in before.items() if isinstance(value, np.ndarray)}
-            build_approximation(inst, spec, suzuki_seed(k), ev)
+            build_approximation(ev, spec, suzuki_seed(k))
             assert vars(ev).keys() == before.keys()
             assert all(vars(ev)[name] is value for name, value in before.items())
             assert contents == {name: vars(ev)[name].tobytes() for name in contents}
@@ -621,22 +626,36 @@ class TestBuildApproximation:
         population = [tuple(seed) for _ in range(8)] + [
             tuple(np.where(rng.random(5) < 0.5, seed, rng.normal(0.3, 0.2, 5))) for _ in range(24)
         ]
-        serial = [build_approximation(inst, spec, p).tobytes() for p in population]
+        serial = [approximation(inst, spec, p).tobytes() for p in population]
         ev = S2Evaluator.for_instance(inst, spec.ordering)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 threaded = list(pool.map(
-                    lambda p: build_approximation(inst, spec, p, ev).tobytes(), population, timeout=60))
+                    lambda p: build_approximation(ev, spec, p).tobytes(), population, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ordering", ["grouped", "explicit"])
+    @pytest.mark.parametrize("k,scale", [(2, 1e307), (3, 1e200), (4, 1e160)])
+    def test_overflowing_vector_refused_before_any_kernel(self, ordering, k, scale, monkeypatch):
+        # Finite components whose phases, or t times a phase, overflow: at
+        # k=4 an infinite phase also meets a zero component.
+        inst = small_instance(seed=4, n=4, t=8.0)
+        p = np.full(5 * (k - 1), scale)
+        p[-1] = 0.0
+        built = self.count_builds(monkeypatch)
+        with pytest.raises(ValueError, match="^coefficient vector overflows the S2 exponents$"):
+            approximation(inst, DecompositionSpec(k, 3, ORDERINGS[ordering](4)), p)
+        assert built == []
+
     def test_k_mismatch_rejected(self):
         inst = small_instance()
         with pytest.raises(ValueError, match="k=3 needs 10 components, got 5"):
-            build_approximation(inst, DecompositionSpec(3, 1, GROUPED), suzuki_seed(2))
+            approximation(inst, DecompositionSpec(3, 1, GROUPED), suzuki_seed(2))
 
 
 def gate_stream(inst, spec, coeffs):
