@@ -9,10 +9,10 @@ temporary directory that is removed afterwards. Prints one line per output
 file, ``name sha256[:16]``: the stored payload digest of a record, or the
 digest of the file's bytes for an instance. Then, so that those lines stay
 comparable with older trees, one ``name.csv sha256[:16]`` line per CSV twin,
-the digest of its bytes. ``LATER_COMMANDS`` follow in the same way, after
-all of those lines. Two trees whose outputs agree print the same lines, so
-a change meant to keep every output can be checked with ``diff`` against
-the lines of its parent commit.
+the digest of its bytes. ``LATER_COMMANDS`` and then ``DEFAULT_COMMANDS``
+follow in the same way, each after all of the lines before it. Two trees
+whose outputs agree print the same lines, so a change meant to keep every
+output can be checked with ``diff`` against the lines of its parent commit.
 
 BLAS runs on one thread unless the environment already sets a count, so
 ``OPENBLAS_NUM_THREADS=2 python3 scripts/payload_digests.py`` checks that
@@ -99,6 +99,14 @@ LATER_COMMANDS = [
                        "--mode", "optimize", "--generations", "3", "--jobs", "1"]),
 ]
 
+# Printed last, after the 45 lines above: a command that leaves out an option
+# whose default the command's module fills (``sample`` without --scales). The
+# other commands already leave out --sigma0 and --n-cap.
+DEFAULT_COMMANDS = [
+    ("sample_n4_default_scales", ["sample", "--instance", "{dir}/instance_n4.json", "--r", "2",
+                                  "--scheme", "around-suzuki", "--samples", "2"]),
+]
+
 
 def file_digest(path: Path) -> str:
     record = json.loads(path.read_text(encoding="utf-8"))
@@ -127,7 +135,7 @@ def run(commands, tmp: str) -> bool:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="payload_digests_") as tmp:
-        ok = run(COMMANDS, tmp) and run(LATER_COMMANDS, tmp)
+        ok = all(run(group, tmp) for group in (COMMANDS, LATER_COMMANDS, DEFAULT_COMMANDS))
     return 0 if ok else 1
 
 

@@ -8,7 +8,8 @@ Each command loads only the modules it runs: the parser needs none of the
 numerics, and a handler imports ``experiments``, ``trotter`` or ``sampler``
 where it uses them. ``generate-instance`` loads ``records`` and ``model``
 alone, only ``sample`` loads ``sampler``, and only ``sweep-r --jobs``
-above 1 loads the process pool.
+above 1 loads the process pool. An option left out parses to ``None`` where
+the default needs numerics; ``experiments`` or ``sampler`` fills it in.
 """
 
 from __future__ import annotations
@@ -108,11 +109,7 @@ def _cmd_optimize(args) -> str:
     from . import experiments
 
     instance, spec = _instance_and_spec(args)
-    generations = (
-        experiments.default_generations(args.k) if args.generations is None else args.generations
-    )
-    sigma0 = experiments.default_sigma0(args.k) if args.sigma0 is None else args.sigma0
-    payload = experiments.optimize_instance(instance, spec, generations, sigma0, args.seed)
+    payload = experiments.optimize_instance(instance, spec, args.generations, args.sigma0, args.seed)
     _emit(
         args,
         payload,
@@ -121,7 +118,7 @@ def _cmd_optimize(args) -> str:
     )
     return (
         f"optimized {payload['error_initial']:.6e} -> {payload['error_final']:.6e} "
-        f"({payload['reduction_pct']:.1f}% reduction) in {generations} generations"
+        f"({payload['reduction_pct']:.1f}% reduction) in {payload['generations']} generations"
     )
 
 
@@ -129,10 +126,10 @@ def _cmd_sample(args) -> str:
     from . import sampler
 
     instance, spec = _instance_and_spec(args)
-    scales = sampler.DEFAULT_SCALES if args.scales is None else args.scales
-    payload = sampler.sampling_report(instance, spec, args.scheme, scales, args.samples, args.seed)
+    payload = sampler.sampling_report(instance, spec, args.scheme, args.scales, args.samples,
+                                      args.seed)
     _emit(args, payload, ["scale", "mean_fitness", "min_fitness", "max_fitness"])
-    return f"sampled {args.samples} vectors at {len(scales)} scales ({args.scheme})"
+    return f"sampled {args.samples} vectors at {len(payload['rows'])} scales ({args.scheme})"
 
 
 def _cmd_sweep_r(args) -> str:
@@ -146,17 +143,9 @@ def _cmd_sweep_r(args) -> str:
             raise ValueError("--mode evaluate needs --record with an optimize run")
         p_fixed = read_record(args.record, command="optimize")["p_final"]
     payload = experiments.sweep_r(
-        instance,
-        args.k,
-        args.r_grid,
-        ordering,
-        mode=args.mode,
-        p_fixed=p_fixed,
-        generations=args.generations,
-        sigma0=args.sigma0,
-        master_seed=args.seed,
-        threshold=args.threshold,
-        jobs=args.jobs,
+        instance, args.k, args.r_grid, ordering, mode=args.mode, p_fixed=p_fixed,
+        generations=args.generations, sigma0=args.sigma0, master_seed=args.seed,
+        threshold=args.threshold, jobs=args.jobs,
     )
     _emit(args, payload, ["r", "baseline_error", "optimized_error", "reduction_pct"])
     line = f"swept r over {args.r_grid} ({args.mode})"
@@ -173,9 +162,8 @@ def _cmd_generalize(args) -> str:
     from . import experiments
 
     run_payload = read_record(args.record, command="optimize")
-    grid = _float_list(args.grid)
-    n_cap = experiments.GENERALIZE_N_CAP if args.n_cap is None else args.n_cap
-    payload = experiments.generalize(run_payload, args.axis, grid, n_cap=n_cap)
+    payload = experiments.generalize(run_payload, args.axis, _float_list(args.grid),
+                                     n_cap=args.n_cap)
     _emit(args, payload, ["value", "baseline_error", "optimized_error", "reduction_pct"])
     positive = sum(1 for row in payload["rows"] if row["reduction_pct"] > 0)
     return f"generalized over {args.axis}: {positive}/{len(payload['rows'])} points improved"

@@ -153,7 +153,8 @@ def cma_step(state: CmaState, objective, rng: np.random.Generator) -> tuple[CmaS
     scales = np.sqrt(eigvals)
 
     z = rng.standard_normal((state.popsize, d))
-    candidates = state.mean + state.sigma * ((z * scales) @ basis.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused when scored
+        candidates = state.mean + state.sigma * ((z * scales) @ basis.T)
     fits = np.array([float(objective(x)) for x in candidates])
     nonfinite = int(np.count_nonzero(~np.isfinite(fits)))
     keys = np.where(np.isfinite(fits), fits, np.inf)

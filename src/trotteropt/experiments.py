@@ -78,13 +78,17 @@ def pmap(fn, items, jobs: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def _check_run(k: int, generations: int, sigma0: float) -> None:
-    """An optimize run needs coefficients (k >= 2), a generation or more and a usable step size."""
+def _run_settings(k: int, generations: int | None, sigma0: float | None) -> tuple[int, float]:
+    """An optimize run's generations and step size, ``None`` taking k's default;
+    checks that k >= 2, generations >= 1 and the step size is usable."""
     if k < 2:
         raise ValueError(f"k = {k} has no coefficients to optimize")
+    generations = default_generations(k) if generations is None else generations
+    sigma0 = default_sigma0(k) if sigma0 is None else sigma0
     if generations < 1:
         raise ValueError("generations must be >= 1")
     _check_step_size(sigma0)
+    return generations, sigma0
 
 
 def _check_grid(grid: list, name: str, least: int | None = None) -> None:
@@ -127,13 +131,14 @@ def baseline_report(instance: ChainInstance, spec: DecompositionSpec) -> dict:
 def optimize_instance(
     instance: ChainInstance,
     spec: DecompositionSpec,
-    generations: int,
-    sigma0: float,
+    generations: int | None,
+    sigma0: float | None,
     master_seed: int,
 ) -> dict:
     """One CMA-ES run from the Suzuki seed, its arguments checked before any
-    work, drawing from the master seed's CMA stream; the run-record payload."""
-    _check_run(spec.k, generations, sigma0)
+    work, drawing from the master seed's CMA stream; the run-record payload.
+    ``None`` for generations or sigma0 takes k's default."""
+    generations, sigma0 = _run_settings(spec.k, generations, sigma0)
     return _optimize(FitnessContext.create(instance, spec), generations, sigma0, master_seed, PURPOSE_CMA)
 
 
@@ -223,9 +228,7 @@ def sweep_r(
         _check_coefficients(p_fixed, k)
     if mode == "optimize":
         # Only optimize mode has a budget, so the other modes take any k, 1 included.
-        generations = default_generations(k) if generations is None else generations
-        sigma0 = default_sigma0(k) if sigma0 is None else sigma0
-        _check_run(k, generations, sigma0)
+        generations, sigma0 = _run_settings(k, generations, sigma0)
     cell = partial(_sweep_cell, instance, mode, p_fixed, generations, sigma0, master_seed)
     specs = [DecompositionSpec(k, r, ordering) for r in r_grid]
     rows = pmap(cell, enumerate(specs), jobs)
@@ -257,7 +260,7 @@ def generalize(
     run_payload: dict,
     axis: str,
     grid: list,
-    n_cap: int = GENERALIZE_N_CAP,
+    n_cap: int | None = None,
 ) -> dict:
     """Score a run's optimized vector and the Suzuki seed over a grid of one
     parameter (v / n / t / r), everything else frozen from the run.
@@ -266,7 +269,8 @@ def generalize(
     seed lineage, so the study is reproducible from the record alone. The v,
     n and r grids count things and must hold integers; only t is real. The
     v grid is a single hold-out count N, giving hold-outs 1..N; the n, t and
-    r grids must be non-empty and strictly increasing.
+    r grids must be non-empty and strictly increasing. The n grid stops at
+    ``n_cap``, ``GENERALIZE_N_CAP`` when it is ``None``.
     """
     if axis in ("v", "n", "r"):
         for value in grid:
@@ -298,6 +302,7 @@ def generalize(
                 "axis=n cannot extend an explicit term ordering to more sites: the record's "
                 f"permutation orders the {4 * base_instance.n} terms of n={base_instance.n}"
             )
+        n_cap = GENERALIZE_N_CAP if n_cap is None else n_cap
         for n_new in grid:
             n_new = int(n_new)
             if n_new <= base_instance.n:

@@ -70,6 +70,13 @@ class TermKind(str, Enum):
 _KINDS = (TermKind.XX, TermKind.YY, TermKind.ZZ, TermKind.Z)
 
 
+def _count(value, name: str) -> int:
+    """A count read from JSON, where 5.0 reads as 5; other values are refused by name."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LocalTerm:
     """One summand of the chain Hamiltonian.

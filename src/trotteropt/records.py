@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChainInstance
+from .model import ChainInstance, _count
 
 __all__ = [
     "PURPOSE_APPEND",
@@ -121,16 +121,16 @@ def write_record(path, payload: dict) -> dict:
 
 
 def read_record(path, command: str | None = None) -> dict:
-    """Load a record and return its payload; verifies the stored digest and,
-    given ``command``, that the record was written by that command."""
+    """Load a record and return its payload, which must match the digest in its
+    ``meta`` and, given ``command``, come from that command."""
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
     if not isinstance(record, dict) or not isinstance(record.get("payload"), dict):
         raise ValueError(f"{path} is not a record: it has no payload")
     payload = record["payload"]
-    stored = record.get("meta", {}).get("payload_sha256")
-    if stored is not None and stored != payload_digest(payload):
-        raise ValueError(f"record {path} is corrupt: payload digest mismatch")
+    meta = record.get("meta")
+    if not isinstance(meta, dict) or meta.get("payload_sha256") != payload_digest(payload):
+        raise ValueError(f"record {path} is corrupt: its meta holds no matching payload digest")
     if command is not None and payload.get("command") != command:
         raise ValueError(
             f"record {path} comes from {payload.get('command')}, not from {command}")
@@ -154,7 +154,14 @@ def instance_to_dict(instance: ChainInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> ChainInstance:
-    return ChainInstance(n=int(d["n"]), v=tuple(d["v"]), t=float(d["t"]), seed=d.get("seed"))
+    """An instance file's or record's instance: n an integer (5.0 reads as 5),
+    v a list of numbers, t a number; a field of another type is refused."""
+    v, t = d["v"], d["t"]
+    if not (type(v) is list and all(type(x) in (int, float) for x in v)):
+        raise ValueError(f"instance v must be a list of numbers, got {v!r}")
+    if type(t) not in (int, float):
+        raise ValueError(f"instance t must be a number, got {t!r}")
+    return ChainInstance(_count(d["n"], "instance n"), tuple(v), float(t), seed=d.get("seed"))
 
 
 def save_instance(path, instance: ChainInstance) -> None:

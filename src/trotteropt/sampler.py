@@ -35,7 +35,8 @@ def sampling_report(
     master_seed: int,
 ) -> dict:
     """Draw, evaluate and aggregate from the master seed's sampling stream;
-    deterministic given the seed. Every argument is checked before any work.
+    deterministic given the seed. Every argument is checked before any work;
+    ``std_devs`` of ``None`` samples at ``DEFAULT_SCALES``.
 
     Samples for each scale are drawn in one fixed-order batch and aggregated
     in index order, so results do not depend on evaluation scheduling.
@@ -43,7 +44,7 @@ def sampling_report(
     rng = derive_generator(master_seed, PURPOSE_SAMPLING)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown sampling scheme {scheme!r}")
-    std_devs = [float(s) for s in std_devs]
+    std_devs = [float(s) for s in (DEFAULT_SCALES if std_devs is None else std_devs)]
     if samples_per_scale < 1:
         raise ValueError("need at least one sample per scale")
     if not std_devs or not all(0 < s < np.inf for s in std_devs):
@@ -55,7 +56,8 @@ def sampling_report(
     center = np.full(d, 1.0 / d) if scheme == "around-uniform" else np.array(suzuki_seed(spec.k))
     rows = []
     for scale in std_devs:
-        draws = center + scale * rng.standard_normal((samples_per_scale, d))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused when scored
+            draws = center + scale * rng.standard_normal((samples_per_scale, d))
         fits = np.array([evaluate(ctx, row) for row in draws])
         rows.append({
             "scale": scale,

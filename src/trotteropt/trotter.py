@@ -52,6 +52,7 @@ from .model import (
     ChainInstance,
     TermKind,
     TermOrdering,
+    _count,
     _generators,
     _popcount,
     _rows,
@@ -90,7 +91,8 @@ class DecompositionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecompositionSpec":
-        return cls(int(d["k"]), int(d["r"]), TermOrdering.from_dict(d["ordering"]))
+        return cls(_count(d["k"], "spec k"), _count(d["r"], "spec r"),
+                   TermOrdering.from_dict(d["ordering"]))
 
 
 def suzuki_coefficient(k: int) -> float:

@@ -133,6 +133,28 @@ class TestWrongInstance:
         assert capsys.readouterr().err == (
             f"error: {path} is not an instance file: it is not an object with n, v and t\n")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n", 3.7, "instance n must be an integer, got 3.7"),
+        ("v", None, "instance v must be a list of numbers, got None"),
+        ("t", None, "instance t must be a number, got None"),
+    ])
+    def test_wrong_field_refused_by_name(self, tmp_path, capsys, no_work, field, value, message):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"n": 3, "v": [0.1, 0.2, 0.3], "t": 6.0, field: value}))
+        assert run(["baseline", "--instance", path, "--k", "2", "--r", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_record_instance_with_wrong_field(self, tmp_path, capsys, no_work):
+        record = tmp_path / "run.json"
+        write_record(record, {"command": "optimize", "seed": 0, "p_final": [0.1] * 5,
+                              "spec": {"k": 2, "r": 2, "ordering": {"mode": "grouped"}},
+                              "instance": {"n": 3, "v": None, "t": 6.0}})
+        out = tmp_path / "out.json"
+        assert run(["generalize", "--record", record, "--axis", "v", "--grid", "1",
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == "error: instance v must be a list of numbers, got None\n"
+        assert not out.exists()
+
 
 @pytest.fixture()
 def no_work(monkeypatch):
@@ -399,10 +421,23 @@ class TestErrors:
         assert exc.value.code == 2
 
 
+def run_fresh(tmp_path, warnings: str, argv) -> subprocess.CompletedProcess:
+    """One CLI command on an n=4 instance, in a fresh interpreter under
+    ``-W warnings``, writing to ``tmp_path / "out.json"``."""
+    instance = tmp_path / "n4.json"
+    assert run(["generate-instance", "--n", "4", "--seed", "1", "--out", instance]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(trotteropt.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-W", warnings, "-m", "trotteropt.cli", *argv,
+         "--instance", str(instance), "--out", str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestOverflowingCoefficients:
-    """Finite coefficients whose S2 exponents overflow (a sampling scale or
-    a step size far too large) end a command with one error line: no numpy
-    warning, and no traceback when warnings are errors."""
+    """Coefficients that overflow (a sampling scale or a step size far too
+    large) end a command with one error line: no numpy warning, and no
+    traceback when warnings are errors."""
 
     @pytest.mark.parametrize("warnings,argv", [
         ("default", ["sample", "--k", "3", "--r", "25", "--scheme", "around-suzuki",
@@ -412,16 +447,22 @@ class TestOverflowingCoefficients:
         ("error", ["optimize", "--r", "2", "--generations", "40", "--sigma0", "1e307"]),
     ])
     def test_refused_with_one_error_line(self, tmp_path, warnings, argv):
-        instance = tmp_path / "n4.json"
-        assert run(["generate-instance", "--n", "4", "--seed", "1", "--out", instance]) == 0
-        env = dict(os.environ, PYTHONPATH=str(Path(trotteropt.__file__).resolve().parents[1]),
-                   OPENBLAS_NUM_THREADS="1")
-        done = subprocess.run(
-            [sys.executable, "-W", warnings, "-m", "trotteropt.cli", *argv,
-             "--instance", str(instance), "--out", str(tmp_path / "out.json")],
-            env=env, capture_output=True, text=True, timeout=120)
+        # Finite coefficients whose S2 exponents overflow.
+        done = run_fresh(tmp_path, warnings, argv)
         assert done.returncode == 1
         assert done.stderr == "error: coefficient vector overflows the S2 exponents\n"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("warnings", ["default", "error"])
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--r", "2", "--generations", "40", "--sigma0", "1e308"],
+        ["sample", "--k", "2", "--r", "2", "--scheme", "around-suzuki", "--scales", "1e308"],
+    ], ids=["optimize", "sample"])
+    def test_overflowing_draw_refused_with_one_error_line(self, tmp_path, warnings, argv):
+        # The draw itself overflows to non-finite components.
+        done = run_fresh(tmp_path, warnings, argv)
+        assert done.returncode == 1
+        assert done.stderr == "error: coefficient vector has non-finite components\n"
         assert not (tmp_path / "out.json").exists()
 
 
@@ -476,30 +517,42 @@ class TestParser:
 
         assert tuple(_option("sample", "--scheme").choices) == SCHEMES
 
-    def test_omitted_defaults_resolve_in_the_handlers(self, tmp_path, instance_path, monkeypatch):
+    def test_omitted_defaults_resolve_behind_the_handlers(self, tmp_path, instance_path,
+                                                          monkeypatch, capsys):
         # The parser leaves --scales and --n-cap unset, so that it needs no
-        # numerics; the handlers fill in the defaults of sampler and experiments.
+        # numerics; the handlers pass None on to sampler and experiments.
         from trotteropt import experiments, sampler
         from trotteropt.sampler import DEFAULT_SCALES
 
         seen = {}
 
-        def stop(name):
-            def record_call(*args, **kwargs):
-                seen[name] = args, kwargs
-                raise ValueError("stop")
-            return record_call
+        def spy(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(sampler, "sampling_report", stop("sample"))
-        monkeypatch.setattr(experiments, "generalize", stop("generalize"))
-        record = tmp_path / "run.json"
-        write_record(record, {"command": "optimize"})
+            def record_call(*args, **kwargs):
+                seen.setdefault(name, []).append((args, kwargs))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, record_call)
+
+        spy(sampler, "sampling_report")
+        spy(experiments, "generalize")
+        sample = tmp_path / "s.json"
         assert run(["sample", "--instance", instance_path, "--k", "2", "--r", "2",
-                    "--scheme", "around-suzuki", "--out", tmp_path / "s.json"]) == 1
-        assert run(["generalize", "--record", record, "--axis", "v", "--grid", "1",
-                    "--out", tmp_path / "g.json"]) == 1
-        assert seen["sample"][0][3] == DEFAULT_SCALES
-        assert seen["generalize"][1]["n_cap"] == experiments.GENERALIZE_N_CAP
+                    "--scheme", "around-suzuki", "--samples", "1", "--out", sample]) == 0
+        assert seen["sampling_report"][0][0][3] is None
+        assert tuple(row["scale"] for row in read_record(sample)["rows"]) == DEFAULT_SCALES
+
+        record, out = tmp_path / "run.json", tmp_path / "g.json"
+        assert run(["optimize", "--instance", instance_path, "--r", "2", "--generations", "1",
+                    "--out", record]) == 0
+        assert run(["generalize", "--record", record, "--axis", "n", "--grid", "8",
+                    "--out", out]) == 0
+        assert [row["value"] for row in read_record(out)["rows"]] == [8.0]
+        capsys.readouterr()
+        assert run(["generalize", "--record", record, "--axis", "n", "--grid", "9",
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == "error: axis=n capped at 8 (override with --n-cap)\n"
+        assert [kwargs["n_cap"] for _, kwargs in seen["generalize"]] == [None, None]
 
     def test_a_command_leaves_no_argparse_garbage(self, tmp_path):
         # Built per call, the parser would be cyclic garbage that only the

@@ -101,6 +101,12 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize_instance(tiny, DecompositionSpec(2, 2, GROUPED), 0, 2e-8, 0)
 
+    def test_omitted_settings_take_the_defaults(self, tiny):
+        payload = optimize_instance(tiny, DecompositionSpec(2, 2, GROUPED), None, None, 3)
+        assert payload["generations"] == 250
+        assert len(payload["trajectory"]) == 250
+        assert payload["sigma0"] == 2e-8
+
 
 class TestSweepR:
     def test_baseline_monotone(self, tiny):

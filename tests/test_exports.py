@@ -23,20 +23,16 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_package_names_are_their_home_objects():
-    # The package root resolves its names on first access; each must be the
-    # very object that its defining module holds.
-    for attr in trotteropt.__all__:
-        if attr == "__version__":
-            continue
-        obj = getattr(trotteropt, attr)
-        assert getattr(importlib.import_module(obj.__module__), attr) is obj
+def test_package_root_holds_only_its_version():
+    # Every name is imported from its own module; the root re-exports none.
+    assert trotteropt.__all__ == ["__version__"]
+    assert not hasattr(trotteropt, "__getattr__")
+    assert not hasattr(trotteropt, "ChainInstance")
 
 
 def test_unknown_package_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         trotteropt.no_such_name
-    # `from package import submodule` relies on that AttributeError.
     from trotteropt import experiments
 
     assert experiments.__name__ == "trotteropt.experiments"

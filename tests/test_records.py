@@ -47,6 +47,14 @@ class TestRecords:
         with pytest.raises(ValueError, match="digest"):
             read_record(path)
 
+    @pytest.mark.parametrize("meta", [None, [], {}, {"created_utc": "2024-01-01T00:00:00"}])
+    def test_record_without_its_digest_is_refused(self, tmp_path, meta):
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps({"payload": {"command": "optimize"}, "meta": meta}))
+        message = f"record {path} is corrupt: its meta holds no matching payload digest"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_record(path)
+
     @pytest.mark.parametrize("content", [{"n": 3, "v": [0.1], "t": 6.0}, [1, 2], {"payload": [1]}])
     def test_file_without_payload_is_named(self, tmp_path, content):
         path = tmp_path / "inst.json"
@@ -128,3 +136,19 @@ class TestInstanceIO:
     def test_dict_roundtrip(self):
         inst = ChainInstance(3, (0.1, 0.2, 0.3), 2.0)
         assert instance_from_dict(instance_to_dict(inst)) == inst
+        # An integral float is a count; the other fields keep their values.
+        assert instance_from_dict({"n": 3.0, "v": [0.1, 0.2, 0.3], "t": 2}) == inst
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n", 3.7, "instance n must be an integer, got 3.7"),
+        ("n", None, "instance n must be an integer, got None"),
+        ("n", True, "instance n must be an integer, got True"),
+        ("v", None, "instance v must be a list of numbers, got None"),
+        ("v", [0.1, None, 0.3], "instance v must be a list of numbers, got [0.1, None, 0.3]"),
+        ("t", None, "instance t must be a number, got None"),
+        ("t", "2.0", "instance t must be a number, got '2.0'"),
+    ])
+    def test_wrong_field_is_refused_by_name(self, field, value, message):
+        d = {"n": 3, "v": [0.1, 0.2, 0.3], "t": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            instance_from_dict(d)

@@ -288,6 +288,10 @@ class TestDecompositionSpec:
         assert DecompositionSpec.from_dict(json.loads(json.dumps(d))) == spec
         # Counts read back as floats become the integers a spec needs.
         assert DecompositionSpec.from_dict({**d, "k": 3.0, "r": 7.0}) == spec
+        # Other values are refused by name, not truncated.
+        for field, value in [("k", 3.7), ("r", None), ("r", "7")]:
+            with pytest.raises(ValueError, match=f"^spec {field} must be an integer, got "):
+                DecompositionSpec.from_dict({**d, field: value})
 
 
 class TestKernels:
