@@ -9,10 +9,11 @@ temporary directory that is removed afterwards. Prints one line per output
 file, ``name sha256[:16]``: the stored payload digest of a record, or the
 digest of the file's bytes for an instance. Then, so that those lines stay
 comparable with older trees, one ``name.csv sha256[:16]`` line per CSV twin,
-the digest of its bytes. ``LATER_COMMANDS`` and then ``DEFAULT_COMMANDS``
-follow in the same way, each after all of the lines before it. Two trees
-whose outputs agree print the same lines, so a change meant to keep every
-output can be checked with ``diff`` against the lines of its parent commit.
+the digest of its bytes. ``LATER_COMMANDS``, ``DEFAULT_COMMANDS`` and
+``EXPLICIT_RECORD_COMMANDS`` follow in the same way, each after all of the
+lines before it. Two trees whose outputs agree print the same lines, so a
+change meant to keep every output can be checked with ``diff`` against the
+lines of its parent commit.
 
 BLAS runs on one thread unless the environment already sets a count, so
 ``OPENBLAS_NUM_THREADS=2 python3 scripts/payload_digests.py`` checks that
@@ -107,6 +108,14 @@ DEFAULT_COMMANDS = [
                                   "--scheme", "around-suzuki", "--samples", "2"]),
 ]
 
+# Printed after the 47 lines above: a record with an explicit permutation
+# (random ordering), read back through ``DecompositionSpec.from_dict`` and
+# scored by ``generalize``.
+EXPLICIT_RECORD_COMMANDS = [
+    ("generalize_r_random", ["generalize", "--record", "{dir}/optimize_n4_random.json",
+                             "--axis", "r", "--grid", "25,50"]),
+]
+
 
 def file_digest(path: Path) -> str:
     record = json.loads(path.read_text(encoding="utf-8"))
@@ -135,7 +144,8 @@ def run(commands, tmp: str) -> bool:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="payload_digests_") as tmp:
-        ok = all(run(group, tmp) for group in (COMMANDS, LATER_COMMANDS, DEFAULT_COMMANDS))
+        groups = (COMMANDS, LATER_COMMANDS, DEFAULT_COMMANDS, EXPLICIT_RECORD_COMMANDS)
+        ok = all(run(group, tmp) for group in groups)
     return 0 if ok else 1
 
 

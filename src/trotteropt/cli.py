@@ -5,8 +5,8 @@ generalize, perms. Every command is deterministic given --seed; results go
 to --out as a JSON record plus a flat CSV twin next to it (see FORMATS.md).
 
 Each command loads only the modules it runs: the parser needs none of the
-numerics, and a handler imports ``experiments``, ``trotter`` or ``sampler``
-where it uses them. ``generate-instance`` loads ``records`` and ``model``
+numerics, and a handler imports ``experiments`` or ``sampler`` where it
+uses them. ``generate-instance`` loads ``records`` and ``model``
 alone, only ``sample`` loads ``sampler``, and only ``sweep-r --jobs``
 above 1 loads the process pool. An option left out parses to ``None`` where
 the default needs numerics; ``experiments`` or ``sampler`` fills it in.
@@ -19,6 +19,7 @@ import functools
 import sys
 from pathlib import Path
 
+from .model import DecompositionSpec, _fields
 from .records import (
     generate_instance,
     load_instance,
@@ -74,7 +75,6 @@ def _emit(args, payload: dict, csv_header: list[str], csv_rows=None) -> None:
 def _instance_and_spec(args):
     """The instance and decomposition named by --instance, --k, --r, --ordering and --seed."""
     from .experiments import make_ordering
-    from .trotter import DecompositionSpec
 
     instance = load_instance(args.instance)
     ordering = make_ordering(args.ordering, instance, args.seed)
@@ -141,7 +141,7 @@ def _cmd_sweep_r(args) -> str:
     if args.mode == "evaluate":
         if not args.record:
             raise ValueError("--mode evaluate needs --record with an optimize run")
-        p_fixed = read_record(args.record, command="optimize")["p_final"]
+        p_fixed = _fields(read_record(args.record, "optimize"), "optimize record", "p_final")[0]
     payload = experiments.sweep_r(
         instance, args.k, args.r_grid, ordering, mode=args.mode, p_fixed=p_fixed,
         generations=args.generations, sigma0=args.sigma0, master_seed=args.seed,

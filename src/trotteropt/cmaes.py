@@ -208,7 +208,7 @@ def cma_run(
     objective,
     generations: int,
     sigma0: float,
-    rng_seed,
+    rng: np.random.Generator,
     popsize: int | None = None,
 ) -> CmaRunResult:
     """Run a fixed generation budget and keep the all-time best candidate.
@@ -216,11 +216,10 @@ def cma_run(
     The seed vector itself is evaluated first, so the best is never worse
     than the starting point. After each generation the new centroid is also
     evaluated, for trajectory reporting only: it never becomes the returned
-    best. ``rng_seed`` may be an int, a SeedSequence, or a Generator.
+    best. Candidates are drawn from ``rng``, as in ``cma_step``.
     """
     if generations < 1:
         raise ValueError("need at least one generation")
-    rng = np.random.default_rng(rng_seed)
     state = cma_init(seed_vector, sigma0, popsize)
     best_x = np.array(seed_vector, dtype=float).ravel()
     best_f = float(objective(best_x))

@@ -16,7 +16,16 @@ import numpy as np
 
 from .cmaes import _check_step_size, cma_run
 from .fitness import FitnessContext, error_reduction_pct, evaluate, exact_propagator
-from .model import ChainInstance, OrderingMode, TermOrdering, merged_gate_count, unmerged_gate_count
+from .model import (
+    ChainInstance,
+    DecompositionSpec,
+    OrderingMode,
+    TermOrdering,
+    _count,
+    _fields,
+    merged_gate_count,
+    unmerged_gate_count,
+)
 from .records import (
     PURPOSE_APPEND,
     PURPOSE_CMA,
@@ -24,11 +33,8 @@ from .records import (
     PURPOSE_ORDERING,
     PURPOSE_PERMS,
     derive_generator,
-    derive_seed_sequence,
-    instance_from_dict,
-    instance_to_dict,
 )
-from .trotter import DecompositionSpec, S2Evaluator, _check_coefficients, suzuki_seed
+from .trotter import S2Evaluator, _check_coefficients, suzuki_seed
 
 __all__ = [
     "baseline_report",
@@ -120,11 +126,11 @@ def baseline_report(instance: ChainInstance, spec: DecompositionSpec) -> dict:
     error = evaluate(ctx, suzuki_seed(spec.k))
     return {
         "command": "baseline",
-        "instance": instance_to_dict(instance),
+        "instance": instance.to_dict(),
         "spec": spec.to_dict(),
         "error": error,
-        "unmerged_gates": unmerged_gate_count(instance, spec.k, spec.r),
-        "merged_gates": merged_gate_count(instance, spec.ordering, spec.k, spec.r),
+        "unmerged_gates": unmerged_gate_count(instance, spec),
+        "merged_gates": merged_gate_count(instance, spec),
     }
 
 
@@ -151,12 +157,12 @@ def _optimize(ctx: FitnessContext, generations: int, sigma0: float, master_seed:
         partial(evaluate, ctx),
         generations=generations,
         sigma0=sigma0,
-        rng_seed=derive_seed_sequence(master_seed, *key),
+        rng=derive_generator(master_seed, *key),
     )
     error_initial = evaluate(ctx, seed_vec)
     return {
         "command": "optimize",
-        "instance": instance_to_dict(ctx.instance),
+        "instance": ctx.instance.to_dict(),
         "spec": ctx.spec.to_dict(),
         "seed": master_seed,
         "sigma0": sigma0,
@@ -234,7 +240,7 @@ def sweep_r(
     rows = pmap(cell, enumerate(specs), jobs)
     payload = {
         "command": "sweep-r",
-        "instance": instance_to_dict(instance),
+        "instance": instance.to_dict(),
         "k": k,
         "ordering": ordering.to_dict(),
         "mode": mode,
@@ -280,12 +286,15 @@ def generalize(
         raise ValueError(f"axis=v takes a single hold-out count, got {len(grid)} values")
     if axis in ("n", "t", "r"):
         _check_grid(grid, f"axis={axis}")
-    base_instance = instance_from_dict(run_payload["instance"])
-    spec = DecompositionSpec.from_dict(run_payload["spec"])
-    k = spec.k
-    p_opt = _check_coefficients(run_payload["p_final"], k)
-    p_seed = suzuki_seed(k)
-    record_seed = int(run_payload["seed"])
+    instance_form, spec_form, p_final, seed = _fields(
+        run_payload, "optimize record", "instance", "spec", "p_final", "seed")
+    base_instance = ChainInstance.from_dict(instance_form)
+    spec = DecompositionSpec.from_dict(spec_form)
+    p_opt = _check_coefficients(p_final, spec.k)
+    p_seed = suzuki_seed(spec.k)
+    record_seed = _count(seed, "record seed")
+    if record_seed < 0:
+        raise ValueError(f"record seed must be a non-negative integer, got {record_seed}")
 
     points: list[tuple[float, ChainInstance, DecompositionSpec]] = []
     if axis == "v":
@@ -319,7 +328,7 @@ def generalize(
             points.append((float(t_new), inst, spec))
     elif axis == "r":
         for r_new in grid:
-            new_spec = DecompositionSpec(k, int(r_new), spec.ordering)
+            new_spec = DecompositionSpec(spec.k, int(r_new), spec.ordering)
             points.append((float(r_new), base_instance, new_spec))
     else:
         raise ValueError(f"unknown axis {axis!r}")
@@ -342,8 +351,8 @@ def generalize(
     return {
         "command": "generalize",
         "axis": axis,
-        "source_instance": run_payload["instance"],
-        "spec": run_payload["spec"],
+        "source_instance": instance_form,
+        "spec": spec_form,
         "seed": record_seed,
         "p_optimized": p_opt.tolist(),
         "rows": rows,
@@ -379,12 +388,13 @@ def perms_study(
     ]
     rows = []
     for r in r_grid:
-        unmerged = unmerged_gate_count(instance, k, r)
+        # The count before merging is the same for every ordering.
+        unmerged = unmerged_gate_count(instance, DecompositionSpec(k, r, TermOrdering.grouped()))
         counts, errors = [], []
         for name, ordering, evaluator in evaluated:
             spec = DecompositionSpec(k, r, ordering)
             ctx = FitnessContext.create(instance, spec, exact=exact, evaluator=evaluator)
-            count = merged_gate_count(instance, ordering, k, r)
+            count = merged_gate_count(instance, spec)
             error = evaluate(ctx, seed_vec)
             if name == "random":
                 counts.append(count)
@@ -396,7 +406,7 @@ def perms_study(
                      "unmerged_gates": unmerged, "error": float(np.mean(errors))})
     return {
         "command": "perms",
-        "instance": instance_to_dict(instance),
+        "instance": instance.to_dict(),
         "k": k,
         "n_random": n_random,
         "seed": master_seed,

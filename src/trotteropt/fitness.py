@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import expm_scaled_hermitian, spectral_norm
-from .model import ChainInstance, _popcount, _sector_index, hamiltonian
-from .trotter import DecompositionSpec, S2Evaluator, build_approximation
+from .model import ChainInstance, DecompositionSpec, _popcount, _sector_index, hamiltonian
+from .trotter import S2Evaluator, build_approximation
 
 __all__ = [
     "FitnessContext",

@@ -9,20 +9,20 @@ built once per n) holds each of the 4n generators as the (x, z) bit masks
 of its string, and ``_strings`` turns masks into signed permutations;
 ``term_matrix`` builds one term as a dense Kronecker chain, an independent
 form kept as a check on the first. Every term flips an even number of
-spins, so the fitness path restricts operators to the two parity sectors
-of ``_sectors``. This module owns that sector layout (``_sector_index``,
-built once per n) and the table, whose rows also hold each string
-restricted to the sectors and the generators it anticommutes with.
+spins, so the fitness path restricts operators to the two parity sectors.
+This module owns that sector layout (``_sector_index``, built once per n)
+and the table, whose rows also hold each string restricted to the sectors
+and the generators it anticommutes with.
 ``_rows`` picks the table's rows in the order of a term sequence; from
 them ``hamiltonian`` builds H as its two real sector blocks, never at the
 full dimension, and the S2 kernels of ``trotter`` build every circuit
 operator.
 
-Besides building operators, this module owns term orderings (the order of
-exponential gates in a product formula is a free choice) and the gate count
-after merging exponentials of identical generators that can be brought next
-to each other by commutation, which reads the same table's anticommutation
-rows.
+This module also owns the problem's types and their record forms
+(``to_dict``; ``from_dict`` refuses a missing or mistyped field by name):
+instances, term orderings (the order of exponential gates in a product
+formula is a free choice) and the ``DecompositionSpec`` (k, r, an ordering)
+that fixes a circuit's shape and its gate counts, before and after merging.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 __all__ = [
     "ChainInstance",
+    "DecompositionSpec",
     "LocalTerm",
     "OrderingMode",
     "TermKind",
@@ -75,6 +76,17 @@ def _count(value, name: str) -> int:
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _fields(d, name: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``d`` of a record form; a ``d``
+    that is not an object, or lacks a key, is refused by ``name``."""
+    if type(d) is not dict:
+        raise ValueError(f"{name} must be an object, got {d!r}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{name} has no {key}")
+    return [d[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -137,6 +149,18 @@ class ChainInstance:
         """All 4n local terms, in per-site reading order (XX, YY, ZZ, Z)."""
         return self._terms
 
+    def to_dict(self) -> dict:
+        return {"n": self.n, "v": list(self.v), "t": self.t, "seed": self.seed}
+
+    @classmethod
+    def from_dict(cls, d) -> "ChainInstance":
+        n, v, t = _fields(d, "instance", "n", "v", "t")
+        if not (type(v) is list and all(type(x) in (int, float) for x in v)):
+            raise ValueError(f"instance v must be a list of numbers, got {v!r}")
+        if type(t) not in (int, float):
+            raise ValueError(f"instance t must be a number, got {t!r}")
+        return cls(_count(n, "instance n"), tuple(v), float(t), seed=d.get("seed"))
+
 
 class OrderingMode(str, Enum):
     CANONICAL = "canonical"
@@ -170,11 +194,38 @@ class TermOrdering:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TermOrdering":
-        mode = OrderingMode(d["mode"])
-        if mode is OrderingMode.EXPLICIT:
-            return cls.explicit(d["permutation"])
-        return cls(mode)
+    def from_dict(cls, d) -> "TermOrdering":
+        mode = OrderingMode(*_fields(d, "ordering", "mode"))
+        if mode is not OrderingMode.EXPLICIT:
+            return cls(mode)
+        (perm,) = _fields(d, "ordering", "permutation")
+        if type(perm) is not list:
+            raise ValueError(f"ordering permutation must be a list of integers, got {perm!r}")
+        return cls.explicit(_count(i, "ordering permutation entry") for i in perm)
+
+
+@dataclass(frozen=True)
+class DecompositionSpec:
+    """Order parameter k, slice count r, and term ordering: together these
+    fix the circuit shape and gate count."""
+
+    k: int
+    r: int
+    ordering: TermOrdering
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.k, int) or self.k < 1:
+            raise ValueError("k must be an integer >= 1")
+        if not isinstance(self.r, int) or self.r < 1:
+            raise ValueError("r must be an integer >= 1")
+
+    def to_dict(self) -> dict:
+        return {"k": self.k, "r": self.r, "ordering": self.ordering.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d) -> "DecompositionSpec":
+        k, r, ordering = _fields(d, "spec", "k", "r", "ordering")
+        return cls(_count(k, "spec k"), _count(r, "spec r"), TermOrdering.from_dict(ordering))
 
 
 def ordered_terms(instance: ChainInstance, ordering: TermOrdering) -> tuple[LocalTerm, ...]:
@@ -213,24 +264,19 @@ def term_matrix(term: LocalTerm, n: int) -> np.ndarray:
     return term.coefficient * reduce(np.kron, factors)
 
 
-def _sectors(n: int) -> np.ndarray:
-    """The basis states split by parity, shape (2, 2^(n-1)): the states of
-    even popcount, then those of odd popcount, each ascending.
-
-    Every chain term flips an even number of bits (XX and YY two, ZZ and Z
-    none), so it commutes with the parity Z^n and never maps a state of
-    one sector into the other. Every operator built from the terms is
-    block-diagonal in these two sectors.
-    """
-    return np.argsort(_popcount(np.arange(2**n), n) & 1, kind="stable").reshape(2, -1)
-
-
 @lru_cache(maxsize=None)
 def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_sectors(n)`` and the row of each basis state in the (2M, M) stack
-    of the two sectors (``_sectors(n)`` flattened, inverted), built once per
-    n and read-only."""
-    states = _sectors(n)
+    """The basis states split by parity, shape (2, 2^(n-1)): the states of
+    even popcount, then those of odd popcount, each ascending; and the row
+    of each basis state in the (2M, M) stack of the two sectors (the states
+    flattened, inverted). Built once per n and read-only.
+
+    Every chain term flips an even number of bits (XX and YY two, ZZ and Z
+    none), so it commutes with the parity Z^n and never maps a state of one
+    sector into the other: every operator built from the terms is
+    block-diagonal in these two sectors.
+    """
+    states = np.argsort(_popcount(np.arange(2**n), n) & 1, kind="stable").reshape(2, -1)
     rows = np.empty(2**n, dtype=np.int64)
     rows[states.reshape(-1)] = np.arange(2**n)
     for array in (states, rows):
@@ -243,9 +289,9 @@ class _GeneratorTable(NamedTuple):
     reading order (``ChainInstance.terms``); see ``_generators``.
 
     ``perms`` and ``signs`` hold each string restricted to the two parity
-    sectors laid one above the other: with ``states`` the flattened
-    ``_sectors(n)``, P|states[i]> = sign[i] |states[perm[i]]>, and each row
-    of ``perms`` maps a sector into itself.
+    sectors laid one above the other: with ``states`` the flattened sector
+    states of ``_sector_index(n)``, P|states[i]> = sign[i] |states[perm[i]]>,
+    and each row of ``perms`` maps a sector into itself.
     """
 
     rows: MappingProxyType  # (kind, site) -> row
@@ -322,7 +368,7 @@ def _popcount(values: np.ndarray, n: int) -> np.ndarray:
 
 def hamiltonian(instance: ChainInstance) -> np.ndarray:
     """H as the real ``(2, 2^(n-1), 2^(n-1))`` stack of its two
-    parity-sector blocks (``_sectors``).
+    parity-sector blocks (``_sector_index``).
 
     Each term adds its coefficient times the signed permutation of its
     Pauli string (``_GeneratorTable``), one entry per column, with no
@@ -349,15 +395,13 @@ def _pauli_sites(term: LocalTerm, n: int) -> dict[int, str]:
     return {term.site: letter, term.site % n + 1: letter}
 
 
-def unmerged_gate_count(instance: ChainInstance, k: int, r: int) -> int:
+def unmerged_gate_count(instance: ChainInstance, spec: DecompositionSpec) -> int:
     """Exponential-gate count of the order-2k formula with r time slices,
     before any merging: 2L gates per symmetric block, r * 5^(k-1) blocks."""
-    if k < 1 or r < 1:
-        raise ValueError("k and r must be >= 1")
-    return 2 * 4 * instance.n * r * 5 ** (k - 1)
+    return 2 * 4 * instance.n * spec.r * 5 ** (spec.k - 1)
 
 
-def merged_gate_count(instance: ChainInstance, ordering: TermOrdering, k: int, r: int) -> int:
+def merged_gate_count(instance: ChainInstance, spec: DecompositionSpec) -> int:
     """Gate count of the order-2k, r-slice product formula after merging
     same-generator exponentials across commuting neighbours; the same
     integer as a gate-by-gate merge of the full gate stream gives.
@@ -383,10 +427,8 @@ def merged_gate_count(instance: ChainInstance, ordering: TermOrdering, k: int, r
     anticommutation masks do not depend on the ordering: the ordering only
     fixes the order in which a block visits the rows.
     """
-    if k < 1 or r < 1:
-        raise ValueError("k and r must be >= 1")
     table = _generators(instance.n)
-    rows = _rows(ordered_terms(instance, ordering), table)
+    rows = _rows(ordered_terms(instance, spec.ordering), table)
     anti = table.anti
     block = [*rows, *reversed(rows)]
     state = 0
@@ -399,4 +441,4 @@ def merged_gate_count(instance: ChainInstance, ordering: TermOrdering, k: int, r
                 state = (state & ~anti[g]) | (1 << g)
         appended.append(added)
     first, later = appended
-    return first + (r * 5 ** (k - 1) - 1) * later
+    return first + (spec.r * 5 ** (spec.k - 1) - 1) * later

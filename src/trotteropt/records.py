@@ -1,9 +1,10 @@
-"""Persistence, seeding and instance generation for the experiment harness.
+"""Files and seeded streams for the experiment harness; record forms are ``model``'s.
 
 RNG policy: every random draw in the harness comes from numpy's PCG64,
 seeded through a SeedSequence derived from the command's master seed and a
 purpose-tagged spawn key, so each consumer (instance generation, CMA
-sampling, hold-out draws, ...) owns an independent, reproducible stream.
+sampling, hold-out draws, ...) owns an independent, reproducible stream
+from ``derive_generator``.
 Normal deviates use numpy's Generator.standard_normal (ziggurat transform).
 
 File policy: results are JSON records {"payload": ..., "meta": ...}. The
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChainInstance, _count
+from .model import ChainInstance
 
 __all__ = [
     "PURPOSE_APPEND",
@@ -41,10 +42,7 @@ __all__ = [
     "PURPOSE_SAMPLING",
     "canonical_json",
     "derive_generator",
-    "derive_seed_sequence",
     "generate_instance",
-    "instance_from_dict",
-    "instance_to_dict",
     "load_instance",
     "payload_digest",
     "read_record",
@@ -63,13 +61,10 @@ PURPOSE_HOLDOUT = 6
 PURPOSE_APPEND = 7
 
 
-def derive_seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
-    """A child SeedSequence for one purpose-tagged consumer."""
-    return np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
-
-
 def derive_generator(master_seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(derive_seed_sequence(master_seed, *key)))
+    """The PCG64 stream of the master seed's child SeedSequence ``key``."""
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def generate_instance(n: int, t: float | None, master_seed: int) -> ChainInstance:
@@ -144,29 +139,9 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def instance_to_dict(instance: ChainInstance) -> dict:
-    return {
-        "n": instance.n,
-        "v": list(instance.v),
-        "t": instance.t,
-        "seed": instance.seed,
-    }
-
-
-def instance_from_dict(d: dict) -> ChainInstance:
-    """An instance file's or record's instance: n an integer (5.0 reads as 5),
-    v a list of numbers, t a number; a field of another type is refused."""
-    v, t = d["v"], d["t"]
-    if not (type(v) is list and all(type(x) in (int, float) for x in v)):
-        raise ValueError(f"instance v must be a list of numbers, got {v!r}")
-    if type(t) not in (int, float):
-        raise ValueError(f"instance t must be a number, got {t!r}")
-    return ChainInstance(_count(d["n"], "instance n"), tuple(v), float(t), seed=d.get("seed"))
-
-
 def save_instance(path, instance: ChainInstance) -> None:
     with _replacing(path) as fh:
-        json.dump(instance_to_dict(instance), fh, indent=2, sort_keys=True)
+        json.dump(instance.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -175,4 +150,4 @@ def load_instance(path) -> ChainInstance:
         data = json.load(fh)
     if not (isinstance(data, dict) and {"n", "v", "t"} <= data.keys()):
         raise ValueError(f"{path} is not an instance file: it is not an object with n, v and t")
-    return instance_from_dict(data)
+    return ChainInstance.from_dict(data)

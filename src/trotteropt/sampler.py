@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .fitness import FitnessContext, evaluate
-from .model import ChainInstance
-from .records import PURPOSE_SAMPLING, derive_generator, instance_to_dict
-from .trotter import DecompositionSpec, suzuki_seed
+from .model import ChainInstance, DecompositionSpec
+from .records import PURPOSE_SAMPLING, derive_generator
+from .trotter import suzuki_seed
 
 __all__ = ["DEFAULT_SCALES", "SCHEMES", "sampling_report"]
 
@@ -67,7 +67,7 @@ def sampling_report(
         })
     return {
         "command": "sample",
-        "instance": instance_to_dict(instance),
+        "instance": instance.to_dict(),
         "spec": spec.to_dict(),
         "scheme": scheme,
         "samples_per_scale": samples_per_scale,

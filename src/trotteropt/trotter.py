@@ -1,5 +1,5 @@
-"""Suzuki product formulas: coefficient vectors, phase expansion, and
-second-order block evaluation.
+"""Suzuki product formulas, from coefficient vectors to operators (the
+``DecompositionSpec`` and every other type live in ``model``).
 
 The order-2k formula is built recursively from the symmetric second-order
 block S2. A coefficient vector is a plain sequence of 5(k-1) floats (a
@@ -41,7 +41,6 @@ stack depends only on n and is built once per n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import groupby, islice
 
@@ -50,9 +49,9 @@ import numpy as np
 from .linalg import matrix_power
 from .model import (
     ChainInstance,
+    DecompositionSpec,
     TermKind,
     TermOrdering,
-    _count,
     _generators,
     _popcount,
     _rows,
@@ -62,37 +61,12 @@ from .model import (
 )
 
 __all__ = [
-    "DecompositionSpec",
     "S2Evaluator",
     "build_approximation",
     "slice_phases",
     "suzuki_coefficient",
     "suzuki_seed",
 ]
-
-
-@dataclass(frozen=True)
-class DecompositionSpec:
-    """Order parameter k, slice count r, and term ordering: together these
-    fix the circuit shape and gate count."""
-
-    k: int
-    r: int
-    ordering: TermOrdering
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError("k must be an integer >= 1")
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ValueError("r must be an integer >= 1")
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "r": self.r, "ordering": self.ordering.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecompositionSpec":
-        return cls(_count(d["k"], "spec k"), _count(d["r"], "spec r"),
-                   TermOrdering.from_dict(d["ordering"]))
 
 
 def suzuki_coefficient(k: int) -> float:
@@ -175,7 +149,7 @@ class S2Evaluator:
     Every term flips an even number of spins, so it commutes with the
     parity Z^n, and so does every product of term exponentials: S2 is
     exactly block-diagonal in the even- and odd-popcount sectors
-    (``model._sectors``). The evaluator builds and returns only those two
+    (``model._sector_index``). The evaluator builds and returns only those two
     blocks, as a ``(2, 2^(n-1), 2^(n-1))`` stack, which halves every
     dimension and quarters every matmul.
 

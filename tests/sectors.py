@@ -9,7 +9,7 @@ is the full-dimension H of such oracles.
 
 import numpy as np
 
-from trotteropt.model import _sectors, term_matrix
+from trotteropt.model import _sector_index, term_matrix
 
 
 def dense_hamiltonian(instance) -> np.ndarray:
@@ -23,6 +23,6 @@ def dense(stack) -> np.ndarray:
     half = stack.shape[-1]
     assert stack.shape == (2, half, half), stack.shape
     out = np.zeros((2 * half, 2 * half), dtype=stack.dtype)
-    for block, states in zip(stack, _sectors(half.bit_length())):
+    for block, states in zip(stack, _sector_index(half.bit_length())[0]):
         out[np.ix_(states, states)] = block
     return out

@@ -26,6 +26,7 @@ from trotteropt.fitness import FitnessContext, evaluate, exact_propagator
 from trotteropt.linalg import expm_scaled_hermitian, spectral_norm
 from trotteropt.model import (
     ChainInstance,
+    DecompositionSpec,
     TermOrdering,
     merged_gate_count,
     term_matrix,
@@ -33,7 +34,6 @@ from trotteropt.model import (
 )
 from trotteropt.records import read_record, write_record
 from trotteropt.trotter import (
-    DecompositionSpec,
     S2Evaluator,
     build_approximation,
     suzuki_seed,
@@ -126,8 +126,9 @@ def test_criterion_3_gate_count_formulas():
         for k in (2, 3):
             for r in (1, 5, 25):
                 m = r * 5 ** (k - 1)
-                grouped = merged_gate_count(inst, GROUPED, k, r)
-                unmerged = unmerged_gate_count(inst, k, r)
+                spec = DecompositionSpec(k, r, GROUPED)
+                grouped = merged_gate_count(inst, spec)
+                unmerged = unmerged_gate_count(inst, spec)
                 if grouped != (5 * m + 1) * n or unmerged != 2 * 4 * n * m:
                     failures.append((n, k, r, grouped, unmerged))
     _report(3, "gate count formulas", not failures,

@@ -264,9 +264,12 @@ class TestSweepR:
         assert rows[0]["baseline_error"] == read_record(base)["error"]
 
 
+MISSING = object()
+
+
 class TestWrongRecord:
-    """A --record that is not an optimize record is refused by name, before
-    any work starts."""
+    """A --record that is not an optimize record, or that holds a malformed
+    field, is refused by name, before any work starts."""
 
     @pytest.fixture()
     def perms_record(self, tmp_path):
@@ -294,6 +297,52 @@ class TestWrongRecord:
         assert capsys.readouterr().err == (
             f"error: record {perms_record} comes from perms, not from optimize\n")
         assert not out.exists()
+
+    @staticmethod
+    def optimize_record(path, **fields):
+        """A digest-valid optimize record of an n=3, k=2 run; a field given as
+        ``MISSING`` is left out."""
+        payload = {"command": "optimize", "seed": 0, "p_final": [0.1] * 5,
+                   "spec": {"k": 2, "r": 2, "ordering": {"mode": "grouped"}},
+                   "instance": {"n": 3, "v": [0.1, 0.2, 0.3], "t": 6.0}, **fields}
+        write_record(path, {key: value for key, value in payload.items() if value is not MISSING})
+        return path
+
+    def test_record_without_p_final(self, tmp_path, capsys, no_work, argv):
+        record = self.optimize_record(tmp_path / "run.json", p_final=MISSING)
+        out = tmp_path / "out.json"
+        assert run([*argv, "--record", record, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: optimize record has no p_final\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"seed": None}, "record seed must be an integer, got None"),
+        ({"seed": 3.7}, "record seed must be an integer, got 3.7"),
+        ({"seed": -1}, "record seed must be a non-negative integer, got -1"),
+        ({"spec": {"k": 2, "r": 2, "ordering": None}}, "ordering must be an object, got None"),
+        ({"spec": {"k": 2, "r": 2, "ordering": {"mode": "explicit", "permutation": None}}},
+         "ordering permutation must be a list of integers, got None"),
+        ({"instance": [1, 2]}, "instance must be an object, got [1, 2]"),
+        ({"spec": MISSING}, "optimize record has no spec"),
+    ], ids=["seed_null", "seed_fraction", "seed_negative", "ordering_null", "permutation_null",
+            "instance_list", "spec_missing"])
+    def test_malformed_field_is_refused_by_name(self, tmp_path, capsys, no_work, fields, message):
+        record = self.optimize_record(tmp_path / "run.json", **fields)
+        out = tmp_path / "out.json"
+        assert run(["generalize", "--record", record, "--axis", "v", "--grid", "1",
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_integral_float_seed_reads_as_count(self, tmp_path):
+        rows = []
+        for seed in (3, 3.0):
+            record = self.optimize_record(tmp_path / "run.json", seed=seed)
+            out = tmp_path / "out.json"
+            assert run(["generalize", "--record", record, "--axis", "v", "--grid", "1",
+                        "--out", out]) == 0
+            rows.append(read_record(out)["rows"])
+        assert rows[0] == rows[1]
 
 
 class TestGeneralizeAndPerms:

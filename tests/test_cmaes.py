@@ -95,26 +95,27 @@ class TestStep:
 
 class TestRun:
     def test_sphere_convergence(self):
-        res = cma_run(np.zeros(5), sphere, generations=110, sigma0=0.5, rng_seed=8, popsize=5)
+        res = cma_run(np.zeros(5), sphere, generations=110, sigma0=0.5,
+                      rng=np.random.default_rng(8), popsize=5)
         assert res.best_fitness < 1e-10
 
     def test_rosenbrock_convergence(self):
-        res = cma_run(np.zeros(5), rosenbrock, generations=660, sigma0=0.5, rng_seed=0)
+        res = cma_run(np.zeros(5), rosenbrock, generations=660, sigma0=0.5, rng=np.random.default_rng(0))
         assert res.best_fitness < 1e-6
         assert res.evaluations <= 6000
 
     def test_trajectory_length_one(self):
-        res = cma_run(np.zeros(3), sphere_3d, generations=1, sigma0=0.5, rng_seed=0)
+        res = cma_run(np.zeros(3), sphere_3d, generations=1, sigma0=0.5, rng=np.random.default_rng(0))
         assert len(res.trajectory) == 1
 
     def test_best_monotone_nonincreasing(self):
-        res = cma_run(np.zeros(5), sphere, generations=60, sigma0=0.5, rng_seed=3)
+        res = cma_run(np.zeros(5), sphere, generations=60, sigma0=0.5, rng=np.random.default_rng(3))
         best = [p.best_fitness for p in res.trajectory]
         assert all(a >= b for a, b in zip(best, best[1:]))
 
     def test_bit_identical_repeat(self):
-        a = cma_run(np.zeros(5), sphere, generations=25, sigma0=0.5, rng_seed=99)
-        b = cma_run(np.zeros(5), sphere, generations=25, sigma0=0.5, rng_seed=99)
+        a = cma_run(np.zeros(5), sphere, generations=25, sigma0=0.5, rng=np.random.default_rng(99))
+        b = cma_run(np.zeros(5), sphere, generations=25, sigma0=0.5, rng=np.random.default_rng(99))
         assert a.best_fitness == b.best_fitness
         np.testing.assert_array_equal(a.best_x, b.best_x)
         for pa, pb in zip(a.trajectory, b.trajectory):
@@ -127,23 +128,25 @@ class TestRun:
     def test_degenerate_step_size_keeps_seed(self):
         # With sigma ~ 1e-300 every candidate rounds to the seed itself.
         seed = np.full(3, 0.5)
-        res = cma_run(seed, lambda x: float(np.sum(x**2)), generations=3, sigma0=1e-300, rng_seed=1)
+        res = cma_run(seed, lambda x: float(np.sum(x**2)), generations=3, sigma0=1e-300,
+                      rng=np.random.default_rng(1))
         assert res.best_fitness == 0.75
 
     def test_best_never_worse_than_seed(self):
-        res = cma_run(np.full(5, 0.2), sphere, generations=2, sigma0=1e-9, rng_seed=4)
+        res = cma_run(np.full(5, 0.2), sphere, generations=2, sigma0=1e-9, rng=np.random.default_rng(4))
         assert res.best_fitness <= sphere(np.full(5, 0.2))
 
     def test_rejects_zero_generations(self):
         with pytest.raises(ValueError):
-            cma_run(np.zeros(3), sphere_3d, generations=0, sigma0=0.5, rng_seed=0)
+            cma_run(np.zeros(3), sphere_3d, generations=0, sigma0=0.5, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("sigma0", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_step_size_that_is_not_finite_and_positive(self, sigma0):
         with pytest.raises(ValueError, match="initial step size must be finite and positive"):
             cma_init(np.zeros(3), sigma0)
         with pytest.raises(ValueError, match="initial step size must be finite and positive"):
-            cma_run(np.zeros(3), sphere_3d, generations=1, sigma0=sigma0, rng_seed=0)
+            cma_run(np.zeros(3), sphere_3d, generations=1, sigma0=sigma0,
+                    rng=np.random.default_rng(0))
 
 
 def sphere_3d(x):

@@ -13,9 +13,9 @@ from trotteropt.experiments import (
     sweep_r,
 )
 from trotteropt.fitness import FitnessContext, evaluate, exact_propagator
-from trotteropt.model import OrderingMode, TermOrdering
+from trotteropt.model import DecompositionSpec, OrderingMode, TermOrdering
 from trotteropt.records import generate_instance, payload_digest
-from trotteropt.trotter import DecompositionSpec, S2Evaluator, suzuki_seed
+from trotteropt.trotter import S2Evaluator, suzuki_seed
 
 GROUPED = TermOrdering.grouped()
 

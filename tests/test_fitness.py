@@ -9,8 +9,14 @@ from trotteropt.fitness import (
     exact_propagator,
 )
 from trotteropt.linalg import expm_scaled_hermitian, spectral_norm
-from trotteropt.model import ChainInstance, TermOrdering, ordered_terms, term_matrix
-from trotteropt.trotter import DecompositionSpec, slice_phases, suzuki_seed
+from trotteropt.model import (
+    ChainInstance,
+    DecompositionSpec,
+    TermOrdering,
+    ordered_terms,
+    term_matrix,
+)
+from trotteropt.trotter import slice_phases, suzuki_seed
 
 from sectors import dense, dense_hamiltonian
 
@@ -209,6 +215,27 @@ class TestConcurrentEvaluate:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+class TestMemory:
+    @pytest.mark.parametrize("ordering", [GROUPED, TermOrdering.canonical()], ids=["grouped", "pauli"])
+    def test_no_growth_over_evaluations_at_n8(self, ordering):
+        # One evaluation builds the per-n caches first; after it, an
+        # evaluation keeps nothing (current) and holds a few 128-row sector
+        # blocks at a time (peak, about 2.6 MB for either kernel).
+        import tracemalloc
+
+        ctx = FitnessContext.create(instance(seed=8, n=8), DecompositionSpec(2, 4, ordering))
+        evaluate(ctx, suzuki_seed(2))
+        tracemalloc.start()
+        try:
+            for _ in range(50):
+                evaluate(ctx, suzuki_seed(2))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current <= 0.1e6
+        assert peak <= 4e6
 
 
 class TestErrorReduction:

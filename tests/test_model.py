@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from trotteropt.linalg import spectral_norm
 from trotteropt.model import (
     ChainInstance,
+    DecompositionSpec,
     LocalTerm,
     TermKind,
     TermOrdering,
@@ -13,7 +16,7 @@ from trotteropt.model import (
     _pauli_sites,
     _popcount,
     _rows,
-    _sectors,
+    _sector_index,
     _strings,
     hamiltonian,
     merged_gate_count,
@@ -21,11 +24,12 @@ from trotteropt.model import (
     term_matrix,
     unmerged_gate_count,
 )
-from trotteropt.records import instance_from_dict, instance_to_dict
 from trotteropt.trotter import slice_phases, suzuki_seed
 
 from oracles import commutation_table, merge_gates, terms_commute
 from sectors import dense, dense_hamiltonian
+
+GROUPED = TermOrdering.grouped()
 
 
 class TestPauli:
@@ -98,9 +102,39 @@ class TestChainInstance:
         assert hash(inst) == hash((4, (0.5, -0.25, 0.0, 1.0), 2.0, 3))
         assert ChainInstance(4, inst.v, 2.0, seed=4) != inst
         assert "_terms" not in repr(inst)
-        assert instance_to_dict(inst) == {"n": 4, "v": [0.5, -0.25, 0.0, 1.0], "t": 2.0, "seed": 3}
-        again = instance_from_dict(instance_to_dict(inst))
+        assert inst.to_dict() == {"n": 4, "v": [0.5, -0.25, 0.0, 1.0], "t": 2.0, "seed": 3}
+        again = ChainInstance.from_dict(inst.to_dict())
         assert again == inst and again.terms() == inst.terms()
+
+
+class TestRecordForms:
+    """Each reader refuses, by name, a value that is not an object, a missing
+    field and a permutation that is not a list of integers (the CLI cases of
+    a malformed optimize record are in test_cli)."""
+
+    SPEC = {"k": 2, "r": 3, "ordering": {"mode": "explicit", "permutation": [2, 1, 0, 3]}}
+
+    def test_integral_floats_read_as_counts(self):
+        spec = DecompositionSpec.from_dict(
+            {**self.SPEC, "ordering": {"mode": "explicit", "permutation": [2.0, 1, 0.0, 3]}})
+        assert spec == DecompositionSpec.from_dict(self.SPEC)
+        assert spec.ordering.permutation == (2, 1, 0, 3)
+
+    @pytest.mark.parametrize("reader,d,message", [
+        (DecompositionSpec, [2, 3], "spec must be an object, got [2, 3]"),
+        (DecompositionSpec, {"k": 2, "ordering": {"mode": "grouped"}}, "spec has no r"),
+        (DecompositionSpec, {**SPEC, "ordering": {}}, "ordering has no mode"),
+        (DecompositionSpec, {**SPEC, "ordering": {"mode": "explicit"}}, "ordering has no permutation"),
+        (DecompositionSpec, {**SPEC, "ordering": {"mode": "explicit", "permutation": 4}},
+         "ordering permutation must be a list of integers, got 4"),
+        (DecompositionSpec, {**SPEC, "ordering": {"mode": "explicit", "permutation": [0, 1.5]}},
+         "ordering permutation entry must be an integer, got 1.5"),
+        (ChainInstance, {"n": 3, "v": [0.1, 0.2, 0.3]}, "instance has no t"),
+    ], ids=["spec_list", "spec_no_r", "ordering_no_mode", "ordering_no_permutation",
+            "permutation_int", "permutation_fraction", "instance_no_t"])
+    def test_malformed_value_refused_by_name(self, reader, d, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reader.from_dict(d)
 
 
 class TestHamiltonian:
@@ -134,7 +168,7 @@ class TestHamiltonian:
         assert not np.any(reference.imag)
         h = hamiltonian(inst)
         assert h.dtype == np.float64 and h.shape == (2, 2 ** (inst.n - 1), 2 ** (inst.n - 1))
-        for states, block in zip(_sectors(inst.n), h):
+        for states, block in zip(_sector_index(inst.n)[0], h):
             assert block.tobytes() == np.ascontiguousarray(reference.real[np.ix_(states, states)]).tobytes()
 
     def test_ordering_independent(self):
@@ -170,7 +204,7 @@ def popcount_parity(states):
 class TestParitySectors:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_sector_index(self, n):
-        states = _sectors(n)
+        states = _sector_index(n)[0]
         assert states.shape == (2, 2 ** (n - 1))
         npt.assert_array_equal(np.sort(states.ravel()), np.arange(2**n))
         npt.assert_array_equal(popcount_parity(states), [[0] * 2 ** (n - 1), [1] * 2 ** (n - 1)])
@@ -262,7 +296,8 @@ class TestParitySectors:
     def test_popcount(self, n):
         basis = np.arange(2**n)
         npt.assert_array_equal(_popcount(basis, n), popcount(basis))
-        npt.assert_array_equal(_popcount(_sectors(n), n) % 2, [[0], [1]] * np.ones((1, 2 ** (n - 1))))
+        parity = _popcount(_sector_index(n)[0], n) % 2
+        npt.assert_array_equal(parity, [[0], [1]] * np.ones((1, 2 ** (n - 1))))
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_hamiltonian_has_no_cross_sector_entries(self, n):
@@ -270,7 +305,7 @@ class TestParitySectors:
         h = dense_hamiltonian(ChainInstance.random(n, np.random.default_rng(40 + n)))
         weight = popcount(np.arange(2**n))
         assert not np.any(h[weight[:, None] != weight[None, :]])
-        even, odd = _sectors(n)
+        even, odd = _sector_index(n)[0]
         assert not np.any(h[np.ix_(even, odd)])
         assert np.any(h[np.ix_(even, even)]) and np.any(h[np.ix_(odd, odd)])
 
@@ -337,34 +372,34 @@ class TestTermsCommute:
 class TestGateCounts:
     def test_unmerged_formula(self):
         inst = ChainInstance(5, (0.0,) * 5, 1.0)
-        assert unmerged_gate_count(inst, 2, 125) == 25000
-        assert unmerged_gate_count(inst, 1, 1) == 40
+        assert unmerged_gate_count(inst, DecompositionSpec(2, 125, GROUPED)) == 25000
+        assert unmerged_gate_count(inst, DecompositionSpec(1, 1, GROUPED)) == 40
 
     def test_grouped_matches_closed_form(self):
         inst = ChainInstance(5, (0.1, 0.2, 0.3, 0.4, 0.5), 1.0)
         m = 125 * 5  # r * 5^(k-1)
-        assert merged_gate_count(inst, TermOrdering.grouped(), 2, 125) == (5 * m + 1) * 5
+        assert merged_gate_count(inst, DecompositionSpec(2, 125, GROUPED)) == (5 * m + 1) * 5
 
     def test_single_block_grouped_is_6n(self):
         inst = ChainInstance(3, (0.1, 0.2, 0.3), 1.0)
-        assert merged_gate_count(inst, TermOrdering.grouped(), 1, 1) == 6 * 3
+        assert merged_gate_count(inst, DecompositionSpec(1, 1, GROUPED)) == 6 * 3
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("k,r", [(1, 4), (2, 2), (2, 5)])
     def test_ordering_hierarchy(self, n, k, r):
         inst = ChainInstance.random(n, np.random.default_rng(n))
-        grouped = merged_gate_count(inst, TermOrdering.grouped(), k, r)
-        canonical = merged_gate_count(inst, TermOrdering.canonical(), k, r)
-        assert grouped <= canonical <= unmerged_gate_count(inst, k, r)
+        grouped = merged_gate_count(inst, DecompositionSpec(k, r, GROUPED))
+        canonical = merged_gate_count(inst, DecompositionSpec(k, r, TermOrdering.canonical()))
+        assert grouped <= canonical <= unmerged_gate_count(inst, DecompositionSpec(k, r, GROUPED))
 
     def test_random_permutation_between_bounds(self):
         inst = ChainInstance.random(4, np.random.default_rng(9))
         rng = np.random.default_rng(10)
-        grouped = merged_gate_count(inst, TermOrdering.grouped(), 2, 3)
+        grouped = merged_gate_count(inst, DecompositionSpec(2, 3, GROUPED))
         for _ in range(5):
-            ordering = TermOrdering.explicit(rng.permutation(16))
-            count = merged_gate_count(inst, ordering, 2, 3)
-            assert grouped <= count <= unmerged_gate_count(inst, 2, 3)
+            spec = DecompositionSpec(2, 3, TermOrdering.explicit(rng.permutation(16)))
+            count = merged_gate_count(inst, spec)
+            assert grouped <= count <= unmerged_gate_count(inst, spec)
 
 
 def _oracle_orderings(n: int) -> list[TermOrdering]:
@@ -391,13 +426,14 @@ class TestMergedGateCountOracle:
             block = [*range(len(terms)), *reversed(range(len(terms)))]
             for k in (1, 2, 3):
                 for r in (1, 2, 3, 7):
+                    spec = DecompositionSpec(k, r, ordering)
                     # The Suzuki gate stream: every S2 phase of the r slices,
                     # halved over the forward and the reversed pass.
                     phases = np.tile(slice_phases(suzuki_seed(k)) / r, r)
                     stream = [(g, x / 2) for x in phases for g in block]
-                    assert len(stream) == unmerged_gate_count(inst, k, r)
+                    assert len(stream) == unmerged_gate_count(inst, spec)
                     merged = merge_gates(stream, table)
-                    assert merged_gate_count(inst, ordering, k, r) == len(merged), (ordering, k, r)
+                    assert merged_gate_count(inst, spec) == len(merged), spec
                     # Merging only moves phase weight between gates of one generator.
                     npt.assert_allclose(
                         _phase_per_generator(merged, len(terms)),
@@ -426,7 +462,8 @@ class TestMergedGateCountOracle:
         big = 10**6
         inst = ChainInstance.random(5, np.random.default_rng(11))
         for ordering in _oracle_orderings(5):
-            c1, c2, c3 = (merged_gate_count(inst, ordering, k, m * big) for m in (1, 2, 3))
+            c1, c2, c3 = (merged_gate_count(inst, DecompositionSpec(k, m * big, ordering))
+                          for m in (1, 2, 3))
             assert c2 - c1 == c3 - c2
         m = big * 5 ** (k - 1)
-        assert merged_gate_count(inst, TermOrdering.grouped(), k, big) == (5 * m + 1) * 5
+        assert merged_gate_count(inst, DecompositionSpec(k, big, GROUPED)) == (5 * m + 1) * 5

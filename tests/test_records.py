@@ -8,8 +8,6 @@ from trotteropt.model import ChainInstance
 from trotteropt.records import (
     canonical_json,
     derive_generator,
-    instance_from_dict,
-    instance_to_dict,
     load_instance,
     payload_digest,
     read_record,
@@ -135,9 +133,9 @@ class TestInstanceIO:
 
     def test_dict_roundtrip(self):
         inst = ChainInstance(3, (0.1, 0.2, 0.3), 2.0)
-        assert instance_from_dict(instance_to_dict(inst)) == inst
+        assert ChainInstance.from_dict(inst.to_dict()) == inst
         # An integral float is a count; the other fields keep their values.
-        assert instance_from_dict({"n": 3.0, "v": [0.1, 0.2, 0.3], "t": 2}) == inst
+        assert ChainInstance.from_dict({"n": 3.0, "v": [0.1, 0.2, 0.3], "t": 2}) == inst
 
     @pytest.mark.parametrize("field,value,message", [
         ("n", 3.7, "instance n must be an integer, got 3.7"),
@@ -151,4 +149,4 @@ class TestInstanceIO:
     def test_wrong_field_is_refused_by_name(self, field, value, message):
         d = {"n": 3, "v": [0.1, 0.2, 0.3], "t": 2.0, field: value}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            instance_from_dict(d)
+            ChainInstance.from_dict(d)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from trotteropt.fitness import FitnessContext, evaluate
-from trotteropt.model import ChainInstance, TermOrdering
+from trotteropt.model import ChainInstance, DecompositionSpec, TermOrdering
 from trotteropt.sampler import DEFAULT_SCALES, sampling_report
-from trotteropt.trotter import DecompositionSpec, suzuki_seed
+from trotteropt.trotter import suzuki_seed
 
 GROUPED = TermOrdering.grouped()
 

@@ -9,18 +9,16 @@ import pytest
 from trotteropt.linalg import expm_scaled_hermitian, matrix_power, spectral_norm
 from trotteropt.model import (
     ChainInstance,
+    DecompositionSpec,
     LocalTerm,
     TermKind,
     TermOrdering,
     _sector_index,
-    merged_gate_count,
     ordered_terms,
     term_matrix,
-    unmerged_gate_count,
 )
 from trotteropt.trotter import (
     _STACK_BYTES,
-    DecompositionSpec,
     S2Evaluator,
     _check_coefficients,
     _identity_stack,
@@ -31,7 +29,6 @@ from trotteropt.trotter import (
     suzuki_seed,
 )
 
-from oracles import commutation_table, merge_gates
 from sectors import dense, dense_hamiltonian
 
 GROUPED = TermOrdering.grouped()
@@ -660,50 +657,3 @@ class TestBuildApproximation:
         inst = small_instance()
         with pytest.raises(ValueError, match="k=3 needs 10 components, got 5"):
             approximation(inst, DecompositionSpec(3, 1, GROUPED), suzuki_seed(2))
-
-
-def gate_stream(inst, spec, coeffs):
-    """The (generator id, phase) gates of the product formula in time order:
-    each S2 phase of the r slices, halved over a forward and a reversed pass
-    of the ordered terms."""
-    count = len(ordered_terms(inst, spec.ordering))
-    block = [*range(count), *reversed(range(count))]
-    phases = np.tile(slice_phases(coeffs) / spec.r, spec.r)
-    return [(g, x / 2) for x in phases for g in block]
-
-
-def merged_stream(inst, spec, coeffs):
-    table = commutation_table(ordered_terms(inst, spec.ordering), inst.n)
-    return merge_gates(gate_stream(inst, spec, coeffs), table)
-
-
-class TestCircuit:
-    def test_unmerged_gate_count(self):
-        inst = small_instance()
-        spec = DecompositionSpec(2, 2, GROUPED)
-        assert len(gate_stream(inst, spec, suzuki_seed(2))) == unmerged_gate_count(inst, 2, 2)
-
-    def test_merged_gate_count_matches(self):
-        inst = small_instance()
-        for ordering in (GROUPED, TermOrdering.canonical()):
-            spec = DecompositionSpec(2, 2, ordering)
-            merged = merged_stream(inst, spec, suzuki_seed(2))
-            assert len(merged) == merged_gate_count(inst, ordering, 2, 2)
-
-    def test_merged_phases_conserved(self):
-        # Merging only moves phase weight between gates of one generator.
-        inst = small_instance()
-        spec = DecompositionSpec(2, 3, GROUPED)
-        plain = gate_stream(inst, spec, suzuki_seed(2))
-        merged = merged_stream(inst, spec, suzuki_seed(2))
-
-        def weight(gates):
-            acc = {}
-            for gid, phase in gates:
-                acc[gid] = acc.get(gid, 0.0) + phase
-            return acc
-
-        w_plain, w_merged = weight(plain), weight(merged)
-        assert set(w_plain) == set(w_merged)
-        for gid in w_plain:
-            assert w_plain[gid] == pytest.approx(w_merged[gid], abs=1e-12)
