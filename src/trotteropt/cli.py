@@ -19,7 +19,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .model import DecompositionSpec, _fields
+from .model import DecompositionSpec, _fields, _numbers
 from .records import (
     generate_instance,
     load_instance,
@@ -141,7 +141,8 @@ def _cmd_sweep_r(args) -> str:
     if args.mode == "evaluate":
         if not args.record:
             raise ValueError("--mode evaluate needs --record with an optimize run")
-        p_fixed = _fields(read_record(args.record, "optimize"), "optimize record", "p_final")[0]
+        p_final = _fields(read_record(args.record, "optimize"), "optimize record", "p_final")[0]
+        p_fixed = _numbers(p_final, "optimize record p_final")
     payload = experiments.sweep_r(
         instance, args.k, args.r_grid, ordering, mode=args.mode, p_fixed=p_fixed,
         generations=args.generations, sigma0=args.sigma0, master_seed=args.seed,

@@ -21,8 +21,9 @@ from .model import (
     DecompositionSpec,
     OrderingMode,
     TermOrdering,
-    _count,
     _fields,
+    _numbers,
+    _seed,
     merged_gate_count,
     unmerged_gate_count,
 )
@@ -290,11 +291,9 @@ def generalize(
         run_payload, "optimize record", "instance", "spec", "p_final", "seed")
     base_instance = ChainInstance.from_dict(instance_form)
     spec = DecompositionSpec.from_dict(spec_form)
-    p_opt = _check_coefficients(p_final, spec.k)
+    p_opt = _check_coefficients(_numbers(p_final, "optimize record p_final"), spec.k)
     p_seed = suzuki_seed(spec.k)
-    record_seed = _count(seed, "record seed")
-    if record_seed < 0:
-        raise ValueError(f"record seed must be a non-negative integer, got {record_seed}")
+    record_seed = _seed(seed, "record seed")
 
     points: list[tuple[float, ChainInstance, DecompositionSpec]] = []
     if axis == "v":

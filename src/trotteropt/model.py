@@ -4,19 +4,20 @@ The Hamiltonian is the sum of 4n local terms: XX, YY and ZZ couplings on each
 bond (j, j+1) — indices wrap, so qubit n couples back to qubit 1 — plus a Z
 field of strength v_j on each site. Sites are 1-based throughout.
 
-Every term is a Pauli string. The generator table (``_generators``,
-built once per n) holds each of the 4n generators as the (x, z) bit masks
-of its string, and ``_strings`` turns masks into signed permutations;
-``term_matrix`` builds one term as a dense Kronecker chain, an independent
-form kept as a check on the first. Every term flips an even number of
-spins, so the fitness path restricts operators to the two parity sectors.
-This module owns that sector layout (``_sector_index``, built once per n)
-and the table, whose rows also hold each string restricted to the sectors
-and the generators it anticommutes with.
-``_rows`` picks the table's rows in the order of a term sequence; from
-them ``hamiltonian`` builds H as its two real sector blocks, never at the
-full dimension, and the S2 kernels of ``trotter`` build every circuit
-operator.
+Every term is a Pauli string, and a term is its row of the generator
+table (``_generators``, built once per n), which holds each string as (x, z)
+bit masks; ``_strings`` turns masks into signed permutations. The rows are
+in per-site reading order (XX, YY, ZZ, Z on site 1, then site 2, ...),
+``ChainInstance.coefficients`` gives each row's coefficient, and an
+ordering is a permutation of the rows (``TermOrdering.rows``). Every term
+flips an even number of spins, so the fitness path restricts operators to
+the two parity sectors. This module owns that sector layout
+(``_sector_index``, built once per n) and the table, whose rows also hold
+each string restricted to the sectors and the generators it anticommutes
+with. From the table ``hamiltonian`` builds H as its two real sector
+blocks, never at the full dimension, and the S2 kernels of ``trotter``
+build every circuit operator. ``LocalTerm`` and ``term_matrix`` are a
+second, dense form of a term, kept for the oracles that check the first.
 
 This module also owns the problem's types and their record forms
 (``to_dict``; ``from_dict`` refuses a missing or mistyped field by name):
@@ -27,10 +28,9 @@ that fixes a circuit's shape and its gate counts, before and after merging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "TermOrdering",
     "hamiltonian",
     "merged_gate_count",
-    "ordered_terms",
     "term_matrix",
     "unmerged_gate_count",
 ]
@@ -67,15 +66,27 @@ class TermKind(str, Enum):
     Z = "z"
 
 
-# The per-site reading order of the terms.
-_KINDS = (TermKind.XX, TermKind.YY, TermKind.ZZ, TermKind.Z)
-
-
 def _count(value, name: str) -> int:
     """A count read from JSON, where 5.0 reads as 5; other values are refused by name."""
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed(value, name: str) -> int:
+    """A seed read from JSON: a ``_count`` that is not negative."""
+    seed = _count(value, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _numbers(value, name: str) -> list:
+    """A list of numbers read from JSON (a boolean is not one); other values
+    are refused by name."""
+    if not (type(value) is list and all(type(x) in (int, float) for x in value)):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return value
 
 
 def _fields(d, name: str, *keys: str) -> list:
@@ -91,7 +102,8 @@ def _fields(d, name: str, *keys: str) -> list:
 
 @dataclass(frozen=True)
 class LocalTerm:
-    """One summand of the chain Hamiltonian.
+    """One summand of the chain Hamiltonian, in the dense form that
+    ``term_matrix`` reads (the scoring path uses generator-table rows).
 
     Couplings act on the bond (site, site % n + 1) with coefficient 1; the
     field term acts on ``site`` alone with coefficient v_site.
@@ -107,15 +119,13 @@ class ChainInstance:
     """A concrete problem: qubit count n, disorder vector v, simulation time t.
 
     n >= 3 is required: on a 2-site ring the periodic couplings would be
-    double-counted. The terms are built once, with the instance; they take
-    no part in equality or hashing, being fixed by n and v.
+    double-counted.
     """
 
     n: int
     v: tuple[float, ...]
     t: float
     seed: int | None = None
-    _terms: tuple["LocalTerm", ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
@@ -128,10 +138,6 @@ class ChainInstance:
         object.__setattr__(self, "t", float(self.t))
         if not (np.isfinite(self.t) and self.t > 0):
             raise ValueError("simulation time must be positive and finite")
-        object.__setattr__(self, "_terms", tuple(
-            LocalTerm(kind, j, self.v[j - 1] if kind is TermKind.Z else 1.0)
-            for j in range(1, self.n + 1) for kind in _KINDS
-        ))
 
     @classmethod
     def random(
@@ -145,9 +151,12 @@ class ChainInstance:
         v = tuple(float(x) for x in rng.uniform(-1.0, 1.0, size=n))
         return cls(n=n, v=v, t=float(2 * n) if t is None else float(t), seed=seed)
 
-    def terms(self) -> tuple[LocalTerm, ...]:
-        """All 4n local terms, in per-site reading order (XX, YY, ZZ, Z)."""
-        return self._terms
+    def coefficients(self) -> np.ndarray:
+        """The 4n term coefficients in generator-table row order: 1 for each
+        coupling and v_j for the field on site j."""
+        a = np.ones((self.n, 4))
+        a[:, 3] = self.v
+        return a.reshape(-1)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "v": list(self.v), "t": self.t, "seed": self.seed}
@@ -155,11 +164,13 @@ class ChainInstance:
     @classmethod
     def from_dict(cls, d) -> "ChainInstance":
         n, v, t = _fields(d, "instance", "n", "v", "t")
-        if not (type(v) is list and all(type(x) in (int, float) for x in v)):
-            raise ValueError(f"instance v must be a list of numbers, got {v!r}")
+        v = _numbers(v, "instance v")
         if type(t) not in (int, float):
             raise ValueError(f"instance t must be a number, got {t!r}")
-        return cls(_count(n, "instance n"), tuple(v), float(t), seed=d.get("seed"))
+        seed = d.get("seed")
+        if seed is not None:  # an instance of generalize --axis n has none
+            seed = _seed(seed, "instance seed")
+        return cls(_count(n, "instance n"), tuple(v), float(t), seed=seed)
 
 
 class OrderingMode(str, Enum):
@@ -170,7 +181,7 @@ class OrderingMode(str, Enum):
 
 @dataclass(frozen=True)
 class TermOrdering:
-    """How the 4n terms are ordered inside a product-formula pass."""
+    """How the 4n terms are ordered inside a product-formula pass (``rows``)."""
 
     mode: OrderingMode
     permutation: tuple[int, ...] | None = None
@@ -187,6 +198,23 @@ class TermOrdering:
     def explicit(cls, permutation) -> "TermOrdering":
         return cls(OrderingMode.EXPLICIT, tuple(int(i) for i in permutation))
 
+    def rows(self, n: int) -> np.ndarray:
+        """The generator-table rows of an n-site chain in this order.
+
+        Canonical is the table's own, per-site reading order; grouped lists
+        every XX coupling, then every YY, ZZ and field term (kind-major);
+        explicit is the stored permutation (0-based indices into the
+        canonical list), which must be a bijection on the 4n rows.
+        """
+        if self.mode is OrderingMode.CANONICAL:
+            return np.arange(4 * n)
+        if self.mode is OrderingMode.GROUPED:
+            return np.arange(4 * n).reshape(n, 4).T.reshape(-1)
+        perm = self.permutation
+        if perm is None or sorted(perm) != list(range(4 * n)):
+            raise ValueError(f"permutation must be a bijection on 0..{4 * n - 1}")
+        return np.array(perm)
+
     def to_dict(self) -> dict:
         d: dict = {"mode": self.mode.value}
         if self.permutation is not None:
@@ -195,7 +223,11 @@ class TermOrdering:
 
     @classmethod
     def from_dict(cls, d) -> "TermOrdering":
-        mode = OrderingMode(*_fields(d, "ordering", "mode"))
+        (mode,) = _fields(d, "ordering", "mode")
+        modes = [m.value for m in OrderingMode]
+        if mode not in modes:
+            raise ValueError(f"ordering mode must be one of {', '.join(modes)}, got {mode!r}")
+        mode = OrderingMode(mode)
         if mode is not OrderingMode.EXPLICIT:
             return cls(mode)
         (perm,) = _fields(d, "ordering", "permutation")
@@ -226,27 +258,6 @@ class DecompositionSpec:
     def from_dict(cls, d) -> "DecompositionSpec":
         k, r, ordering = _fields(d, "spec", "k", "r", "ordering")
         return cls(_count(k, "spec k"), _count(r, "spec r"), TermOrdering.from_dict(ordering))
-
-
-def ordered_terms(instance: ChainInstance, ordering: TermOrdering) -> tuple[LocalTerm, ...]:
-    """The instance's terms in the order requested.
-
-    Canonical is the per-site reading order; grouped lists all XX couplings,
-    then all YY, all ZZ, and all field terms; explicit applies a stored
-    permutation (0-based indices into the canonical list).
-    """
-    base = instance.terms()
-    if ordering.mode is OrderingMode.CANONICAL:
-        return base
-    if ordering.mode is OrderingMode.GROUPED:
-        by_kind = {kind: [] for kind in _KINDS}
-        for term in base:
-            by_kind[term.kind].append(term)
-        return tuple(t for kind in by_kind for t in by_kind[kind])
-    perm = ordering.permutation
-    if perm is None or sorted(perm) != list(range(len(base))):
-        raise ValueError(f"permutation must be a bijection on 0..{len(base) - 1}")
-    return tuple(base[i] for i in perm)
 
 
 def term_matrix(term: LocalTerm, n: int) -> np.ndarray:
@@ -286,7 +297,8 @@ def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _GeneratorTable(NamedTuple):
     """The 4n generators of an n-site chain, one row each in per-site
-    reading order (``ChainInstance.terms``); see ``_generators``.
+    reading order: row 4(j-1) + i is kind i of site j, the kinds in order
+    XX, YY, ZZ, Z (``TermKind``); see ``_generators``.
 
     ``perms`` and ``signs`` hold each string restricted to the two parity
     sectors laid one above the other: with ``states`` the flattened sector
@@ -294,7 +306,6 @@ class _GeneratorTable(NamedTuple):
     and each row of ``perms`` maps a sector into itself.
     """
 
-    rows: MappingProxyType  # (kind, site) -> row
     x: np.ndarray  # (4n,) X bit mask of each row's string
     z: np.ndarray  # (4n,) Z bit mask of each row's string
     perms: np.ndarray  # (4n, 2M)
@@ -315,12 +326,11 @@ def _generators(n: int) -> _GeneratorTable:
     is iff popcount((x_g & z_h) ^ (z_g & x_h)) is odd. Each sector string is
     checked to be symmetric, as the S2 kernels of ``trotter`` need.
     """
-    rows, x, z = {}, [], []
+    x, z = [], []
     for site in range(1, n + 1):
         one = 1 << (n - site)
         bond = one | (1 << (n - site % n - 1))  # with qubit site % n + 1
-        for kind, (xg, zg) in zip(_KINDS, [(bond, 0), (bond, bond), (0, bond), (0, one)]):
-            rows[kind, site] = len(x)
+        for xg, zg in [(bond, 0), (bond, bond), (0, bond), (0, one)]:  # XX, YY, ZZ, Z
             x.append(xg)
             z.append(zg)
     x, z = np.array(x), np.array(z)
@@ -334,7 +344,6 @@ def _generators(n: int) -> _GeneratorTable:
     for array in (x, z, perms, signs):
         array.flags.writeable = False
     return _GeneratorTable(
-        MappingProxyType(rows),
         x,
         z,
         perms,
@@ -356,11 +365,6 @@ def _strings(x, z, n: int) -> tuple[np.ndarray, np.ndarray]:
     return basis ^ x, 1.0 - 2.0 * ((_popcount(basis & z, n) + _popcount(x & z, n) // 2) & 1)
 
 
-def _rows(terms, table: _GeneratorTable) -> list[int]:
-    """The table row of each term, in sequence order."""
-    return [table.rows[term.kind, term.site] for term in terms]
-
-
 def _popcount(values: np.ndarray, n: int) -> np.ndarray:
     """Popcount of each entry of an integer array below 2^n."""
     return sum((values >> bit) & 1 for bit in range(n))
@@ -370,20 +374,17 @@ def hamiltonian(instance: ChainInstance) -> np.ndarray:
     """H as the real ``(2, 2^(n-1), 2^(n-1))`` stack of its two
     parity-sector blocks (``_sector_index``).
 
-    Each term adds its coefficient times the signed permutation of its
-    Pauli string (``_GeneratorTable``), one entry per column, with no
-    Kronecker chain. The entries are summed in term order from +0, so each
+    Each table row adds its coefficient times the signed permutation of
+    its Pauli string (``_GeneratorTable``), one entry per column, with no
+    Kronecker chain. The entries are summed in row order from +0, so each
     block is bit-identical to the real part of the summed ``term_matrix``
     on its sector, whose imaginary part is zero.
     """
     n = instance.n
-    terms = instance.terms()
     table = _generators(n)
-    rows = _rows(terms, table)
-    perms, signs = table.perms[rows], table.signs[rows]
     half = 2 ** (n - 1)
-    positions = perms * half + np.arange(2 * half) % half  # of each entry in the flat stack
-    weights = np.array([term.coefficient for term in terms])[:, None] * signs
+    positions = table.perms * half + np.arange(2 * half) % half  # of each entry in the flat stack
+    weights = instance.coefficients()[:, None] * table.signs
     flat = np.bincount(positions.reshape(-1), weights.reshape(-1), minlength=2 * half * half)
     return flat.reshape(2, half, half)
 
@@ -427,9 +428,8 @@ def merged_gate_count(instance: ChainInstance, spec: DecompositionSpec) -> int:
     anticommutation masks do not depend on the ordering: the ordering only
     fixes the order in which a block visits the rows.
     """
-    table = _generators(instance.n)
-    rows = _rows(ordered_terms(instance, spec.ordering), table)
-    anti = table.anti
+    rows = spec.ordering.rows(instance.n).tolist()
+    anti = _generators(instance.n).anti
     block = [*rows, *reversed(rows)]
     state = 0
     appended = []  # gates appended by the first block and by each later one

@@ -33,9 +33,10 @@ parity Z^n, and so do S2, the slice and its r-th power. They are exactly
 block-diagonal in the even- and odd-popcount sectors, and are built and
 carried as ``(2, 2^(n-1), 2^(n-1))`` stacks of those two blocks, never at
 the full dimension 2^n. The sector layout and the Pauli strings restricted
-to it come from ``model``'s per-n tables; each evaluator picks its rows and
-builds its kernel tables once, when it is made. The Pauli kernel's identity
-stack depends only on n and is built once per n.
+to it come from ``model``'s per-n tables, in which a term is a row: an
+evaluator takes the rows of its term sequence and the rows' coefficients,
+and builds its kernel tables once, when it is made. The Pauli kernel's
+identity stack depends only on n and is built once per n.
 """
 
 from __future__ import annotations
@@ -50,14 +51,11 @@ from .linalg import matrix_power
 from .model import (
     ChainInstance,
     DecompositionSpec,
-    TermKind,
     TermOrdering,
     _generators,
     _popcount,
-    _rows,
     _sector_index,
     _strings,
-    ordered_terms,
 )
 
 __all__ = [
@@ -139,12 +137,10 @@ def _phases_per_stack(n: int) -> int:
     return max(1, _STACK_BYTES // (2 * 16 * 4 ** (n - 1)))
 
 
-# Group of each kind in the grouped ordering: ZZ and Z are both diagonal.
-_GROUP = {TermKind.XX: 0, TermKind.YY: 1, TermKind.ZZ: 2, TermKind.Z: 2}
-
-
 class S2Evaluator:
-    """Builds symmetric second-order blocks for a fixed term sequence.
+    """Builds symmetric second-order blocks for a fixed term sequence: the
+    generator-table rows ``rows`` of n sites (``model._generators``), with
+    ``coefficients[g]`` the coefficient of row g, for time t.
 
     Every term flips an even number of spins, so it commutes with the
     parity Z^n, and so does every product of term exponentials: S2 is
@@ -191,21 +187,23 @@ class S2Evaluator:
     (``build_approximation``). So threads may share an evaluator.
     """
 
-    def __init__(self, terms, n: int, t: float):
-        self.terms = tuple(terms)
+    def __init__(self, rows, coefficients, n: int, t: float):
         self.n = n
         self.t = float(t)
         self._states, flat = _sector_index(n)
         table = _generators(n)
-        rows = _rows(self.terms, table)
-        a = np.array([term.coefficient for term in self.terms])
+        rows = np.asarray(rows)
+        a = np.asarray(coefficients, dtype=float)[rows]
         # Per unit |phase|: a bound on |c| = 0.5 t |phase| and on c times any sum of a_j.
         self._exponent_scale = 0.5 * self.t * max(1.0, float(np.abs(a).sum()))
-        groups = [_GROUP[term.kind] for term in self.terms]
+        x, z = table.x[rows], table.z[rows]
+        # The grouped ordering's groups, read from the letters of each string:
+        # X strings (XX), Y strings (YY), then Z strings (ZZ and Z).
+        groups = np.where(z == 0, 0, np.where(x == 0, 2, 1)).tolist()
         self._grouped = groups == sorted(groups)
         if self._grouped:
             # In its group's basis each term is the Z string on its own qubits.
-            weighted = a[:, None] * _strings(0, table.x[rows] | table.z[rows], n)[1]
+            weighted = a[:, None] * _strings(0, x | z, n)[1]
             self._diagonals = np.zeros((3, 2**n))
             for group, row in zip(groups, weighted):
                 self._diagonals[group] += row
@@ -221,8 +219,8 @@ class S2Evaluator:
         # Pauli kernel: a Z/ZZ string has the identity permutation, so a
         # maximal run of them scales row i by exp(c sum_j a_j sign_j[i]).
         perms, signs = table.perms[rows], table.signs[rows]
-        diagonal = (perms == np.arange(perms.shape[1])).all(axis=1)
-        unsigned = (signs == 1.0).all(axis=1).tolist()  # XX: the flip scales by sinh alone
+        diagonal = x == 0
+        unsigned = (z == 0).tolist()  # an X string's flip scales by sinh alone
         # Steps in term order: (None, run, False) or (perm, flip, unsigned).
         steps, runs, flips = [], [], []
         for is_run, group in groupby(range(len(a)), key=diagonal.__getitem__):
@@ -240,7 +238,7 @@ class S2Evaluator:
 
     @classmethod
     def for_instance(cls, instance: ChainInstance, ordering: TermOrdering) -> "S2Evaluator":
-        return cls(ordered_terms(instance, ordering), instance.n, instance.t)
+        return cls(ordering.rows(instance.n), instance.coefficients(), instance.n, instance.t)
 
     def _forwards(self, c: np.ndarray) -> np.ndarray:
         return self._grouped_forwards(c) if self._grouped else self._pauli_forwards(c)

@@ -11,10 +11,12 @@ import numpy as np
 
 from trotteropt.model import _sector_index, term_matrix
 
+from oracles import chain_terms
+
 
 def dense_hamiltonian(instance) -> np.ndarray:
     """H at full dimension: the sum of the Kronecker-chain term matrices."""
-    return sum(term_matrix(term, instance.n) for term in instance.terms())
+    return sum(term_matrix(term, instance.n) for term in chain_terms(instance))
 
 
 def dense(stack) -> np.ndarray:

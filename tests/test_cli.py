@@ -137,6 +137,10 @@ class TestWrongInstance:
         ("n", 3.7, "instance n must be an integer, got 3.7"),
         ("v", None, "instance v must be a list of numbers, got None"),
         ("t", None, "instance t must be a number, got None"),
+        ("v", [0.1, True, 0.3], "instance v must be a list of numbers, got [0.1, True, 0.3]"),
+        ("seed", "x", "instance seed must be an integer, got 'x'"),
+        ("seed", 2.5, "instance seed must be an integer, got 2.5"),
+        ("seed", -1, "instance seed must be a non-negative integer, got -1"),
     ])
     def test_wrong_field_refused_by_name(self, tmp_path, capsys, no_work, field, value, message):
         path = tmp_path / "inst.json"
@@ -315,6 +319,18 @@ class TestWrongRecord:
         assert capsys.readouterr().err == "error: optimize record has no p_final\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("p_final", [
+        {"a": 1}, "abc", ["a", 0.1, 0.1, 0.1, 0.1], None, [True] * 5,
+    ], ids=["object", "string", "string_entry", "null", "booleans"])
+    def test_p_final_that_is_not_a_list_of_numbers(self, tmp_path, capsys, no_work, argv,
+                                                   p_final):
+        record = self.optimize_record(tmp_path / "run.json", p_final=p_final)
+        out = tmp_path / "out.json"
+        assert run([*argv, "--record", record, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: optimize record p_final must be a list of numbers, got {p_final!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fields,message", [
         ({"seed": None}, "record seed must be an integer, got None"),
         ({"seed": 3.7}, "record seed must be an integer, got 3.7"),
@@ -324,8 +340,17 @@ class TestWrongRecord:
          "ordering permutation must be a list of integers, got None"),
         ({"instance": [1, 2]}, "instance must be an object, got [1, 2]"),
         ({"spec": MISSING}, "optimize record has no spec"),
+        ({"spec": {"k": 2, "r": 2, "ordering": {"mode": "zigzag"}}},
+         "ordering mode must be one of canonical, grouped, explicit, got 'zigzag'"),
+        ({"spec": {"k": 2, "r": 2, "ordering": {"mode": ["grouped"]}}},
+         "ordering mode must be one of canonical, grouped, explicit, got ['grouped']"),
+        ({"instance": {"n": 3, "v": [0.1, 0.2, 0.3], "t": 6.0, "seed": "x"}},
+         "instance seed must be an integer, got 'x'"),
+        ({"instance": {"n": 3, "v": [0.1, 0.2, 0.3], "t": 6.0, "seed": -4}},
+         "instance seed must be a non-negative integer, got -4"),
     ], ids=["seed_null", "seed_fraction", "seed_negative", "ordering_null", "permutation_null",
-            "instance_list", "spec_missing"])
+            "instance_list", "spec_missing", "mode_unknown", "mode_list", "instance_seed_string",
+            "instance_seed_negative"])
     def test_malformed_field_is_refused_by_name(self, tmp_path, capsys, no_work, fields, message):
         record = self.optimize_record(tmp_path / "run.json", **fields)
         out = tmp_path / "out.json"

@@ -13,11 +13,11 @@ from trotteropt.model import (
     ChainInstance,
     DecompositionSpec,
     TermOrdering,
-    ordered_terms,
     term_matrix,
 )
 from trotteropt.trotter import slice_phases, suzuki_seed
 
+from oracles import ordered_chain_terms, reference_error
 from sectors import dense, dense_hamiltonian
 
 GROUPED = TermOrdering.grouped()
@@ -138,7 +138,7 @@ class TestEvaluate:
 def full_dimension_error(inst, spec, p):
     """The fitness with everything at 2^n rows: term exponentials, the slice,
     numpy's own matrix power and its SVD-based 2-norm."""
-    terms = ordered_terms(inst, spec.ordering)
+    terms = ordered_chain_terms(inst, spec.ordering)
     mats = [term_matrix(term, inst.n) for term in terms]
     blocks = {}
     for x in set(slice_phases(p)):
@@ -177,6 +177,30 @@ class TestFullDimensionOracle:
         expected = full_dimension_error(inst, spec, p)
         got = evaluate(ctx, p)
         assert abs(got - expected) <= 1e-9 * expected
+
+
+# The k=2 Suzuki vector moved off its point, keeping its sum.
+PERTURBED = tuple(np.array(suzuki_seed(2)) + [1e-3, -2e-3, 0.0, 1.5e-3, -5e-4])
+
+
+class TestExtendedPrecisionReference:
+    """The fitness against ``oracles.reference_error``, which builds its own
+    terms and term order and works in long double: in the paper's regime
+    the float64 fitness stays far above its roundoff floor."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("r", [25, 125])
+    @pytest.mark.parametrize("ordering", ["grouped", "canonical", "random"])
+    @pytest.mark.parametrize("p", [suzuki_seed(2), PERTURBED], ids=["suzuki", "perturbed"])
+    def test_fitness_matches_reference(self, n, r, ordering, p):
+        assert np.finfo(np.longdouble).eps < 1e-18, "no extended precision on this platform"
+        inst = instance(seed=101, n=n, t=2.0 * n)
+        order = {"grouped": GROUPED, "canonical": TermOrdering.canonical(),
+                 "random": TermOrdering.explicit(np.random.default_rng(n).permutation(4 * n))}
+        spec = DecompositionSpec(2, r, order[ordering])
+        reference = reference_error(inst, 2, r, spec.ordering, p)
+        got = evaluate(FitnessContext.create(inst, spec), p)
+        assert abs(got - reference) <= 1e-10 * reference
 
 
 class TestConcurrentEvaluate:

@@ -9,24 +9,30 @@ from trotteropt.model import (
     ChainInstance,
     DecompositionSpec,
     LocalTerm,
+    OrderingMode,
     TermKind,
     TermOrdering,
     _PAULI_MATS,
     _generators,
     _pauli_sites,
     _popcount,
-    _rows,
     _sector_index,
     _strings,
     hamiltonian,
     merged_gate_count,
-    ordered_terms,
     term_matrix,
     unmerged_gate_count,
 )
 from trotteropt.trotter import slice_phases, suzuki_seed
 
-from oracles import commutation_table, merge_gates, terms_commute
+from oracles import (
+    chain_terms,
+    commutation_table,
+    merge_gates,
+    ordered_chain_terms,
+    term_row,
+    terms_commute,
+)
 from sectors import dense, dense_hamiltonian
 
 GROUPED = TermOrdering.grouped()
@@ -83,28 +89,30 @@ class TestChainInstance:
         assert all(abs(x) <= 1 for x in inst.v)
 
     def test_term_census(self):
+        # One coefficient per table row: 1 for each coupling, v_j for the
+        # field on site j, the same as each term of the dense form carries.
         inst = ChainInstance.random(4, np.random.default_rng(1))
-        terms = inst.terms()
-        assert len(terms) == 4 * inst.n
+        a = inst.coefficients()
+        assert a.shape == (4 * inst.n,)
+        npt.assert_array_equal(a.reshape(inst.n, 4), np.c_[np.ones((inst.n, 3)), inst.v])
+        terms = chain_terms(inst)
         for kind in TermKind:
             assert sum(1 for t in terms if t.kind == kind) == inst.n
-        for t in terms:
-            if t.kind is TermKind.Z:
-                assert t.coefficient == inst.v[t.site - 1]
-            else:
-                assert t.coefficient == 1.0
+        assert [term_row(t) for t in terms] == list(range(4 * inst.n))
+        assert [t.coefficient for t in terms] == a.tolist()
 
-    def test_terms_are_built_once_and_do_not_enter_equality(self):
+    def test_equality_hash_and_record_form(self):
         inst = ChainInstance(4, (0.5, -0.25, 0.0, 1.0), 2.0, seed=3)
-        assert inst.terms() is inst.terms()
         twin = ChainInstance(4, [0.5, -0.25, 0, 1], 2, seed=3)
         assert twin == inst and hash(twin) == hash(inst)
         assert hash(inst) == hash((4, (0.5, -0.25, 0.0, 1.0), 2.0, 3))
         assert ChainInstance(4, inst.v, 2.0, seed=4) != inst
-        assert "_terms" not in repr(inst)
+        assert repr(inst) == "ChainInstance(n=4, v=(0.5, -0.25, 0.0, 1.0), t=2.0, seed=3)"
         assert inst.to_dict() == {"n": 4, "v": [0.5, -0.25, 0.0, 1.0], "t": 2.0, "seed": 3}
-        again = ChainInstance.from_dict(inst.to_dict())
-        assert again == inst and again.terms() == inst.terms()
+        assert ChainInstance.from_dict(inst.to_dict()) == inst
+        # An instance of generalize --axis n carries no seed; an integral float reads as a count.
+        assert ChainInstance.from_dict({**inst.to_dict(), "seed": None}).seed is None
+        assert ChainInstance.from_dict({**inst.to_dict(), "seed": 3.0}) == inst
 
 
 class TestRecordForms:
@@ -129,9 +137,20 @@ class TestRecordForms:
          "ordering permutation must be a list of integers, got 4"),
         (DecompositionSpec, {**SPEC, "ordering": {"mode": "explicit", "permutation": [0, 1.5]}},
          "ordering permutation entry must be an integer, got 1.5"),
+        (DecompositionSpec, {**SPEC, "ordering": {"mode": "zigzag"}},
+         "ordering mode must be one of canonical, grouped, explicit, got 'zigzag'"),
+        (DecompositionSpec, {**SPEC, "ordering": {"mode": 1}},
+         "ordering mode must be one of canonical, grouped, explicit, got 1"),
         (ChainInstance, {"n": 3, "v": [0.1, 0.2, 0.3]}, "instance has no t"),
+        (ChainInstance, {"n": 3, "v": [0.1, 0.2, 0.3], "t": 1.0, "seed": "x"},
+         "instance seed must be an integer, got 'x'"),
+        (ChainInstance, {"n": 3, "v": [0.1, 0.2, 0.3], "t": 1.0, "seed": -2},
+         "instance seed must be a non-negative integer, got -2"),
+        (ChainInstance, {"n": 3, "v": [0.1, True, 0.3], "t": 1.0},
+         "instance v must be a list of numbers, got [0.1, True, 0.3]"),
     ], ids=["spec_list", "spec_no_r", "ordering_no_mode", "ordering_no_permutation",
-            "permutation_int", "permutation_fraction", "instance_no_t"])
+            "permutation_int", "permutation_fraction", "mode_unknown", "mode_not_a_string",
+            "instance_no_t", "seed_string", "seed_negative", "v_boolean"])
     def test_malformed_value_refused_by_name(self, reader, d, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             reader.from_dict(d)
@@ -164,7 +183,7 @@ class TestHamiltonian:
     def test_bit_identical_to_term_matrix_sum(self, inst):
         # Each sector block against the same block of the summed Kronecker
         # chains, which are real.
-        reference = sum(term_matrix(term, inst.n) for term in inst.terms())
+        reference = sum(term_matrix(term, inst.n) for term in chain_terms(inst))
         assert not np.any(reference.imag)
         h = hamiltonian(inst)
         assert h.dtype == np.float64 and h.shape == (2, 2 ** (inst.n - 1), 2 ** (inst.n - 1))
@@ -180,7 +199,7 @@ class TestHamiltonian:
         for _ in range(5):
             perm = rng.permutation(16)
             total = np.zeros_like(h)
-            for term in ordered_terms(inst, TermOrdering.explicit(perm)):
+            for term in ordered_chain_terms(inst, TermOrdering.explicit(perm)):
                 total += term_matrix(term, inst.n)
             npt.assert_array_equal(total, h)
 
@@ -188,7 +207,7 @@ class TestHamiltonian:
         inst = ChainInstance.random(4, np.random.default_rng(4))
         h = dense_hamiltonian(inst)
         total = np.zeros_like(h)
-        for term in ordered_terms(inst, TermOrdering.grouped()):
+        for term in ordered_chain_terms(inst, TermOrdering.grouped()):
             total += term_matrix(term, inst.n)
         assert spectral_norm(total - h) <= 1e-13 * spectral_norm(h)
 
@@ -217,7 +236,7 @@ class TestParitySectors:
         basis = np.arange(2**n)
         terms = [LocalTerm(kind, site, 0.7) for site in range(1, n + 1)]
         table = _generators(n)
-        rows = _rows(terms, table)
+        rows = [term_row(term) for term in terms]
         perms, signs = _strings(table.x[rows], table.z[rows], n)
         assert perms.shape == signs.shape == (n, 2**n)
         for term, perm, sign in zip(terms, perms, signs):
@@ -235,8 +254,7 @@ class TestParitySectors:
         # back, that is each term's Kronecker chain, which has no cross-sector entry.
         terms = [LocalTerm(kind, site) for site in range(1, n + 1) for kind in TermKind]
         table = _generators(n)
-        rows = _rows(terms, table)
-        perms, signs = table.perms[rows], table.signs[rows]
+        perms, signs = table.perms, table.signs
         half = 2 ** (n - 1)
         assert perms.shape == signs.shape == (len(terms), 2 * half)
         columns = np.arange(2 * half)
@@ -249,32 +267,34 @@ class TestParitySectors:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_generator_table_rows_follow_the_term_sequence(self, n):
         # The table is in per-site reading order (the order checked against
-        # term_matrix above), and a shuffled sequence picks the same rows.
+        # term_matrix above), and an explicit ordering picks the rows of its
+        # permutation, which indexes the same list.
         table = _generators(n)
         assert table is _generators(n)
-        terms = ChainInstance(n, (0.5,) * n, 1.0).terms()
-        assert [table.rows[term.kind, term.site] for term in terms] == list(range(len(terms)))
+        assert len(table.x) == len(table.anti) == 4 * n
+        terms = chain_terms(ChainInstance(n, (0.5,) * n, 1.0))
         order = np.random.default_rng(n).permutation(len(terms))
-        assert _rows([terms[g] for g in order], table) == order.tolist()
+        rows = TermOrdering.explicit(order).rows(n)
+        assert [term_row(terms[g]) for g in order] == rows.tolist() == order.tolist()
         for array in (table.x, table.z, table.perms, table.signs):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
-        with pytest.raises(TypeError):
-            table.rows[TermKind.Z, 1] = 0
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_masks_match_pauli_letters(self, n):
         # Every kind and site, the wrap-around bond included: X sets x, Z
         # sets z and Y both, qubit 1 being the most significant bit.
         table = _generators(n)
-        for (kind, site), g in table.rows.items():
-            x = z = 0
-            for qubit, letter in _pauli_sites(LocalTerm(kind, site), n).items():
-                bit = 1 << (n - qubit)
-                x |= bit if letter in "xy" else 0
-                z |= bit if letter in "yz" else 0
-            assert (table.x[g], table.z[g]) == (x, z), (kind, site)
-        assert sorted(table.rows.values()) == list(range(4 * n))
+        assert len(table.x) == len(table.z) == 4 * n
+        for site in range(1, n + 1):
+            for kind in TermKind:
+                g = term_row(LocalTerm(kind, site))
+                x = z = 0
+                for qubit, letter in _pauli_sites(LocalTerm(kind, site), n).items():
+                    bit = 1 << (n - qubit)
+                    x |= bit if letter in "xy" else 0
+                    z |= bit if letter in "yz" else 0
+                assert (table.x[g], table.z[g]) == (x, z), (kind, site)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_z_string_signs(self, n):
@@ -283,8 +303,7 @@ class TestParitySectors:
         basis = np.arange(2**n)
         terms = [LocalTerm(kind, site) for site in range(1, n + 1) for kind in TermKind]
         table = _generators(n)
-        rows = _rows(terms, table)
-        masks = table.x[rows] | table.z[rows]
+        masks = table.x | table.z
         signs = _strings(0, masks, n)[1]
         assert signs.shape == (len(terms), 2**n)
         for term, mask, row in zip(terms, masks, signs):
@@ -311,32 +330,43 @@ class TestParitySectors:
 
 
 class TestOrderedTerms:
+    """``TermOrdering.rows``: the table rows of the 4n terms, in order."""
+
+    @staticmethod
+    def terms(ordering):
+        terms = chain_terms(ChainInstance(3, (0.1, 0.2, 0.3), 1.0))
+        return [terms[g] for g in ordering.rows(3)]
+
     def test_canonical_reading_order(self):
-        inst = ChainInstance(3, (0.1, 0.2, 0.3), 1.0)
-        kinds = [t.kind for t in ordered_terms(inst, TermOrdering.canonical())]
-        assert kinds == [TermKind.XX, TermKind.YY, TermKind.ZZ, TermKind.Z] * 3
-        sites = [t.site for t in ordered_terms(inst, TermOrdering.canonical())]
-        assert sites == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
+        npt.assert_array_equal(TermOrdering.canonical().rows(3), np.arange(12))
+        terms = self.terms(TermOrdering.canonical())
+        assert [t.kind for t in terms] == [TermKind.XX, TermKind.YY, TermKind.ZZ, TermKind.Z] * 3
+        assert [t.site for t in terms] == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
 
     def test_grouped_order(self):
-        inst = ChainInstance(3, (0.1, 0.2, 0.3), 1.0)
-        terms = ordered_terms(inst, TermOrdering.grouped())
+        terms = self.terms(TermOrdering.grouped())
         kinds = [t.kind for t in terms]
         assert kinds == [TermKind.XX] * 3 + [TermKind.YY] * 3 + [TermKind.ZZ] * 3 + [TermKind.Z] * 3
         assert [t.site for t in terms] == [1, 2, 3] * 4
 
     def test_identity_permutation_is_canonical(self):
-        inst = ChainInstance(3, (0.1, 0.2, 0.3), 1.0)
-        assert ordered_terms(inst, TermOrdering.explicit(range(12))) == ordered_terms(
-            inst, TermOrdering.canonical()
-        )
+        npt.assert_array_equal(TermOrdering.explicit(range(12)).rows(3),
+                               TermOrdering.canonical().rows(3))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rows_match_the_oracle_order(self, n):
+        inst = ChainInstance.random(n, np.random.default_rng(n))
+        for ordering in _oracle_orderings(n):
+            terms = chain_terms(inst)
+            assert [terms[g] for g in ordering.rows(n)] == ordered_chain_terms(inst, ordering)
 
     def test_malformed_permutation(self):
-        inst = ChainInstance(3, (0.1, 0.2, 0.3), 1.0)
-        with pytest.raises(ValueError):
-            ordered_terms(inst, TermOrdering.explicit([0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]))
-        with pytest.raises(ValueError):
-            ordered_terms(inst, TermOrdering.explicit(range(11)))
+        message = "^permutation must be a bijection on 0..11$"
+        for perm in ([0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10], range(11), range(1, 13)):
+            with pytest.raises(ValueError, match=message):
+                TermOrdering.explicit(perm).rows(3)
+        with pytest.raises(ValueError, match=message):
+            TermOrdering(OrderingMode.EXPLICIT).rows(3)
 
 
 class TestTermsCommute:
@@ -355,7 +385,7 @@ class TestTermsCommute:
     def test_matches_matrix_commutator(self, seed):
         rng = np.random.default_rng(seed)
         inst = ChainInstance.random(3, rng)
-        terms = inst.terms()
+        terms = chain_terms(inst)
         idx = rng.integers(0, len(terms), size=(12, 2))
         for i, j in idx:
             a = term_matrix(terms[i], 3)
@@ -421,7 +451,7 @@ class TestMergedGateCountOracle:
     def test_matches_merge_walk(self, n):
         inst = ChainInstance.random(n, np.random.default_rng(n))
         for ordering in _oracle_orderings(n):
-            terms = ordered_terms(inst, ordering)
+            terms = ordered_chain_terms(inst, ordering)
             table = commutation_table(terms, n)
             block = [*range(len(terms)), *reversed(range(len(terms)))]
             for k in (1, 2, 3):
@@ -451,8 +481,8 @@ class TestMergedGateCountOracle:
         assert all(isinstance(mask, int) for mask in table.anti)
         inst = ChainInstance.random(n, np.random.default_rng(n))
         for ordering in _oracle_orderings(n):
-            terms = ordered_terms(inst, ordering)
-            rows = _rows(terms, table)
+            terms = ordered_chain_terms(inst, ordering)
+            rows = ordering.rows(n).tolist()
             commute = [[not (table.anti[g] >> h) & 1 for h in rows] for g in rows]
             npt.assert_array_equal(np.array(commute), commutation_table(terms, n))
 

@@ -14,7 +14,6 @@ from trotteropt.model import (
     TermKind,
     TermOrdering,
     _sector_index,
-    ordered_terms,
     term_matrix,
 )
 from trotteropt.trotter import (
@@ -29,6 +28,7 @@ from trotteropt.trotter import (
     suzuki_seed,
 )
 
+from oracles import chain_terms, ordered_chain_terms, term_row
 from sectors import dense, dense_hamiltonian
 
 GROUPED = TermOrdering.grouped()
@@ -47,6 +47,15 @@ def forward(ev, c):
     """The evaluator's forward half-product at the exponent scale c: the
     one block of a 1-phase stack."""
     return ev._forwards(np.array([c]))[0]
+
+
+def term_evaluator(terms, n, t):
+    """An evaluator of a sequence of ``LocalTerm``s: their table rows, each
+    row's coefficient that of its term."""
+    rows = [term_row(term) for term in terms]
+    coefficients = np.zeros(4 * n)
+    coefficients[rows] = [term.coefficient for term in terms]
+    return S2Evaluator(rows, coefficients, n, t)
 
 
 def approximation(inst, spec, p):
@@ -179,13 +188,13 @@ class TestFastLocalExpm:
 
     @staticmethod
     def term_exponential(term, n, c):
-        return dense(S2Evaluator((term,), n, 1.0).s2((1j * c).real))
+        return dense(term_evaluator((term,), n, 1.0).s2((1j * c).real))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("c", [-0.3j, 1.7j, 1j])
     def test_matches_full_dimension(self, n, c):
         inst = small_instance(seed=n, n=n)
-        for term in inst.terms():
+        for term in chain_terms(inst):
             fast = self.term_exponential(term, n, c)
             full = expm_scaled_hermitian(term_matrix(term, n), c)
             assert spectral_norm(fast - full) <= 1e-10
@@ -211,13 +220,13 @@ class TestS2:
 
     def test_single_term_is_exact_exponential(self):
         term = LocalTerm(TermKind.XX, 1)
-        ev = S2Evaluator((term,), n=3, t=1.3)
+        ev = term_evaluator((term,), n=3, t=1.3)
         expected = expm_scaled_hermitian(term_matrix(term, 3), -1.3j * 0.7)
         assert spectral_norm(dense(ev.s2(0.7)) - expected) <= 1e-12
 
     def test_commuting_terms_factor_exactly(self):
         terms = commuting_toy_terms()
-        ev = S2Evaluator(terms, n=3, t=2.1)
+        ev = term_evaluator(terms, n=3, t=2.1)
         total = sum(term_matrix(term, 3) for term in terms)
         expected = expm_scaled_hermitian(total, -2.1j * 0.4)
         assert spectral_norm(dense(ev.s2(0.4)) - expected) <= 1e-9
@@ -296,8 +305,8 @@ class TestKernels:
     @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
     def test_s2_and_s1_match_oracle(self, n, ordering):
         inst = small_instance(seed=n, n=n, t=2.0 * n)
-        terms = ordered_terms(inst, ORDERINGS[ordering](n))
-        ev = S2Evaluator(terms, n, inst.t)
+        terms = ordered_chain_terms(inst, ORDERINGS[ordering](n))
+        ev = S2Evaluator.for_instance(inst, ORDERINGS[ordering](n))
         for phase in (-0.41449, 0.3, 1.7):
             expected = oracle_product(terms, n, -0.5j * inst.t * phase, symmetric=True)
             assert spectral_norm(dense(ev.s2(phase)) - expected) <= 1e-12
@@ -311,8 +320,8 @@ class TestKernels:
         # The grouped kernel against the full-dimension product, off the
         # imaginary axis too; a grouped evaluator builds no Pauli-rotation plan.
         inst = small_instance(seed=n, n=n, t=2.0 * n)
-        terms = ordered_terms(inst, GROUPED)
-        ev = S2Evaluator(terms, n, inst.t)
+        terms = ordered_chain_terms(inst, GROUPED)
+        ev = S2Evaluator.for_instance(inst, GROUPED)
         assert ev._grouped and not hasattr(ev, "_steps")
         for c in (-0.5j * inst.t * -0.41449, -0.5j * inst.t * 1.7, 0.3 - 0.2j):
             expected = oracle_product(terms, n, c, symmetric=False)
@@ -322,7 +331,7 @@ class TestKernels:
     @pytest.mark.parametrize("sequence", EDGE_SEQUENCES)
     def test_pauli_kernel_on_edge_sequences(self, n, sequence):
         terms, runs = edge_sequence(sequence, n)
-        ev = S2Evaluator(terms, n, 2.0 * n)
+        ev = term_evaluator(terms, n, 2.0 * n)
         # ZZ and Z alone are a grouped sequence, which the grouped kernel runs.
         assert ev._grouped == (sequence == "only_diagonal")
         # At a c off the imaginary axis the products are not unitary (norm up
@@ -355,12 +364,12 @@ class TestKernels:
 
     def test_kernel_follows_term_sequence(self):
         def grouped(terms, n=3):
-            return S2Evaluator(terms, n, 1.0)._grouped
+            return term_evaluator(terms, n, 1.0)._grouped
 
         inst = small_instance()
-        assert grouped(ordered_terms(inst, GROUPED))
-        assert not grouped(ordered_terms(inst, TermOrdering.canonical()))
-        assert not grouped(ordered_terms(inst, ORDERINGS["explicit"](3)))
+        assert S2Evaluator.for_instance(inst, GROUPED)._grouped
+        assert not S2Evaluator.for_instance(inst, TermOrdering.canonical())._grouped
+        assert not S2Evaluator.for_instance(inst, ORDERINGS["explicit"](3))._grouped
         # ZZ and Z may interleave; YY ahead of XX leaves the grouped form.
         assert grouped(commuting_toy_terms()[::-1])
         assert not grouped((LocalTerm(TermKind.YY, 1), LocalTerm(TermKind.XX, 2)))
@@ -369,7 +378,7 @@ class TestKernels:
 class TestBuildApproximation:
     def test_commuting_toy_is_exact(self):
         terms = commuting_toy_terms()
-        ev = S2Evaluator(terms, n=3, t=1.7)
+        ev = term_evaluator(terms, n=3, t=1.7)
         total = sum(term_matrix(term, 3) for term in terms)
         # k=2 seed at r=1; with commuting terms every S2 factorizes exactly.
         acc = None
@@ -413,10 +422,7 @@ class TestBuildApproximation:
         inst = small_instance(seed=5)
         spec = DecompositionSpec(2, 2, GROUPED)
         fast = dense(approximation(inst, spec, suzuki_seed(2)))
-
-        from trotteropt.model import ordered_terms
-
-        terms = ordered_terms(inst, GROUPED)
+        terms = ordered_chain_terms(inst, GROUPED)
         slow = None
         for x in slice_phases(suzuki_seed(2)):
             c = -1j * inst.t * (x / spec.r) / 2
