@@ -18,26 +18,30 @@ lines of its parent commit.
 BLAS runs on one thread unless the environment already sets a count, so
 ``OPENBLAS_NUM_THREADS=2 python3 scripts/payload_digests.py`` checks that
 the outputs do not depend on the thread count.
+
+The lines of the current tree are kept in ``tests/golden/``, beside the
+fingerprint of the numerics that printed them (``fingerprint``), and
+``tests/test_payload_digests.py`` checks them. After a change meant to move
+a payload,
+
+    python3 scripts/payload_digests.py --update-golden
+
+prints the lines and rewrites both files.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
 
-# One BLAS thread by default, as in the benchmark, set before numpy is first
-# imported; an inherited count is kept.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from trotteropt import cli  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_LINES = ROOT / "tests" / "golden" / "payload_digests.txt"
+GOLDEN_FINGERPRINT = ROOT / "tests" / "golden" / "payload_digests_fingerprint.json"
 
 # (name, argv) in run order; "{dir}" is the temporary directory, and each
 # command writes "{dir}/<name>.json". Later commands read earlier outputs.
@@ -117,6 +121,26 @@ EXPLICIT_RECORD_COMMANDS = [
 ]
 
 
+def fingerprint() -> dict:
+    """What the last bits of the payloads depend on besides the tree: the
+    numpy version, numpy's BLAS build (its build-time directories left
+    out), the machine type and the CPU model."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = platform.processor()
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            cpu = next((line.split(":", 1)[1].strip() for line in info
+                        if line.startswith("model name")), cpu)
+    return {
+        "numpy": np.__version__,
+        "blas": {key: value for key, value in blas.items() if not key.endswith("directory")},
+        "machine": platform.machine(),
+        "cpu": cpu,
+    }
+
+
 def file_digest(path: Path) -> str:
     record = json.loads(path.read_text(encoding="utf-8"))
     if isinstance(record, dict) and "payload" in record:
@@ -124,9 +148,16 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run(commands, tmp: str) -> bool:
+def run(commands, tmp: str, lines: list) -> bool:
     """Runs the commands in order and prints their lines, then their CSV
-    lines; False after the first command that fails."""
+    lines, adding each to ``lines``; False after the first command that
+    fails."""
+    from trotteropt import cli
+
+    def emit(line: str) -> None:
+        print(line, flush=True)
+        lines.append(line)
+
     for name, argv in commands:
         argv = [arg.format(dir=tmp) for arg in argv] + ["--out", f"{tmp}/{name}.json"]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -134,20 +165,33 @@ def run(commands, tmp: str) -> bool:
         if status != 0:
             print(f"{name} failed with exit status {status}", file=sys.stderr)
             return False
-        print(name, file_digest(Path(tmp) / f"{name}.json")[:16], flush=True)
+        emit(f"{name} {file_digest(Path(tmp) / f'{name}.json')[:16]}")
     for name, _ in commands:
         csv = Path(tmp) / f"{name}.csv"
         if csv.exists():
-            print(f"{name}.csv", hashlib.sha256(csv.read_bytes()).hexdigest()[:16], flush=True)
+            emit(f"{name}.csv {hashlib.sha256(csv.read_bytes()).hexdigest()[:16]}")
     return True
 
 
-def main() -> int:
+def main(argv: list) -> int:
+    if argv not in ([], ["--update-golden"]):
+        print("usage: payload_digests.py [--update-golden]", file=sys.stderr)
+        return 2
+    # One BLAS thread by default, as in the benchmark, set before numpy is
+    # first imported; an inherited count is kept.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.path.insert(0, str(ROOT / "src"))
+    lines: list = []
     with tempfile.TemporaryDirectory(prefix="payload_digests_") as tmp:
         groups = (COMMANDS, LATER_COMMANDS, DEFAULT_COMMANDS, EXPLICIT_RECORD_COMMANDS)
-        ok = all(run(group, tmp) for group in groups)
+        ok = all(run(group, tmp, lines) for group in groups)
+    if ok and argv:
+        GOLDEN_LINES.parent.mkdir(exist_ok=True)
+        GOLDEN_LINES.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        GOLDEN_FINGERPRINT.write_text(json.dumps(fingerprint(), indent=2) + "\n", encoding="utf-8")
     return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

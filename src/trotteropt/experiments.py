@@ -17,6 +17,7 @@ import numpy as np
 from .cmaes import _check_step_size, cma_run
 from .fitness import FitnessContext, error_reduction_pct, evaluate, exact_propagator
 from .model import (
+    CHAIN_N_CAP,
     ChainInstance,
     DecompositionSpec,
     OrderingMode,
@@ -52,7 +53,7 @@ __all__ = [
 # Each added site multiplies matmul work by ~8 and memory by ~4 (dense
 # 2^(n-1)-row sector blocks). An n=8 grid point takes well under a second;
 # beyond that the reach is opt-in: --n-cap 10 scores n=10 in a few seconds
-# and ~100 MB.
+# and ~100 MB. --n-cap goes no further than model.CHAIN_N_CAP.
 GENERALIZE_N_CAP = 8
 
 
@@ -277,8 +278,11 @@ def generalize(
     n and r grids count things and must hold integers; only t is real. The
     v grid is a single hold-out count N, giving hold-outs 1..N; the n, t and
     r grids must be non-empty and strictly increasing. The n grid stops at
-    ``n_cap``, ``GENERALIZE_N_CAP`` when it is ``None``.
+    ``n_cap``, ``GENERALIZE_N_CAP`` when it is ``None``, and ``n_cap`` at
+    ``model.CHAIN_N_CAP``.
     """
+    if n_cap is not None and n_cap > CHAIN_N_CAP:
+        raise ValueError(f"--n-cap must be at most {CHAIN_N_CAP}, got {n_cap}")
     if axis in ("v", "n", "r"):
         for value in grid:
             if not float(value).is_integer():

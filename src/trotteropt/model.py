@@ -28,6 +28,7 @@ that fixes a circuit's shape and its gate counts, before and after merging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
@@ -48,6 +49,18 @@ __all__ = [
     "unmerged_gate_count",
 ]
 
+
+# The largest chain: one (2, 2^(n-1), 2^(n-1)) complex sector stack takes
+# 2^(2n+3) bytes, 128 MiB at n=12, and a scoring run holds several; at
+# n=40 the 2^n-entry sector index alone asks for 8 TiB.
+# ``experiments.GENERALIZE_N_CAP`` is the default reach of generalize
+# --axis n below it.
+CHAIN_N_CAP = 12
+
+# The most S2 phases per time slice, 5^(k-1), that a spec may ask for:
+# k = 8 has 78,125 (1.9 M gates at n=3, r=1); k = 12 would have 48.8 M,
+# and its phase array and list alone would take gigabytes.
+SLICE_PHASES_CAP = 100_000
 
 # The 2x2 Pauli matrices by letter, for ``term_matrix``.
 _PAULI_MATS = {
@@ -119,7 +132,8 @@ class ChainInstance:
     """A concrete problem: qubit count n, disorder vector v, simulation time t.
 
     n >= 3 is required: on a 2-site ring the periodic couplings would be
-    double-counted.
+    double-counted. n above ``CHAIN_N_CAP`` is refused before anything is
+    built.
     """
 
     n: int
@@ -130,6 +144,8 @@ class ChainInstance:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
             raise ValueError("chain needs an integer n >= 3")
+        if self.n > CHAIN_N_CAP:
+            raise ValueError(f"chain n must be at most {CHAIN_N_CAP}, got {self.n}")
         object.__setattr__(self, "v", tuple(float(x) for x in self.v))
         if len(self.v) != self.n:
             raise ValueError(f"disorder vector must have length n={self.n}")
@@ -239,7 +255,8 @@ class TermOrdering:
 @dataclass(frozen=True)
 class DecompositionSpec:
     """Order parameter k, slice count r, and term ordering: together these
-    fix the circuit shape and gate count."""
+    fix the circuit shape and gate count. A k whose 5^(k-1) S2 phases per
+    slice pass ``SLICE_PHASES_CAP`` is refused."""
 
     k: int
     r: int
@@ -248,6 +265,10 @@ class DecompositionSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError("k must be an integer >= 1")
+        # 5^(k-1) > cap, without raising 5 to a huge k; the cap is no power of 5.
+        if self.k - 1 > math.log(SLICE_PHASES_CAP, 5):
+            raise ValueError(
+                f"k={self.k} needs 5^{self.k - 1} S2 phases per slice, more than {SLICE_PHASES_CAP:,}")
         if not isinstance(self.r, int) or self.r < 1:
             raise ValueError("r must be an integer >= 1")
 

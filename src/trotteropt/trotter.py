@@ -26,7 +26,11 @@ Every chain term is a Pauli string, so S2 comes from closed forms, not from
 numerical exponentials: a grouped-basis kernel when the term kinds come as
 XX, YY, then ZZ and Z, and a Pauli-rotation product otherwise, in which each
 run of diagonal (Z, ZZ) terms is one row scaling and each XX or YY term one
-signed row permutation.
+signed row permutation. Every chain coupling has coefficient 1, so the XX and
+the YY group have one and the same diagonal, and the grouped kernel takes
+one Walsh product for both. Both kernels end in S2 = F F^T, which runs as
+gemm on blocks of up to 16 rows (n <= 5), where it is faster than syrk,
+and as syrk above; the two give the same bits.
 
 Every term also flips an even number of spins, so it commutes with the
 parity Z^n, and so do S2, the slice and its r-th power. They are exactly
@@ -131,6 +135,11 @@ def _identity_stack(n: int) -> np.ndarray:
 _STACK_BYTES = 64 * 1024
 
 
+# Rows of the S2 blocks up to which S2 = F F^T runs as gemm, not syrk
+# (n <= 5); the timings are in ``S2Evaluator``'s docstring.
+_GEMM_ROWS = 16
+
+
 def _phases_per_stack(n: int) -> int:
     """Phases per stack at n: as many (2, 2^(n-1), 2^(n-1)) complex blocks
     as fit in ``_STACK_BYTES``, and at least one."""
@@ -162,6 +171,11 @@ class S2Evaluator:
       g[a ^ b], g being the Walsh-Hadamard transform of D's diagonal;
       within a sector a ^ b has even popcount, so only g's even-popcount
       entries are needed. S^n is diagonal, so F costs one batched matmul.
+      An XX and a YY term on one bond have the same qubits and, in a
+      chain, the same coefficient 1, so D_xx = D_yy bit for bit: the
+      evaluator keeps only the distinct Walsh diagonals (one for a chain,
+      two for other coefficients) and the Z-basis one, and computes the
+      exponential, the Walsh product and the gather of each once.
     - Any other sequence (canonical, explicit): the Pauli-rotation product
       of the term exponentials cosh(ca) I + sinh(ca) P on the two blocks
       laid one above the other. For an XX or YY term the product with P is
@@ -180,6 +194,28 @@ class S2Evaluator:
     next, or one BLAS call per phase and block (the Walsh products are one
     gemv per phase, not a gemm over all of them), so each block is
     bit-identical to a build of its phase alone.
+
+    numpy computes S2 = F @ F^T as syrk when F^T is a transposed view of F,
+    and as gemm when it is a copy; both give the same bits. syrk is the
+    slower on small blocks and the faster on large ones, so ``s2_stack``
+    takes gemm up to ``_GEMM_ROWS`` = 16 rows (n <= 5) and syrk above.
+    For 5 phases, gemm with its copy of F^T (2-core x86-64 VM, one
+    OpenBLAS thread, min of 7 repeats, three runs):
+
+    ====  ===============  ===============
+    rows  syrk             gemm
+    ====  ===============  ===============
+    16    22.1-22.5 us     17.9-18.2 us
+    32    79.5-80.8 us     74.0-77.4 us
+    64    389-399 us       479-484 us
+    128   2.40-2.44 ms     3.32-3.33 ms
+    ====  ===============  ===============
+
+    The cut sits at the n=5 blocks, where gemm gains the most; at 32 rows
+    (n=6) the two are within 10% and no perfbench workload runs there.
+    numpy tells the two apart by the operands' memory, not their
+    layout: the Pauli kernel's F is a transposed view of a contiguous
+    array, which is itself F^T, so gemm there too takes a copy of F^T.
 
     An evaluator builds the tables of its own kernel alone, when it is
     made, and nothing is written to it afterwards: every block is built
@@ -204,9 +240,12 @@ class S2Evaluator:
         if self._grouped:
             # In its group's basis each term is the Z string on its own qubits.
             weighted = a[:, None] * _strings(0, x | z, n)[1]
-            self._diagonals = np.zeros((3, 2**n))
+            diagonals = np.zeros((3, 2**n))
             for group, row in zip(groups, weighted):
-                self._diagonals[group] += row
+                diagonals[group] += row
+            # The Walsh diagonals, then the Z-basis one: XX and YY share one
+            # where they are equal, as for every chain (couplings 1).
+            self._diagonals = diagonals[1:] if np.array_equal(*diagonals[:2]) else diagonals
             # Within a sector a ^ b is an even state, stored at row flat[a ^ b] < M.
             self._xor = flat[self._states[:, :, None] ^ self._states[:, None, :]]
             # (self._walsh @ d)[self._xor] is H^n diag(d) H^n, block by block:
@@ -214,7 +253,8 @@ class S2Evaluator:
             basis = np.arange(2**n)
             parity = _popcount(basis, n) & 1
             self._walsh = np.where(parity[self._states[0][:, None] & basis], -0.5**n, 0.5**n)
-            self._s = reduce(np.kron, [np.array([1, 1j])] * n)[self._states]  # diagonal of S^n
+            s = reduce(np.kron, [np.array([1, 1j])] * n)[self._states]  # diagonal of S^n
+            self._s_rows, self._s_conj = s[:, :, None], s.conj()
             return
         # Pauli kernel: a Z/ZZ string has the identity permutation, so a
         # maximal run of them scales row i by exp(c sum_j a_j sign_j[i]).
@@ -245,13 +285,13 @@ class S2Evaluator:
 
     def _grouped_forwards(self, c: np.ndarray) -> np.ndarray:
         # The Walsh products take each phase's diagonal as a column: one gemv
-        # per phase, as for a single vector, where a gemm over all phases
-        # could round differently.
+        # per phase and diagonal, as for a single vector, where a gemm over
+        # all of them could round differently.
         d = np.exp(c[:, None, None] * self._diagonals)
-        yy = np.take(np.matmul(self._walsh, d[:, 1, :, None])[:, :, 0], self._xor, axis=1)
-        yy *= self._s[:, :, None]
-        yy *= (self._s.conj() * np.take(d[:, 2], self._states, axis=1))[:, :, None, :]
-        return np.take(np.matmul(self._walsh, d[:, 0, :, None])[:, :, 0], self._xor, axis=1) @ yy
+        walshed = np.take(np.matmul(self._walsh, d[:, :-1, :, None])[..., 0], self._xor, axis=2)
+        yy = walshed[:, -1] * self._s_rows
+        yy *= (self._s_conj * np.take(d[:, -1], self._states, axis=1))[:, :, None, :]
+        return walshed[:, 0] @ yy
 
     def _pauli_forwards(self, c: np.ndarray) -> np.ndarray:
         # Builds each F^T = E_L ... E_1 on the two blocks stacked as (2M, M)
@@ -282,7 +322,10 @@ class S2Evaluator:
         builds all K blocks, each bit-identical to a build of its phase
         alone."""
         forward = self._forwards(np.array([-0.5j * self.t * float(x) for x in phases]))
-        stack = forward @ forward.swapaxes(-1, -2)
+        transposed = forward.swapaxes(-1, -2)
+        if forward.shape[-1] <= _GEMM_ROWS:
+            transposed = transposed.copy()
+        stack = forward @ transposed
         stack.flags.writeable = False
         return stack
 
@@ -328,11 +371,13 @@ def build_approximation(evaluator: S2Evaluator, spec: DecompositionSpec, p) -> n
     read.
     """
     p = _check_coefficients(p, spec.k)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, quietly
-        phases = slice_phases(p) / spec.r
-    if not math.isfinite(float(np.abs(phases).max()) * evaluator._exponent_scale):
+    # max |phase|, bit for bit: rounding is monotone and sign-symmetric, and
+    # the block maxima multiply in slice_phases' order; a Python float
+    # overflows to inf without a warning.
+    largest = math.prod(max(map(abs, block)) for block in p.reshape(-1, 5).tolist()) / spec.r
+    if not math.isfinite(largest * evaluator._exponent_scale):
         raise ValueError("coefficient vector overflows the S2 exponents")
-    phases = phases.tolist()
+    phases = (slice_phases(p) / spec.r).tolist()
     last = {x: i for i, x in enumerate(phases)}  # last use of each phase
     unbuilt = iter(last)  # distinct phases in order of first use
     per_stack = _phases_per_stack(evaluator.n)

@@ -13,7 +13,13 @@ counter that reads them.
 
 ``reference_error`` scores a coefficient vector at full dimension in
 extended precision, as a check on the float64 fitness.
+
+``grouped_s2_reference`` is the grouped S2 kernel in the form it had before
+the XX and YY groups shared a Walsh product: two Walsh products, and S2 as
+``F @ F.swapaxes(-1, -2)`` at every block size.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -146,3 +152,25 @@ def _power(m: np.ndarray, r: int) -> np.ndarray:
         m = m @ m
         r >>= 1
     return out
+
+
+def grouped_s2_reference(evaluator, phases) -> np.ndarray:
+    """S2 at each phase from a grouped evaluator's tables, as a
+    ``(K, 2, M, M)`` stack: F = W[d_xx] (S W[d_yy] S^dag) D_z, with W[d]
+    the Walsh product of a diagonal gathered by a ^ b, one Walsh product
+    for each coupling group even when their diagonals are equal, and
+    S2 = F F^T through a transposed view of F.
+
+    The diagonals come from the evaluator: its first Walsh row is XX's, its
+    last YY's (the same row when the two are shared), then the Z basis.
+    """
+    walsh, xor, states = evaluator._walsh, evaluator._xor, evaluator._states
+    d_xx, d_yy, d_z = evaluator._diagonals[[0, -2, -1]]
+    s = reduce(np.kron, [np.array([1, 1j])] * evaluator.n)[states]  # diagonal of S^n
+    c = np.array([-0.5j * evaluator.t * float(x) for x in phases])
+    d = np.exp(c[:, None, None] * np.stack([d_xx, d_yy, d_z]))
+    yy = np.take(np.matmul(walsh, d[:, 1, :, None])[:, :, 0], xor, axis=1)
+    yy *= s[:, :, None]
+    yy *= (s.conj() * np.take(d[:, 2], states, axis=1))[:, :, None, :]
+    forward = np.take(np.matmul(walsh, d[:, 0, :, None])[:, :, 0], xor, axis=1) @ yy
+    return forward @ forward.swapaxes(-1, -2)

@@ -495,17 +495,53 @@ class TestErrors:
         assert exc.value.code == 2
 
 
+def fresh_cli(warnings: str, argv) -> subprocess.CompletedProcess:
+    """One CLI command in a fresh interpreter under ``-W warnings``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trotteropt.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-W", warnings, "-m", "trotteropt.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 def run_fresh(tmp_path, warnings: str, argv) -> subprocess.CompletedProcess:
     """One CLI command on an n=4 instance, in a fresh interpreter under
     ``-W warnings``, writing to ``tmp_path / "out.json"``."""
     instance = tmp_path / "n4.json"
     assert run(["generate-instance", "--n", "4", "--seed", "1", "--out", instance]) == 0
-    env = dict(os.environ, PYTHONPATH=str(Path(trotteropt.__file__).resolve().parents[1]),
-               OPENBLAS_NUM_THREADS="1")
-    return subprocess.run(
-        [sys.executable, "-W", warnings, "-m", "trotteropt.cli", *argv,
-         "--instance", str(instance), "--out", str(tmp_path / "out.json")],
-        env=env, capture_output=True, text=True, timeout=120)
+    return fresh_cli(warnings, [*argv, "--instance", instance, "--out", tmp_path / "out.json"])
+
+
+class TestResourceBounds:
+    """A size that the chain or the spec caps is refused by name, with one
+    error line and no traceback, before anything of that size is built."""
+
+    def test_chain_above_the_cap(self, tmp_path):
+        out = tmp_path / "out.json"
+        done = fresh_cli("error", ["generate-instance", "--n", "40", "--out", out])
+        assert (done.returncode, done.stderr) == (1, "error: chain n must be at most 12, got 40\n")
+        assert not out.exists()
+        # An instance file above the cap, written by hand, is refused on loading.
+        instance = tmp_path / "n40.json"
+        instance.write_text(json.dumps({"n": 40, "v": [0.0] * 40, "t": 80.0, "seed": 1}))
+        done = fresh_cli("error", ["baseline", "--instance", instance, "--r", "1", "--out", out])
+        assert (done.returncode, done.stderr) == (1, "error: chain n must be at most 12, got 40\n")
+        assert not out.exists()
+
+    def test_k_above_the_phase_cap(self, tmp_path):
+        done = run_fresh(tmp_path, "error", ["baseline", "--k", "12", "--r", "1"])
+        assert (done.returncode, done.stderr) == (
+            1, "error: k=12 needs 5^11 S2 phases per slice, more than 100,000\n")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_n_cap_above_the_chain_cap(self, tmp_path, instance_path):
+        record, out = tmp_path / "run.json", tmp_path / "out.json"
+        assert run(["optimize", "--instance", instance_path, "--r", "2", "--generations", "1",
+                    "--out", record]) == 0
+        done = fresh_cli("error", ["generalize", "--record", record, "--axis", "n", "--grid", "13",
+                                   "--n-cap", "13", "--out", out])
+        assert (done.returncode, done.stderr) == (1, "error: --n-cap must be at most 12, got 13\n")
+        assert not out.exists()
 
 
 class TestOverflowingCoefficients:

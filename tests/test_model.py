@@ -6,6 +6,7 @@ import pytest
 
 from trotteropt.linalg import spectral_norm
 from trotteropt.model import (
+    CHAIN_N_CAP,
     ChainInstance,
     DecompositionSpec,
     LocalTerm,
@@ -81,6 +82,12 @@ class TestChainInstance:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             ChainInstance(3, (0.0, 0.0), 1.0)
+
+    def test_n_up_to_the_cap(self):
+        assert ChainInstance(CHAIN_N_CAP, (0.0,) * CHAIN_N_CAP, 1.0).n == CHAIN_N_CAP
+        n = CHAIN_N_CAP + 1
+        with pytest.raises(ValueError, match=f"^chain n must be at most {CHAIN_N_CAP}, got {n}$"):
+            ChainInstance(n, (0.0,) * n, 1.0)
 
     def test_default_time_is_2n(self):
         rng = np.random.default_rng(0)

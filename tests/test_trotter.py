@@ -8,11 +8,13 @@ import pytest
 
 from trotteropt.linalg import expm_scaled_hermitian, matrix_power, spectral_norm
 from trotteropt.model import (
+    SLICE_PHASES_CAP,
     ChainInstance,
     DecompositionSpec,
     LocalTerm,
     TermKind,
     TermOrdering,
+    _popcount,
     _sector_index,
     term_matrix,
 )
@@ -28,7 +30,7 @@ from trotteropt.trotter import (
     suzuki_seed,
 )
 
-from oracles import chain_terms, ordered_chain_terms, term_row
+from oracles import chain_terms, grouped_s2_reference, ordered_chain_terms, term_row
 from sectors import dense, dense_hamiltonian
 
 GROUPED = TermOrdering.grouped()
@@ -299,6 +301,14 @@ class TestDecompositionSpec:
             with pytest.raises(ValueError, match=f"^spec {field} must be an integer, got "):
                 DecompositionSpec.from_dict({**d, field: value})
 
+    def test_k_up_to_the_phase_cap(self):
+        # k = 8 has 5^7 = 78,125 phases per slice; k = 9 has 390,625.
+        assert DecompositionSpec(8, 1, GROUPED).k == 8
+        for k in (9, 12, 10**12):
+            message = f"k={k} needs 5^{k - 1} S2 phases per slice, more than {SLICE_PHASES_CAP:,}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                DecompositionSpec(k, 1, GROUPED)
+
 
 class TestKernels:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -373,6 +383,43 @@ class TestKernels:
         # ZZ and Z may interleave; YY ahead of XX leaves the grouped form.
         assert grouped(commuting_toy_terms()[::-1])
         assert not grouped((LocalTerm(TermKind.YY, 1), LocalTerm(TermKind.XX, 2)))
+
+
+class TestGroupedKernel:
+    """The grouped kernel against its two-Walsh-product form (the reference
+    keeps S2 = F F^T as syrk, where the kernel takes gemm up to 16 rows)."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("count", [1, 2, 5, 8])
+    def test_stack_is_the_reference_bit_for_bit(self, n, count):
+        ev = S2Evaluator.for_instance(small_instance(seed=n, n=n, t=2.0 * n), GROUPED)
+        # Every chain coupling is 1, so XX and YY share one Walsh row.
+        assert ev._diagonals.shape == (2, 2**n)
+        phases = np.random.default_rng([n, count]).normal(0.0, 0.5, count).tolist()
+        assert ev.s2_stack(phases).tobytes() == grouped_s2_reference(ev, phases).tobytes()
+
+    @staticmethod
+    def unequal_evaluators(n):
+        """Grouped evaluators whose XX and YY diagonals differ, with their
+        term sequences: one XX term alone, and a chain whose YY
+        coefficients are scaled by 1.5."""
+        inst = small_instance(seed=n, n=n, t=2.0 * n)
+        xx = (LocalTerm(TermKind.XX, 1),)
+        chain = tuple(LocalTerm(term.kind, term.site, 1.5 * term.coefficient)
+                      if term.kind is TermKind.YY else term
+                      for term in ordered_chain_terms(inst, GROUPED))
+        return [(term_evaluator(terms, n, inst.t), terms) for terms in (xx, chain)]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_unequal_diagonals_keep_two_walsh_rows(self, n):
+        phases = [-0.41449, 0.3, 1.7]
+        for ev, terms in self.unequal_evaluators(n):
+            assert ev._grouped and ev._diagonals.shape == (3, 2**n)
+            stack = ev.s2_stack(phases)
+            assert stack.tobytes() == grouped_s2_reference(ev, phases).tobytes()
+            for phase, block in zip(phases, stack):
+                expected = oracle_product(terms, n, -0.5j * ev.t * phase, symmetric=True)
+                assert spectral_norm(dense(block) - expected) <= 1e-10
 
 
 class TestBuildApproximation:
@@ -663,3 +710,28 @@ class TestBuildApproximation:
         inst = small_instance()
         with pytest.raises(ValueError, match="k=3 needs 10 components, got 5"):
             approximation(inst, DecompositionSpec(3, 1, GROUPED), suzuki_seed(2))
+
+
+class TestMagnetization:
+    """H conserves the popcount. A product formula conserves it when each
+    bond's XX and YY terms sit side by side, as in the canonical ordering:
+    they commute, and their exponential acts within the bond's (01, 10)
+    pair. The grouped ordering splits them."""
+
+    @staticmethod
+    def largest_between_popcount_blocks(approx, n):
+        """The largest |entry| of a sector stack between states of unequal popcount."""
+        popcounts = _popcount(_sector_index(n)[0], n)
+        return float(np.abs(approx)[popcounts[:, :, None] != popcounts[:, None, :]].max())
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_canonical_keeps_the_popcount_and_grouped_does_not(self, n):
+        inst = small_instance(seed=n, n=n, t=2.0 * n)
+        p = np.array(suzuki_seed(2)) + 1e-3 * np.arange(1, 6)
+        leaks = {
+            name: self.largest_between_popcount_blocks(
+                approximation(inst, DecompositionSpec(2, 5, ORDERINGS[name](n)), p), n)
+            for name in ("canonical", "grouped")
+        }
+        assert leaks["canonical"] <= 1e-14
+        assert leaks["grouped"] > 0.1
