@@ -374,28 +374,27 @@ def perms_study(
     _check_grid(r_grid, "r", least=1)
     if n_random < 1:
         raise ValueError("n_random must be >= 1")
+    rng = derive_generator(master_seed, PURPOSE_PERMS)
+    orderings = [
+        ("grouped", TermOrdering.grouped()),
+        ("canonical", TermOrdering.canonical()),
+        *(("random", TermOrdering.explicit(rng.permutation(4 * instance.n)))
+          for _ in range(n_random)),
+    ]
+    # Every spec first: a k that DecompositionSpec refuses is refused before
+    # any propagator or evaluator is built.
+    specs = {r: [DecompositionSpec(k, r, ordering) for _, ordering in orderings] for r in r_grid}
     seed_vec = suzuki_seed(k)
     exact = exact_propagator(instance)  # shared by every ordering and r
-    rng = derive_generator(master_seed, PURPOSE_PERMS)
-    random_orderings = [
-        TermOrdering.explicit(rng.permutation(4 * instance.n)) for _ in range(n_random)
-    ]
     # The evaluator of an ordering does not depend on r: one serves every r.
-    evaluated = [
-        (name, ordering, S2Evaluator.for_instance(instance, ordering))
-        for name, ordering in [
-            ("grouped", TermOrdering.grouped()),
-            ("canonical", TermOrdering.canonical()),
-            *(("random", ordering) for ordering in random_orderings),
-        ]
-    ]
+    evaluators = [S2Evaluator.for_instance(instance, ordering) for _, ordering in orderings]
     rows = []
     for r in r_grid:
-        # The count before merging is the same for every ordering.
-        unmerged = unmerged_gate_count(instance, DecompositionSpec(k, r, TermOrdering.grouped()))
+        # The count before merging is the same for every ordering; specs[r][0]
+        # is the grouped one.
+        unmerged = unmerged_gate_count(instance, specs[r][0])
         counts, errors = [], []
-        for name, ordering, evaluator in evaluated:
-            spec = DecompositionSpec(k, r, ordering)
+        for (name, _), spec, evaluator in zip(orderings, specs[r], evaluators):
             ctx = FitnessContext.create(instance, spec, exact=exact, evaluator=evaluator)
             count = merged_gate_count(instance, spec)
             error = evaluate(ctx, seed_vec)

@@ -131,7 +131,8 @@ def _identity_stack(n: int) -> np.ndarray:
 # 5-phase stack at n=8 took 1,226 minor faults per build (grouped kernel)
 # against 22 for five single builds, and 86 against 2 at n=6. 64 KiB holds
 # 8 phases at n=5 (8 KiB blocks), 2 at n=6 and 1 from n=7 on, where every
-# build stays single.
+# build stays single. ``cli.main`` raises that threshold for its own process
+# only, so the bound stays for a library caller, which keeps glibc's defaults.
 _STACK_BYTES = 64 * 1024
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import trotteropt
+from trotteropt import cli
 from trotteropt.cli import build_parser, main
 from trotteropt.records import read_record, write_record
 
@@ -534,6 +535,12 @@ class TestResourceBounds:
             1, "error: k=12 needs 5^11 S2 phases per slice, more than 100,000\n")
         assert not (tmp_path / "out.json").exists()
 
+    def test_perms_k_above_the_phase_cap(self, tmp_path):
+        done = run_fresh(tmp_path, "error", ["perms", "--k", "9", "--r-grid", "1"])
+        assert (done.returncode, done.stderr) == (
+            1, "error: k=9 needs 5^8 S2 phases per slice, more than 100,000\n")
+        assert not (tmp_path / "out.json").exists()
+
     def test_n_cap_above_the_chain_cap(self, tmp_path, instance_path):
         record, out = tmp_path / "run.json", tmp_path / "out.json"
         assert run(["optimize", "--instance", instance_path, "--r", "2", "--generations", "1",
@@ -542,6 +549,78 @@ class TestResourceBounds:
                                    "--n-cap", "13", "--out", out])
         assert (done.returncode, done.stderr) == (1, "error: --n-cap must be at most 12, got 13\n")
         assert not out.exists()
+
+
+# One generate-instance through cli.main, then n=8 evaluations in the same
+# process: 2 warm-ups and 10 counted, per ordering. Prints the minor page
+# faults per counted evaluation as JSON.
+N8_FAULTS = """
+import json, resource, sys
+import numpy as np
+from trotteropt import cli
+from trotteropt.fitness import FitnessContext, evaluate
+from trotteropt.model import ChainInstance, DecompositionSpec, TermOrdering
+from trotteropt.trotter import suzuki_seed
+
+assert cli.main(["generate-instance", "--n", "3", "--out", sys.argv[1]]) == 0
+instance = ChainInstance.random(8, np.random.default_rng(101), seed=101)
+p = np.array(suzuki_seed(2)) + 1e-5 * np.arange(1, 6)
+faults = {}
+for name, ordering in [("grouped", TermOrdering.grouped()), ("canonical", TermOrdering.canonical())]:
+    ctx = FitnessContext.create(instance, DecompositionSpec(2, 125, ordering))
+    for _ in range(2):
+        evaluate(ctx, p)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        evaluate(ctx, p)
+    faults[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
+print(json.dumps(faults))
+"""
+
+
+class TestMallocThresholds:
+    """cli.main raises glibc's malloc thresholds, so that n=7 and n=8 sector
+    blocks are reused from the heap rather than mapped and faulted in anew."""
+
+    def test_no_page_faults_in_the_n8_loop(self, tmp_path):
+        try:
+            glibc = os.confstr("CS_GNU_LIBC_VERSION")
+        except (AttributeError, ValueError, OSError):
+            glibc = None
+        if not glibc:
+            pytest.skip("CS_GNU_LIBC_VERSION is absent: not glibc, so cli.main sets no threshold")
+        env = dict(os.environ, PYTHONPATH=str(Path(trotteropt.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", N8_FAULTS, tmp_path / "i.json"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        faults = json.loads(done.stdout.splitlines()[-1])
+        # At glibc's default thresholds this read about 1,700 (grouped) and
+        # 2,500-2,900 (canonical) faults per evaluation.
+        assert faults["grouped"] <= 100 and faults["canonical"] <= 100, faults
+
+    def test_no_mallopt_without_glibc(self, monkeypatch):
+        import ctypes
+
+        def confstr(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        def cdll(*args, **kwargs):
+            raise AssertionError("mallopt reached without glibc")
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert cli._keep_blocks_on_heap.__wrapped__() is None
+
+    def test_both_thresholds_set_under_glibc(self, monkeypatch):
+        import ctypes
+
+        calls = []
+        libc = type("Libc", (), {"mallopt": staticmethod(lambda *a: calls.append(a) or 1)})
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        cli._keep_blocks_on_heap.__wrapped__()
+        assert calls == [(-3, 1 << 20), (-1, 8 << 20)]
 
 
 class TestOverflowingCoefficients:

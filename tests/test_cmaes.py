@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from trotteropt.cmaes import cma_init, cma_run, cma_step
+from trotteropt.fitness import FitnessContext, evaluate
+from trotteropt.model import ChainInstance, DecompositionSpec, TermOrdering
+from trotteropt.trotter import suzuki_seed
 
 TARGET = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
 
@@ -147,6 +150,39 @@ class TestRun:
         with pytest.raises(ValueError, match="initial step size must be finite and positive"):
             cma_run(np.zeros(3), sphere_3d, generations=1, sigma0=sigma0,
                     rng=np.random.default_rng(0))
+
+
+def _n4_fitness():
+    instance = ChainInstance.random(4, np.random.default_rng(101), seed=101)
+    ctx = FitnessContext.create(instance, DecompositionSpec(2, 5, TermOrdering.grouped()))
+    return lambda x: evaluate(ctx, x)
+
+
+class TestScaleInvariance:
+    """CMA-ES reads only the ranks of the fitnesses, and a power-of-two scale
+    is exact in float64 and keeps every order and tie: the same seed must
+    draw the same candidates, bit for bit."""
+
+    @pytest.mark.parametrize("scale", [2.0, 0.25, 1024.0])
+    @pytest.mark.parametrize("problem", ["rosenbrock", "n4_k2_fitness"])
+    def test_power_of_two_scale_moves_nothing(self, problem, scale):
+        if problem == "rosenbrock":
+            objective, seed, sigma0, generations = rosenbrock, np.zeros(5), 0.5, 150
+        else:
+            objective, seed, sigma0, generations = _n4_fitness(), suzuki_seed(2), 1e-3, 40
+        base = cma_run(seed, objective, generations, sigma0, np.random.default_rng(6))
+        scaled = cma_run(seed, lambda x: scale * objective(x), generations, sigma0,
+                         np.random.default_rng(6))
+        np.testing.assert_array_equal(scaled.best_x, base.best_x)
+        np.testing.assert_array_equal(scaled.final_mean, base.final_mean)
+        assert scaled.best_fitness == scale * base.best_fitness
+        assert len(scaled.trajectory) == len(base.trajectory) == generations
+        for a, b in zip(scaled.trajectory, base.trajectory):
+            assert a.sigma == b.sigma
+            assert a.best_fitness == scale * b.best_fitness
+            assert a.centroid_fitness == scale * b.centroid_fitness
+        # The run moved: a frozen search would pass any of the above.
+        assert base.best_fitness < objective(seed)
 
 
 def sphere_3d(x):

@@ -334,6 +334,16 @@ class TestPerms:
             perms_study(tiny, 2, [2], n_random=0, master_seed=8)
         assert calls == []
 
+    def test_capped_k_refused_before_any_work(self, tiny, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work done before the spec refused k")
+
+        monkeypatch.setattr(experiments, "exact_propagator", must_not_run)
+        monkeypatch.setattr(experiments, "suzuki_seed", must_not_run)
+        monkeypatch.setattr(S2Evaluator, "for_instance", must_not_run)
+        with pytest.raises(ValueError, match=r"^k=9 needs 5\^8 S2 phases per slice, more than 100,000$"):
+            perms_study(tiny, 9, [1])
+
     @pytest.mark.parametrize("r_grid", [[2], [2, 3, 5, 8]])
     def test_one_evaluator_per_ordering(self, tiny, monkeypatch, r_grid):
         built = []

@@ -202,6 +202,28 @@ class TestExtendedPrecisionReference:
         got = evaluate(FitnessContext.create(inst, spec), p)
         assert abs(got - reference) <= 1e-10 * reference
 
+    # The criterion-9 cell: n=4, instance seed 201, t = 2n = 8, k=3, grouped,
+    # Suzuki seed.
+    @staticmethod
+    def _criterion9_cell(r):
+        inst = instance(seed=201, n=4, t=8.0)
+        got = evaluate(FitnessContext.create(inst, DecompositionSpec(3, r, GROUPED)), suzuki_seed(3))
+        return got, reference_error(inst, 3, r, GROUPED, suzuki_seed(3))
+
+    def test_criterion9_cell_above_the_floor(self):
+        # 5.0519e-11 against 5.0507e-11: a gap of 1.1e-14.
+        got, reference = self._criterion9_cell(400)
+        assert abs(got - reference) <= 1e-13
+
+    def test_criterion9_cell_at_the_floor(self):
+        # A known float64-floor cell. The reference error is 7.9e-13, but
+        # roundoff in the slice itself leaves float64 at 5.74e-12, a gap of
+        # 4.9e-12. Pinned so that the floor shows and cannot grow unseen; the
+        # paper's regime (errors of 1e-3 to 1e-5) lies far above it.
+        got, reference = self._criterion9_cell(800)
+        assert reference < 1e-12
+        assert abs(got - reference) <= 1e-11
+
 
 class TestConcurrentEvaluate:
     def test_threaded_population_matches_serial(self):
