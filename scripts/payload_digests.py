@@ -9,11 +9,11 @@ temporary directory that is removed afterwards. Prints one line per output
 file, ``name sha256[:16]``: the stored payload digest of a record, or the
 digest of the file's bytes for an instance. Then, so that those lines stay
 comparable with older trees, one ``name.csv sha256[:16]`` line per CSV twin,
-the digest of its bytes. ``LATER_COMMANDS``, ``DEFAULT_COMMANDS`` and
-``EXPLICIT_RECORD_COMMANDS`` follow in the same way, each after all of the
-lines before it. Two trees whose outputs agree print the same lines, so a
-change meant to keep every output can be checked with ``diff`` against the
-lines of its parent commit.
+the digest of its bytes. ``LATER_COMMANDS``, ``DEFAULT_COMMANDS``,
+``EXPLICIT_RECORD_COMMANDS`` and ``RUN_RULE_COMMANDS`` follow in the same
+way, each after all of the lines before it. Two trees whose outputs agree
+print the same lines, so a change meant to keep every output can be checked
+with ``diff`` against the lines of its parent commit.
 
 BLAS runs on one thread unless the environment already sets a count, so
 ``OPENBLAS_NUM_THREADS=2 python3 scripts/payload_digests.py`` checks that
@@ -120,6 +120,17 @@ EXPLICIT_RECORD_COMMANDS = [
                              "--axis", "r", "--grid", "25,50"]),
 ]
 
+# Printed after the 49 lines above: an optimize at k = 3, which takes k = 3's
+# default step size (1e-8), and a sample with a drawn --ordering, which cli
+# resolves without loading the experiment drivers.
+RUN_RULE_COMMANDS = [
+    ("optimize_n4_k3", ["optimize", "--instance", "{dir}/instance_n4.json", "--k", "3",
+                        "--r", "5", "--generations", "3"]),
+    ("sample_n4_random", ["sample", "--instance", "{dir}/instance_n4.json", "--r", "2",
+                          "--ordering", "random", "--scheme", "around-suzuki",
+                          "--scales", "1e-3", "--samples", "2"]),
+]
+
 
 def fingerprint() -> dict:
     """What the last bits of the payloads depend on besides the tree: the
@@ -184,7 +195,8 @@ def main(argv: list) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     lines: list = []
     with tempfile.TemporaryDirectory(prefix="payload_digests_") as tmp:
-        groups = (COMMANDS, LATER_COMMANDS, DEFAULT_COMMANDS, EXPLICIT_RECORD_COMMANDS)
+        groups = (COMMANDS, LATER_COMMANDS, DEFAULT_COMMANDS, EXPLICIT_RECORD_COMMANDS,
+                  RUN_RULE_COMMANDS)
         ok = all(run(group, tmp, lines) for group in groups)
     if ok and argv:
         GOLDEN_LINES.parent.mkdir(exist_ok=True)

@@ -7,7 +7,8 @@ to --out as a JSON record plus a flat CSV twin next to it (see FORMATS.md).
 Each command loads only the modules it runs: the parser needs none of the
 numerics, and a handler imports ``experiments`` or ``sampler`` where it
 uses them. ``generate-instance`` loads ``records`` and ``model``
-alone, only ``sample`` loads ``sampler``, and only ``sweep-r --jobs``
+alone, only ``sample`` loads ``sampler`` (and neither ``experiments`` nor
+``cmaes``: ``--ordering`` names resolve here), and only ``sweep-r --jobs``
 above 1 loads the process pool. An option left out parses to ``None`` where
 the default needs numerics; ``experiments`` or ``sampler`` fills it in.
 """
@@ -20,8 +21,10 @@ import os
 import sys
 from pathlib import Path
 
-from .model import DecompositionSpec, _fields, _numbers
+from .model import DecompositionSpec, TermOrdering
 from .records import (
+    PURPOSE_ORDERING,
+    derive_generator,
     generate_instance,
     load_instance,
     read_record,
@@ -73,12 +76,19 @@ def _emit(args, payload: dict, csv_header: list[str], csv_rows=None) -> None:
     write_csv(out.with_suffix(".csv"), csv_header, csv_rows)
 
 
+def _ordering(name: str, n: int, master_seed: int) -> TermOrdering:
+    """The term ordering of an --ordering name: "random" draws a permutation
+    of the 4n terms from the master seed's ordering stream."""
+    if name == "random":
+        rng = derive_generator(master_seed, PURPOSE_ORDERING)
+        return TermOrdering.explicit(rng.permutation(4 * n))
+    return TermOrdering.grouped() if name == "grouped" else TermOrdering.canonical()
+
+
 def _instance_and_spec(args):
     """The instance and decomposition named by --instance, --k, --r, --ordering and --seed."""
-    from .experiments import make_ordering
-
     instance = load_instance(args.instance)
-    ordering = make_ordering(args.ordering, instance, args.seed)
+    ordering = _ordering(args.ordering, instance.n, args.seed)
     return instance, DecompositionSpec(args.k, args.r, ordering)
 
 
@@ -137,15 +147,14 @@ def _cmd_sweep_r(args) -> str:
     from . import experiments
 
     instance = load_instance(args.instance)
-    ordering = experiments.make_ordering(args.ordering, instance, args.seed)
-    p_fixed = None
+    run_payload = None
     if args.mode == "evaluate":
         if not args.record:
             raise ValueError("--mode evaluate needs --record with an optimize run")
-        p_final = _fields(read_record(args.record, "optimize"), "optimize record", "p_final")[0]
-        p_fixed = _numbers(p_final, "optimize record p_final")
+        run_payload = read_record(args.record, "optimize")
     payload = experiments.sweep_r(
-        instance, args.k, args.r_grid, ordering, mode=args.mode, p_fixed=p_fixed,
+        instance, args.k, args.r_grid, _ordering(args.ordering, instance.n, args.seed),
+        mode=args.mode, run_payload=run_payload,
         generations=args.generations, sigma0=args.sigma0, master_seed=args.seed,
         threshold=args.threshold, jobs=args.jobs,
     )
@@ -204,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="CMA-ES run from the Suzuki seed")
     _add_common(p, "instance", "k", "r", "ordering", "seed", "out")
     p.add_argument("--generations", type=int, default=None, help="default 250 (500 for k >= 3)")
-    p.add_argument("--sigma0", type=float, default=None, help="default 1e-7 / d")
+    p.add_argument("--sigma0", type=float, default=None,
+                   help="default 1e-7 / d; at least 1.11e-16, the Suzuki seed's float spacing")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("sample", help="fitness landscape sampling")
@@ -223,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["baseline", "optimize", "evaluate"], default="baseline")
     p.add_argument("--record", default=None, help="optimize record for --mode evaluate")
     p.add_argument("--generations", type=int, default=None)
-    p.add_argument("--sigma0", type=float, default=None)
+    p.add_argument("--sigma0", type=float, default=None, help="as for optimize")
     p.add_argument("--threshold", type=float, default=None,
                    help="report smallest r with error below this")
     p.set_defaults(func=_cmd_sweep_r)

@@ -79,16 +79,21 @@ class CmaRunResult:
     best_fitness: float
     trajectory: list[TrajectoryPoint]
     final_mean: np.ndarray
-    final_mean_fitness: float
     evaluations: int
     repairs: int
 
 
-def _check_step_size(sigma0: float) -> None:
-    """An initial step size must be finite and positive: an infinite one
-    sends every candidate to non-finite components."""
+def _check_step_size(sigma0: float, seed_vector) -> None:
+    """An initial step size must be finite and positive (an infinite one sends
+    every candidate to non-finite components) and at least the float spacing
+    of the seed's largest component: below it every candidate rounds to the
+    seed, and the update divides that roundoff by sigma."""
     if not (math.isfinite(sigma0) and sigma0 > 0):
         raise ValueError(f"initial step size must be finite and positive, got {sigma0}")
+    floor = math.ulp(float(np.max(np.abs(seed_vector))))
+    if sigma0 < floor:
+        raise ValueError(f"initial step size must be at least {floor:.3g}, the float spacing "
+                         f"of the seed's largest component, got {sigma0}")
 
 
 def cma_init(seed_vector, sigma0: float, popsize: int | None = None) -> CmaState:
@@ -101,7 +106,7 @@ def cma_init(seed_vector, sigma0: float, popsize: int | None = None) -> CmaState
     d = mean.size
     if d == 0:
         raise ValueError("cannot optimize a zero-dimensional vector")
-    _check_step_size(sigma0)
+    _check_step_size(sigma0, mean)
     lam = int(popsize) if popsize is not None else 4 + int(3 * math.log(d))
     if lam < 2:
         raise ValueError("population size must be at least 2")
@@ -209,7 +214,6 @@ def cma_run(
     generations: int,
     sigma0: float,
     rng: np.random.Generator,
-    popsize: int | None = None,
 ) -> CmaRunResult:
     """Run a fixed generation budget and keep the all-time best candidate.
 
@@ -220,7 +224,7 @@ def cma_run(
     """
     if generations < 1:
         raise ValueError("need at least one generation")
-    state = cma_init(seed_vector, sigma0, popsize)
+    state = cma_init(seed_vector, sigma0)
     best_x = np.array(seed_vector, dtype=float).ravel()
     best_f = float(objective(best_x))
     evaluations = 1
@@ -247,7 +251,6 @@ def cma_run(
         best_fitness=best_f,
         trajectory=trajectory,
         final_mean=state.mean.copy(),
-        final_mean_fitness=trajectory[-1].centroid_fitness,
         evaluations=evaluations,
         repairs=state.repair_count,
     )

@@ -32,7 +32,6 @@ from .records import (
     PURPOSE_APPEND,
     PURPOSE_CMA,
     PURPOSE_HOLDOUT,
-    PURPOSE_ORDERING,
     PURPOSE_PERMS,
     derive_generator,
 )
@@ -40,10 +39,7 @@ from .trotter import S2Evaluator, _check_coefficients, suzuki_seed
 
 __all__ = [
     "baseline_report",
-    "default_generations",
-    "default_sigma0",
     "generalize",
-    "make_ordering",
     "optimize_instance",
     "perms_study",
     "pmap",
@@ -55,19 +51,6 @@ __all__ = [
 # beyond that the reach is opt-in: --n-cap 10 scores n=10 in a few seconds
 # and ~100 MB. --n-cap goes no further than model.CHAIN_N_CAP.
 GENERALIZE_N_CAP = 8
-
-
-def default_generations(k: int) -> int:
-    """Fixed budgets: 250 generations at k = 2, 500 for the larger k = 3 space."""
-    return 500 if k >= 3 else 250
-
-
-def default_sigma0(k: int) -> float:
-    """Initial step size 1e-7 / d with d the optimized vector's length."""
-    d = 5 * (k - 1)
-    if d == 0:
-        raise ValueError("k = 1 has no coefficients to optimize")
-    return 1e-7 / d
 
 
 def pmap(fn, items, jobs: int = 1) -> list:
@@ -87,15 +70,17 @@ def pmap(fn, items, jobs: int = 1) -> list:
 
 
 def _run_settings(k: int, generations: int | None, sigma0: float | None) -> tuple[int, float]:
-    """An optimize run's generations and step size, ``None`` taking k's default;
-    checks that k >= 2, generations >= 1 and the step size is usable."""
+    """An optimize run's generations and step size, ``None`` taking k's default:
+    250 generations at k = 2 and 500 for the larger spaces of k >= 3, and a
+    step size of 1e-7 / d for the d = 5(k - 1) coefficients. Checks that
+    k >= 2, generations >= 1 and the step size is usable on the Suzuki seed."""
     if k < 2:
         raise ValueError(f"k = {k} has no coefficients to optimize")
-    generations = default_generations(k) if generations is None else generations
-    sigma0 = default_sigma0(k) if sigma0 is None else sigma0
+    generations = (500 if k >= 3 else 250) if generations is None else generations
+    sigma0 = 1e-7 / (5 * (k - 1)) if sigma0 is None else sigma0
     if generations < 1:
         raise ValueError("generations must be >= 1")
-    _check_step_size(sigma0)
+    _check_step_size(sigma0, suzuki_seed(k))
     return generations, sigma0
 
 
@@ -109,17 +94,10 @@ def _check_grid(grid: list, name: str, least: int | None = None) -> None:
         raise ValueError(f"{name} grid values must be >= {least}, got {grid[0]}")
 
 
-def make_ordering(name: str, instance: ChainInstance, master_seed: int) -> TermOrdering:
-    """Resolve a CLI ordering name; "random" draws a permutation of the term
-    list from the master seed's ordering stream, the others ignore the seed."""
-    if name == "canonical":
-        return TermOrdering.canonical()
-    if name == "grouped":
-        return TermOrdering.grouped()
-    if name == "random":
-        rng = derive_generator(master_seed, PURPOSE_ORDERING)
-        return TermOrdering.explicit(rng.permutation(4 * instance.n))
-    raise ValueError(f"unknown ordering {name!r}")
+def _optimized_vector(run_payload: dict, k: int) -> np.ndarray:
+    """An optimize record's ``p_final``, checked as a coefficient vector for k."""
+    (p_final,) = _fields(run_payload, "optimize record", "p_final")
+    return _check_coefficients(_numbers(p_final, "optimize record p_final"), k)
 
 
 def baseline_report(instance: ChainInstance, spec: DecompositionSpec) -> dict:
@@ -175,7 +153,7 @@ def _optimize(ctx: FitnessContext, generations: int, sigma0: float, master_seed:
         "error_final": result.best_fitness,
         "reduction_pct": error_reduction_pct(error_initial, result.best_fitness),
         "final_centroid": [float(x) for x in result.final_mean],
-        "final_centroid_error": result.final_mean_fitness,
+        "final_centroid_error": result.trajectory[-1].centroid_fitness,
         "evaluations": result.evaluations,
         "repairs": result.repairs,
         "trajectory": [
@@ -209,7 +187,7 @@ def sweep_r(
     r_grid: list[int],
     ordering: TermOrdering,
     mode: str = "baseline",
-    p_fixed: list[float] | None = None,
+    run_payload: dict | None = None,
     generations: int | None = None,
     sigma0: float | None = None,
     master_seed: int = 0,
@@ -218,10 +196,10 @@ def sweep_r(
 ) -> dict:
     """Baseline (and optional optimized) error per r on one instance.
 
-    ``mode`` is one of baseline / optimize / evaluate; "evaluate" scores a
-    fixed coefficient vector at every r. A threshold adds the smallest grid
-    r whose error beats it, for the gate-saving readout. Every argument is
-    checked before any cell runs.
+    ``mode`` is one of baseline / optimize / evaluate; "evaluate" scores the
+    optimized vector of ``run_payload``, an optimize record, at every r. A
+    threshold adds the smallest grid r whose error beats it, for the
+    gate-saving readout. Every argument is checked before any cell runs.
     """
     _check_grid(r_grid, "r", least=1)
     if jobs < 1:
@@ -230,15 +208,18 @@ def sweep_r(
         raise ValueError(f"threshold must be finite, got {threshold}")
     if mode not in ("baseline", "optimize", "evaluate"):
         raise ValueError(f"unknown sweep mode {mode!r}")
+    # The specs first: a k that DecompositionSpec refuses is refused before
+    # a Suzuki seed of that k is built.
+    specs = [DecompositionSpec(k, r, ordering) for r in r_grid]
+    p_fixed = None
     if mode == "evaluate":
-        if p_fixed is None:
-            raise ValueError("evaluate mode needs a coefficient vector")
-        _check_coefficients(p_fixed, k)
+        if run_payload is None:
+            raise ValueError("evaluate mode needs an optimize record")
+        p_fixed = _optimized_vector(run_payload, k)
     if mode == "optimize":
         # Only optimize mode has a budget, so the other modes take any k, 1 included.
         generations, sigma0 = _run_settings(k, generations, sigma0)
     cell = partial(_sweep_cell, instance, mode, p_fixed, generations, sigma0, master_seed)
-    specs = [DecompositionSpec(k, r, ordering) for r in r_grid]
     rows = pmap(cell, enumerate(specs), jobs)
     payload = {
         "command": "sweep-r",
@@ -291,11 +272,11 @@ def generalize(
         raise ValueError(f"axis=v takes a single hold-out count, got {len(grid)} values")
     if axis in ("n", "t", "r"):
         _check_grid(grid, f"axis={axis}")
-    instance_form, spec_form, p_final, seed = _fields(
+    instance_form, spec_form, _, seed = _fields(
         run_payload, "optimize record", "instance", "spec", "p_final", "seed")
     base_instance = ChainInstance.from_dict(instance_form)
     spec = DecompositionSpec.from_dict(spec_form)
-    p_opt = _check_coefficients(_numbers(p_final, "optimize record p_final"), spec.k)
+    p_opt = _optimized_vector(run_payload, spec.k)
     p_seed = suzuki_seed(spec.k)
     record_seed = _seed(seed, "record seed")
 

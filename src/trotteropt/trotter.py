@@ -66,26 +66,19 @@ __all__ = [
     "S2Evaluator",
     "build_approximation",
     "slice_phases",
-    "suzuki_coefficient",
     "suzuki_seed",
 ]
 
 
-def suzuki_coefficient(k: int) -> float:
-    """Suzuki's recursion coefficient 1 / (4 - 4^(1/(2k-1))) for level k >= 2."""
-    if k < 2:
-        raise ValueError("recursion coefficients exist for k >= 2 only")
-    return 1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1)))
-
-
 def suzuki_seed(k: int) -> tuple[float, ...]:
     """The Suzuki vector: blocks (p, p, 1-4p, p, p) concatenated for levels
-    2..k. Empty for k = 1 (plain second-order slicing)."""
+    2..k, with Suzuki's recursion coefficient p = 1 / (4 - 4^(1/(2l-1))) at
+    level l. Empty for k = 1 (plain second-order slicing)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     comps: list[float] = []
     for level in range(2, k + 1):
-        p = suzuki_coefficient(level)
+        p = 1.0 / (4.0 - 4.0 ** (1.0 / (2 * level - 1)))
         comps.extend([p, p, 1.0 - 4.0 * p, p, p])
     return tuple(comps)
 

@@ -17,6 +17,10 @@ extended precision, as a check on the float64 fitness.
 ``grouped_s2_reference`` is the grouped S2 kernel in the form it had before
 the XX and YY groups shared a Walsh product: two Walsh products, and S2 as
 ``F @ F.swapaxes(-1, -2)`` at every block size.
+
+``reference_cma_step`` is one CMA-ES generation written from the pseudocode
+and default table of Hansen's tutorial (arXiv:1604.00772), not from
+``trotteropt.cmaes``.
 """
 
 from functools import reduce
@@ -174,3 +178,58 @@ def grouped_s2_reference(evaluator, phases) -> np.ndarray:
     yy *= (s.conj() * np.take(d[:, 2], states, axis=1))[:, :, None, :]
     forward = np.take(np.matmul(walsh, d[:, 0, :, None])[:, :, 0], xor, axis=1) @ yy
     return forward @ forward.swapaxes(-1, -2)
+
+
+def reference_cma_step(m, sigma, C, p_sigma, p_c, g, objective, rng):
+    """One generation of Hansen's tutorial (arXiv:1604.00772, Fig. 6 and
+    Table 1) with positive recombination weights only (w_i = 0 for i > mu,
+    no active update), from its state: mean m, step size sigma, covariance
+    C, evolution paths p_sigma and p_c, and the generation count g.
+    Returns the next (m, sigma, C, p_sigma, p_c).
+
+    The lambda steps are drawn as ``rng.standard_normal((lambda, n))``, one
+    z per row. Unlike ``cmaes.cma_step``, the weighted step <y>_w is the
+    weighted sum of the drawn steps y = B D z, and the rank-mu update reads
+    those steps, not differences of rounded candidates.
+    """
+    n = len(m)
+    # Table 1: selection and recombination, then adaptation.
+    lam = 4 + int(np.floor(3 * np.log(n)))
+    mu = lam // 2
+    w = np.log((lam + 1) / 2) - np.log(np.arange(1, mu + 1))
+    w = w / w.sum()
+    mu_eff = 1 / np.sum(w**2)
+    c_sigma = (mu_eff + 2) / (n + mu_eff + 5)
+    d_sigma = 1 + 2 * max(0, np.sqrt((mu_eff - 1) / (n + 1)) - 1) + c_sigma
+    c_c = (4 + mu_eff / n) / (n + 4 + 2 * mu_eff / n)
+    c_1 = 2 / ((n + 1.3) ** 2 + mu_eff)
+    c_mu = min(1 - c_1, 2 * (mu_eff - 2 + 1 / mu_eff) / ((n + 2) ** 2 + 2 * mu_eff / 2))
+    e_norm = np.sqrt(n) * (1 - 1 / (4 * n) + 1 / (21 * n**2))  # E||N(0, I)||
+
+    # Sample: C = B D^2 B^T, y_k = B D z_k, x_k = m + sigma y_k.
+    eigenvalues, B = np.linalg.eigh(C)
+    D = np.sqrt(eigenvalues)
+    z = rng.standard_normal((lam, n))
+    y = np.array([B @ (D * z_k) for z_k in z])
+    x = m + sigma * y
+    order = np.argsort([objective(x_k) for x_k in x], kind="stable")
+
+    # Recombine: <y>_w = sum_i w_i y_(i:lambda), m <- m + c_m sigma <y>_w, c_m = 1.
+    y_sel = y[order[:mu]]
+    y_w = w @ y_sel
+    m_new = m + sigma * y_w
+
+    # Step-size control through C^(-1/2) = B D^-1 B^T.
+    C_inv_sqrt = B @ np.diag(1 / D) @ B.T
+    p_sigma = (1 - c_sigma) * p_sigma + np.sqrt(c_sigma * (2 - c_sigma) * mu_eff) * (C_inv_sqrt @ y_w)
+    norm_p_sigma = np.linalg.norm(p_sigma)
+    sigma_new = sigma * np.exp(c_sigma / d_sigma * (norm_p_sigma / e_norm - 1))
+
+    # Covariance matrix adaptation, with the stall of p_c (h_sigma).
+    stalled = norm_p_sigma / np.sqrt(1 - (1 - c_sigma) ** (2 * (g + 1)))
+    h_sigma = 1.0 if stalled < (1.4 + 2 / (n + 1)) * e_norm else 0.0
+    p_c = (1 - c_c) * p_c + h_sigma * np.sqrt(c_c * (2 - c_c) * mu_eff) * y_w
+    delta = (1 - h_sigma) * c_c * (2 - c_c)
+    rank_mu = sum(w_i * np.outer(y_i, y_i) for w_i, y_i in zip(w, y_sel))
+    C_new = (1 + c_1 * delta - c_1 - c_mu * w.sum()) * C + c_1 * np.outer(p_c, p_c) + c_mu * rank_mu
+    return m_new, float(sigma_new), C_new, p_sigma, p_c

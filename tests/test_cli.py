@@ -11,6 +11,7 @@ import pytest
 import trotteropt
 from trotteropt import cli
 from trotteropt.cli import build_parser, main
+from trotteropt.model import OrderingMode
 from trotteropt.records import read_record, write_record
 
 
@@ -655,6 +656,38 @@ class TestOverflowingCoefficients:
         assert not (tmp_path / "out.json").exists()
 
 
+class TestStepSizeFloor:
+    """A step size below the float spacing of the Suzuki seed's largest
+    component (1.11e-16 at every k) is refused by name before any work:
+    otherwise every candidate rounds to the seed, and sigma overflows or
+    runs away."""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--r", "2", "--generations", "4", "--sigma0", "1e-30"],
+        ["sweep-r", "--r-grid", "2", "--mode", "optimize", "--generations", "4",
+         "--sigma0", "1e-30"],
+        ["optimize", "--r", "2", "--generations", "4", "--sigma0", "1e-300"],
+        ["optimize", "--r", "2", "--generations", "4", "--sigma0", "1e-18"],
+        ["optimize", "--k", "3", "--r", "2", "--generations", "4", "--sigma0", "1e-18"],
+    ], ids=["optimize_1e-30", "sweep_r_1e-30", "optimize_1e-300", "optimize_1e-18",
+            "optimize_k3_1e-18"])
+    def test_refused_with_one_error_line(self, tmp_path, argv):
+        done = run_fresh(tmp_path, "error", argv)
+        assert (done.returncode, done.stderr) == (1, (
+            "error: initial step size must be at least 1.11e-16, the float spacing of the "
+            f"seed's largest component, got {float(argv[-1])}\n"))
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep-r"])
+    def test_refused_before_any_work(self, tmp_path, instance_path, capsys, no_work, command):
+        out = tmp_path / "out.json"
+        grid = ["--r", "2"] if command == "optimize" else ["--r-grid", "2", "--mode", "optimize"]
+        assert run([command, "--instance", instance_path, *grid, "--sigma0", "1e-17",
+                    "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: initial step size must be at least ")
+        assert not out.exists()
+
+
 # Each command that takes --seed, with its other arguments; "{instance}" is
 # an instance path. baseline runs both with and without a drawn ordering.
 SEEDED = {
@@ -698,6 +731,27 @@ class TestNegativeSeed:
 def _option(command: str, flag: str) -> argparse.Action:
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return next(a for a in commands.choices[command]._actions if flag in a.option_strings)
+
+
+class TestMakeOrdering:
+    """``--ordering`` names resolve in ``cli``; "random" draws a permutation
+    from the master seed's ordering stream, the others ignore the seed."""
+
+    def test_named(self):
+        assert cli._ordering("canonical", 3, 0).mode is OrderingMode.CANONICAL
+        assert cli._ordering("grouped", 3, 0).mode is OrderingMode.GROUPED
+
+    def test_random_is_seeded(self):
+        a = cli._ordering("random", 3, 5)
+        b = cli._ordering("random", 3, 5)
+        c = cli._ordering("random", 3, 6)
+        assert a == b
+        assert a != c
+        assert sorted(a.permutation) == list(range(12))
+
+    def test_every_choice_names_its_own_mode(self):
+        choices = _option("baseline", "--ordering").choices
+        assert {cli._ordering(name, 3, 0).mode for name in choices} == set(OrderingMode)
 
 
 class TestParser:

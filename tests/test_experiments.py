@@ -1,19 +1,16 @@
-import numpy as np
 import pytest
 
 from trotteropt import experiments, fitness
 from trotteropt.experiments import (
+    _run_settings,
     baseline_report,
-    default_generations,
-    default_sigma0,
     generalize,
-    make_ordering,
     optimize_instance,
     perms_study,
     sweep_r,
 )
 from trotteropt.fitness import FitnessContext, evaluate, exact_propagator
-from trotteropt.model import DecompositionSpec, OrderingMode, TermOrdering
+from trotteropt.model import DecompositionSpec, TermOrdering
 from trotteropt.records import generate_instance, payload_digest
 from trotteropt.trotter import S2Evaluator, suzuki_seed
 
@@ -28,14 +25,15 @@ def tiny():
 
 class TestDefaults:
     def test_generations(self):
-        assert default_generations(2) == 250
-        assert default_generations(3) == 500
+        assert _run_settings(2, None, 1e-3) == (250, 1e-3)
+        assert _run_settings(3, None, 1e-3) == (500, 1e-3)
 
     def test_sigma0(self):
-        assert default_sigma0(2) == 2e-8
-        assert default_sigma0(3) == 1e-8
-        with pytest.raises(ValueError):
-            default_sigma0(1)
+        # 1e-7 / d for the d = 5(k - 1) coefficients.
+        assert _run_settings(2, 4, None) == (4, 2e-8)
+        assert _run_settings(3, 4, None) == (4, 1e-8)
+        with pytest.raises(ValueError, match="^k = 1 has no coefficients to optimize$"):
+            _run_settings(1, 4, None)
 
 
 class TestGenerateInstance:
@@ -49,24 +47,6 @@ class TestGenerateInstance:
         assert inst.t == 10.0
         assert all(abs(x) <= 1 for x in inst.v)
         assert generate_instance(4, 3.5, 1).t == 3.5
-
-
-class TestMakeOrdering:
-    def test_named(self, tiny):
-        assert make_ordering("canonical", tiny, 0).mode is OrderingMode.CANONICAL
-        assert make_ordering("grouped", tiny, 0).mode is OrderingMode.GROUPED
-
-    def test_random_is_seeded(self, tiny):
-        a = make_ordering("random", tiny, 5)
-        b = make_ordering("random", tiny, 5)
-        c = make_ordering("random", tiny, 6)
-        assert a == b
-        assert a != c
-        assert sorted(a.permutation) == list(range(12))
-
-    def test_unknown_name(self, tiny):
-        with pytest.raises(ValueError):
-            make_ordering("sorted", tiny, 0)
 
 
 class TestBaselineReport:
@@ -121,15 +101,16 @@ class TestSweepR:
         assert payload["baseline_r_at_threshold"] == expected
 
     def test_evaluate_mode(self, tiny):
-        p = list(np.array([0.41, 0.41, -0.64, 0.41, 0.41]))
-        payload = sweep_r(tiny, 2, [2, 4], GROUPED, mode="evaluate", p_fixed=p)
+        p = [0.41, 0.41, -0.64, 0.41, 0.41]
+        payload = sweep_r(tiny, 2, [2, 4], GROUPED, mode="evaluate", run_payload={"p_final": p})
         for row in payload["rows"]:
             assert "optimized_error" in row and "reduction_pct" in row
 
     @pytest.mark.parametrize("mode,p_fixed", [("baseline", None), ("evaluate", [])])
     def test_k1_needs_no_optimizer_defaults(self, tiny, mode, p_fixed):
         # k = 1 has no coefficients to optimize, which only optimize mode needs.
-        payload = sweep_r(tiny, 1, [2, 4], GROUPED, mode=mode, p_fixed=p_fixed)
+        run_payload = None if p_fixed is None else {"p_final": p_fixed}
+        payload = sweep_r(tiny, 1, [2, 4], GROUPED, mode=mode, run_payload=run_payload)
         assert [row["r"] for row in payload["rows"]] == [2, 4]
         with pytest.raises(ValueError, match="k = 1 has no coefficients to optimize"):
             sweep_r(tiny, 1, [2, 4], GROUPED, mode="optimize")
@@ -375,6 +356,6 @@ class TestPerms:
         monkeypatch.undo()
         for row in payload["rows"]:
             if row["ordering"] != "random":
-                ordering = make_ordering(row["ordering"], tiny, 0)
+                ordering = getattr(TermOrdering, row["ordering"])()
                 ctx = FitnessContext.create(tiny, DecompositionSpec(2, row["r"], ordering))
                 assert row["error"] == evaluate(ctx, suzuki_seed(2))

@@ -188,11 +188,27 @@ class TestExtendedPrecisionReference:
     terms and term order and works in long double: in the paper's regime
     the float64 fitness stays far above its roundoff floor."""
 
+    # The float64 fitness carries an absolute roundoff of up to about 1e-14
+    # (tens of ulps of the O(1) entries of exp(-itH) and of the product,
+    # whose difference it measures), so the relative gap is largest where
+    # the error is smallest. The n=4, r=125 canonical perturbed cell has the
+    # smallest error of these cells, 1.2e-4, and reads 1.1e-14 / 1.2e-4 =
+    # 9.2e-11, under its 1e-10 bound with little to spare.
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("r", [25, 125])
     @pytest.mark.parametrize("ordering", ["grouped", "canonical", "random"])
     @pytest.mark.parametrize("p", [suzuki_seed(2), PERTURBED], ids=["suzuki", "perturbed"])
     def test_fitness_matches_reference(self, n, r, ordering, p):
+        self.check_cell(n, r, ordering, p)
+
+    @pytest.mark.parametrize("ordering", ["grouped", "canonical"])
+    def test_n6_fitness_matches_reference(self, ordering):
+        # About 0.6 s each, in the reference's 64-row long-double products;
+        # both gaps read 2.9e-11.
+        self.check_cell(6, 125, ordering, PERTURBED)
+
+    @staticmethod
+    def check_cell(n, r, ordering, p):
         assert np.finfo(np.longdouble).eps < 1e-18, "no extended precision on this platform"
         inst = instance(seed=101, n=n, t=2.0 * n)
         order = {"grouped": GROUPED, "canonical": TermOrdering.canonical(),

@@ -26,7 +26,6 @@ from trotteropt.trotter import (
     _phases_per_stack,
     build_approximation,
     slice_phases,
-    suzuki_coefficient,
     suzuki_seed,
 )
 
@@ -66,31 +65,38 @@ def approximation(inst, spec, p):
 
 
 class TestSuzukiCoefficient:
+    """Suzuki's recursion coefficient of level l is the first entry of the
+    seed's block for l."""
+
     def test_level_2(self):
-        assert suzuki_coefficient(2) == pytest.approx(P2, abs=1e-15)
+        assert suzuki_seed(2)[0] == pytest.approx(P2, abs=1e-15)
 
     def test_level_3(self):
-        assert suzuki_coefficient(3) == pytest.approx(P3, abs=1e-15)
+        assert suzuki_seed(3)[5] == pytest.approx(P3, abs=1e-15)
 
     def test_middle_entry(self):
-        assert 1 - 4 * suzuki_coefficient(2) == pytest.approx(-0.6579630871775028, abs=1e-15)
+        assert suzuki_seed(2)[2] == pytest.approx(-0.6579630871775028, abs=1e-15)
 
     def test_rejects_level_below_2(self):
-        with pytest.raises(ValueError):
-            suzuki_coefficient(1)
+        # k = 1 has no level of its own, and k = 0 is no order.
+        assert suzuki_seed(1) == ()
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            suzuki_seed(0)
 
 
 class TestSuzukiSeed:
     def test_k2_block(self):
-        p = suzuki_coefficient(2)
+        p = suzuki_seed(2)[0]
         assert suzuki_seed(2) == (p, p, 1 - 4 * p, p, p)
+        assert p == 1.0 / (4.0 - 4.0 ** (1.0 / 3))
 
     def test_k3_concatenation(self):
         seed = suzuki_seed(3)
         assert len(seed) == 10
         assert seed[:5] == suzuki_seed(2)
-        p = suzuki_coefficient(3)
+        p = seed[5]
         assert seed[5:] == (p, p, 1 - 4 * p, p, p)
+        assert p == 1.0 / (4.0 - 4.0 ** (1.0 / 5))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_blocks_sum_to_one(self, k):
@@ -137,7 +143,7 @@ class TestPhaseExpansion:
         # Five entries divided by 3, repeated three times.
         inst = small_instance()
         ev = S2Evaluator.for_instance(inst, GROUPED)
-        p = suzuki_coefficient(2)
+        p = suzuki_seed(2)[0]
         expected = np.eye(8, dtype=complex)
         for x in np.tile(np.array([p, p, 1 - 4 * p, p, p]) / 3, 3):
             expected = expected @ dense(ev.s2(x))
