@@ -10,10 +10,10 @@ file, ``name sha256[:16]``: the stored payload digest of a record, or the
 digest of the file's bytes for an instance. Then, so that those lines stay
 comparable with older trees, one ``name.csv sha256[:16]`` line per CSV twin,
 the digest of its bytes. ``LATER_COMMANDS``, ``DEFAULT_COMMANDS``,
-``EXPLICIT_RECORD_COMMANDS`` and ``RUN_RULE_COMMANDS`` follow in the same
-way, each after all of the lines before it. Two trees whose outputs agree
-print the same lines, so a change meant to keep every output can be checked
-with ``diff`` against the lines of its parent commit.
+``EXPLICIT_RECORD_COMMANDS``, ``RUN_RULE_COMMANDS`` and ``SPLIT_GRID_COMMANDS``
+follow in the same way, each after all of the lines before it. Two trees
+whose outputs agree print the same lines, so a change meant to keep every
+output can be checked with ``diff`` against the lines of its parent commit.
 
 BLAS runs on one thread unless the environment already sets a count, so
 ``OPENBLAS_NUM_THREADS=2 python3 scripts/payload_digests.py`` checks that
@@ -131,6 +131,18 @@ RUN_RULE_COMMANDS = [
                           "--scales", "1e-3", "--samples", "2"]),
 ]
 
+# Printed after the 53 lines above: perms r grids whose Suzuki phases split
+# across S2 stacks at k = 2 (n=5: two stacks), take two r per stack (n=5,
+# k = 3) and one r per stack (n=6).
+SPLIT_GRID_COMMANDS = [
+    ("perms_n5_split", ["perms", "--instance", "{dir}/instance_n5.json",
+                        "--r-grid", "5,10,15,20,25", "--n-random", "3"]),
+    ("perms_n5_k3_pairs", ["perms", "--instance", "{dir}/instance_n5.json", "--k", "3",
+                           "--r-grid", "3,5,7", "--n-random", "2"]),
+    ("perms_n6_single", ["perms", "--instance", "{dir}/instance_n6.json",
+                         "--r-grid", "10,20", "--n-random", "2"]),
+]
+
 
 def fingerprint() -> dict:
     """What the last bits of the payloads depend on besides the tree: the
@@ -196,7 +208,7 @@ def main(argv: list) -> int:
     lines: list = []
     with tempfile.TemporaryDirectory(prefix="payload_digests_") as tmp:
         groups = (COMMANDS, LATER_COMMANDS, DEFAULT_COMMANDS, EXPLICIT_RECORD_COMMANDS,
-                  RUN_RULE_COMMANDS)
+                  RUN_RULE_COMMANDS, SPLIT_GRID_COMMANDS)
         ok = all(run(group, tmp, lines) for group in groups)
     if ok and argv:
         GOLDEN_LINES.parent.mkdir(exist_ok=True)

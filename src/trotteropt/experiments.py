@@ -35,7 +35,7 @@ from .records import (
     PURPOSE_PERMS,
     derive_generator,
 )
-from .trotter import S2Evaluator, _check_coefficients, suzuki_seed
+from .trotter import S2Evaluator, _check_coefficients, _phases_per_stack, slice_phases, suzuki_seed
 
 __all__ = [
     "baseline_report",
@@ -317,11 +317,13 @@ def generalize(
     else:
         raise ValueError(f"unknown axis {axis!r}")
 
-    # Every r point shares the source instance, and so its propagator.
+    # Every r point shares the source instance and ordering, and so its
+    # propagator and evaluator.
     exact = exact_propagator(base_instance) if axis == "r" else None
+    evaluator = S2Evaluator.for_instance(base_instance, spec.ordering) if axis == "r" else None
     rows = []
     for value, inst, point_spec in points:
-        ctx = FitnessContext.create(inst, point_spec, exact=exact)
+        ctx = FitnessContext.create(inst, point_spec, exact=exact, evaluator=evaluator)
         baseline = evaluate(ctx, p_seed)
         optimized = evaluate(ctx, p_opt)
         rows.append(
@@ -351,40 +353,55 @@ def perms_study(
     master_seed: int = 0,
 ) -> dict:
     """Gate count vs Suzuki-seed error for grouped, canonical, and averaged
-    random term orderings, per r."""
+    random term orderings, per r. Ordering by ordering, from one evaluator
+    each, the r grid taken in runs whose distinct Suzuki phases fit one S2
+    stack: a run of several r is scored from one stack (``evaluate``'s
+    ``held``), a lone r as any evaluation. The rows come r-major."""
     _check_grid(r_grid, "r", least=1)
     if n_random < 1:
         raise ValueError("n_random must be >= 1")
     rng = derive_generator(master_seed, PURPOSE_PERMS)
     orderings = [
-        ("grouped", TermOrdering.grouped()),
-        ("canonical", TermOrdering.canonical()),
-        *(("random", TermOrdering.explicit(rng.permutation(4 * instance.n)))
-          for _ in range(n_random)),
+        TermOrdering.grouped(),
+        TermOrdering.canonical(),
+        *(TermOrdering.explicit(rng.permutation(4 * instance.n)) for _ in range(n_random)),
     ]
     # Every spec first: a k that DecompositionSpec refuses is refused before
     # any propagator or evaluator is built.
-    specs = {r: [DecompositionSpec(k, r, ordering) for _, ordering in orderings] for r in r_grid}
+    specs = {r: [DecompositionSpec(k, r, ordering) for ordering in orderings] for r in r_grid}
     seed_vec = suzuki_seed(k)
     exact = exact_propagator(instance)  # shared by every ordering and r
-    # The evaluator of an ordering does not depend on r: one serves every r.
-    evaluators = [S2Evaluator.for_instance(instance, ordering) for _, ordering in orderings]
-    rows = []
+    runs: list[tuple[list, dict]] = []  # each run's r and its distinct phases, in order
     for r in r_grid:
+        phases = dict.fromkeys((slice_phases(seed_vec) / r).tolist())
+        if runs and len(runs[-1][1] | phases) <= _phases_per_stack(instance.n):
+            runs[-1][0].append(r)
+            runs[-1][1].update(phases)
+        else:
+            runs.append(([r], phases))
+
+    def scores(j: int) -> list[tuple]:
+        """(merged gates, error) of ordering j at each r; its evaluator and
+        stacks go when it returns."""
+        evaluator, out = S2Evaluator.for_instance(instance, orderings[j]), []
+        for run, phases in runs:
+            held = None  # the last run's stack goes before the next is built
+            if len(run) > 1:
+                held = dict(zip(phases, evaluator.s2_stack(list(phases))))
+            for r in run:
+                ctx = FitnessContext.create(instance, specs[r][j], exact=exact, evaluator=evaluator)
+                out.append((merged_gate_count(instance, specs[r][j]), evaluate(ctx, seed_vec, held)))
+        return out
+
+    rows = []
+    for r, scored in zip(r_grid, zip(*[scores(j) for j in range(len(orderings))])):
         # The count before merging is the same for every ordering; specs[r][0]
         # is the grouped one.
         unmerged = unmerged_gate_count(instance, specs[r][0])
-        counts, errors = [], []
-        for (name, _), spec, evaluator in zip(orderings, specs[r], evaluators):
-            ctx = FitnessContext.create(instance, spec, exact=exact, evaluator=evaluator)
-            count = merged_gate_count(instance, spec)
-            error = evaluate(ctx, seed_vec)
-            if name == "random":
-                counts.append(count)
-                errors.append(error)
-            else:
-                rows.append({"ordering": name, "r": r, "merged_gates": count,
-                             "unmerged_gates": unmerged, "error": error})
+        for name, (count, error) in zip(("grouped", "canonical"), scored):
+            rows.append({"ordering": name, "r": r, "merged_gates": count,
+                         "unmerged_gates": unmerged, "error": error})
+        counts, errors = zip(*scored[2:])
         rows.append({"ordering": "random", "r": r, "merged_gates": float(np.mean(counts)),
                      "unmerged_gates": unmerged, "error": float(np.mean(errors))})
     return {

@@ -84,16 +84,18 @@ class FitnessContext:
         return cls(instance=instance, spec=spec, exact=exact, evaluator=evaluator)
 
 
-def evaluate(ctx: FitnessContext, p) -> float:
+def evaluate(ctx: FitnessContext, p, held: dict | None = None) -> float:
     """Spectral-norm error of the circuit built from coefficients ``p``.
 
     Deterministic: the same floats give bit-identical values, whatever
     sequence holds them. No S2 block is kept from one evaluation to the
     next; within one, a block reused for a repeated phase is the block a
-    rebuild would give. A vector of the wrong length, or one that a
-    diverged search left non-finite or too large, raises ``ValueError``.
+    rebuild would give, as is a block of ``ctx.evaluator`` that the caller
+    passes in ``held`` (see ``build_approximation``). A vector of the wrong
+    length, or one that a diverged search left non-finite or too large,
+    raises ``ValueError``.
     """
-    approx = build_approximation(ctx.evaluator, ctx.spec, p)
+    approx = build_approximation(ctx.evaluator, ctx.spec, p, held)
     return spectral_norm(ctx.exact - approx)
 
 

@@ -154,6 +154,8 @@ class ChainInstance:
         object.__setattr__(self, "t", float(self.t))
         if not (np.isfinite(self.t) and self.t > 0):
             raise ValueError("simulation time must be positive and finite")
+        if not np.isfinite(self.t * 4 * self.n):  # ||H|| t <= 4n t must not overflow
+            raise ValueError(f"simulation time t={self.t} is too large: 4n t overflows at n={self.n}")
 
     @classmethod
     def random(

@@ -14,10 +14,12 @@ several at a time: when a phase that it does not hold comes up, it builds
 that phase and the next distinct ones, in order of first use, as one stack
 (``S2Evaluator.s2_stack``) of at most ``_STACK_BYTES`` of blocks. It holds
 each block until its phase's last use and passes what it holds to
-``S2Evaluator.s2``, which returns a held block rather than build it again.
-The evaluator holds no block. That is the only path from coefficients to
-an approximation. The order parameter k = 1 is admitted as the degenerate
-case with an empty coefficient vector, meaning plain S2 slicing.
+``S2Evaluator.s2``, which returns a held block rather than build it again;
+a caller may hand it blocks it already holds (``perms`` builds one stack
+for several r), and only the other phases are built. The evaluator holds
+no block. That is the only path from coefficients to an approximation.
+The order parameter k = 1 is admitted as the degenerate case with an
+empty coefficient vector, meaning plain S2 slicing.
 
 The evolution parameter is factored as -i * t: phases are stored as real
 fractions and the -i * t is applied at exponentiation time.
@@ -342,7 +344,9 @@ class S2Evaluator:
         return block
 
 
-def build_approximation(evaluator: S2Evaluator, spec: DecompositionSpec, p) -> np.ndarray:
+def build_approximation(
+    evaluator: S2Evaluator, spec: DecompositionSpec, p, held: dict | None = None
+) -> np.ndarray:
     """The full product-formula approximation to exp(-i t H), as the stack
     of its two parity-sector blocks (see ``S2Evaluator``), from the blocks
     of ``evaluator``, which must be made for ``spec.ordering``.
@@ -355,14 +359,18 @@ def build_approximation(evaluator: S2Evaluator, spec: DecompositionSpec, p) -> n
     an S2 exponent raises ``ValueError`` before any kernel runs.
 
     This call owns block reuse. When a phase that it does not hold comes
-    up, it builds the next ``_phases_per_stack(n)`` distinct phases, in
-    order of first use, with one ``S2Evaluator.s2_stack`` call. It keeps a
-    ``held`` dict, per call, of each block from its build to its phase's
-    last use, passes it to every ``S2Evaluator.s2`` call and drops a block
-    on its phase's last use. So each distinct phase is built once (2
+    up, it builds the next ``_phases_per_stack(n)`` distinct phases that it
+    lacks, in order of first use, with one ``S2Evaluator.s2_stack`` call.
+    It keeps a ``held`` dict, per call, of each block from its build to its
+    phase's last use, passes it to every ``S2Evaluator.s2`` call and drops a
+    block on its phase's last use. So each distinct phase is built once (2
     builds for the k=2 Suzuki slice, 4 for k=3), blocks are streamed a
     stack at a time, and no block outlives the call. The evaluator is only
     read.
+
+    A caller that holds blocks of this evaluator passes them as ``held``,
+    phase to block: those phases are not built, the dict is only read,
+    and no block that the call builds outlives it.
     """
     p = _check_coefficients(p, spec.k)
     # max |phase|, bit for bit: rounding is monotone and sign-symmetric, and
@@ -373,9 +381,10 @@ def build_approximation(evaluator: S2Evaluator, spec: DecompositionSpec, p) -> n
         raise ValueError("coefficient vector overflows the S2 exponents")
     phases = (slice_phases(p) / spec.r).tolist()
     last = {x: i for i, x in enumerate(phases)}  # last use of each phase
-    unbuilt = iter(last)  # distinct phases in order of first use
+    # The caller's blocks, then each built block, until its phase's last use.
+    held = dict(held) if held else {}
+    unbuilt = iter([x for x in last if x not in held])  # in order of first use
     per_stack = _phases_per_stack(evaluator.n)
-    held = {}  # the block of each phase from its build to its last use
     acc: np.ndarray | None = None
     for i, x in enumerate(phases):
         if x not in held:

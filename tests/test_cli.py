@@ -530,6 +530,27 @@ class TestResourceBounds:
         assert (done.returncode, done.stderr) == (1, "error: chain n must be at most 12, got 40\n")
         assert not out.exists()
 
+    def test_time_whose_norm_bound_overflows(self, tmp_path):
+        # ||H|| <= 4n, so t * 4n must be finite: t = 1e308 is refused by name
+        # when drawn, when read from a file and as a generalize grid point.
+        out = tmp_path / "out.json"
+        error = "error: simulation time t=1e+308 is too large: 4n t overflows at n=4\n"
+        done = fresh_cli("error", ["generate-instance", "--n", "4", "--t", "1e308", "--out", out])
+        assert (done.returncode, done.stderr) == (1, error)
+        assert not out.exists()
+        instance = tmp_path / "t1e308.json"
+        instance.write_text(json.dumps({"n": 4, "v": [0.5] * 4, "t": 1e308, "seed": 1}))
+        done = fresh_cli("error", ["baseline", "--instance", instance, "--r", "5", "--out", out])
+        assert (done.returncode, done.stderr) == (1, error)
+        assert not out.exists()
+        record = tmp_path / "run.json"
+        assert run_fresh(tmp_path, "error", ["optimize", "--r", "2", "--generations", "1"]).returncode == 0
+        (tmp_path / "out.json").rename(record)
+        done = fresh_cli("error", ["generalize", "--record", record, "--axis", "t", "--grid", "1e308",
+                                   "--out", out])
+        assert (done.returncode, done.stderr) == (1, error)
+        assert not out.exists()
+
     def test_k_above_the_phase_cap(self, tmp_path):
         done = run_fresh(tmp_path, "error", ["baseline", "--k", "12", "--r", "1"])
         assert (done.returncode, done.stderr) == (

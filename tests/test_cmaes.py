@@ -317,3 +317,30 @@ class TestMonotoneInvariance:
         np.testing.assert_array_equal(mapped.final_mean, base.final_mean)
         assert [p.sigma for p in mapped.trajectory] == [p.sigma for p in base.trajectory]
         assert base.best_fitness < objective(seed)
+
+
+class TestTranslationInvariance:
+    """CMA-ES moves with the search space: from m0 + c on x -> f(x - c), with
+    the same draws, the mean less c and the step size follow the run from m0
+    on f. Not bit for bit: each candidate m + sigma y is rounded at the scale
+    of |m|, so the gap grows as eps |c| / sigma. That is why the chain
+    fitness starts from sigma0 = 1e-3 and not from the default 2e-8, at
+    which a shift of 1 alone gives eps / 2e-8 ~ 1e-8, above the bound."""
+
+    @pytest.mark.parametrize("shift", [0.25, 1.0, 3.0])
+    @pytest.mark.parametrize("problem", ["sphere", "n4_k2_fitness"])
+    def test_shifted_run_follows_the_base_run(self, problem, shift):
+        if problem == "sphere":
+            objective, seed, sigma0 = sphere, np.zeros(5), 0.5
+        else:
+            objective, seed, sigma0 = _n4_fitness(), np.array(suzuki_seed(2)), 1e-3
+        base = cma_init(seed, sigma0)
+        moved = cma_init(seed + shift, sigma0)
+        base_rng, moved_rng = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(20):
+            base, _ = cma_step(base, objective, base_rng)
+            moved, _ = cma_step(moved, lambda x: objective(x - shift), moved_rng)
+            assert _gap(moved.mean - shift, base.mean) <= 1e-9
+            assert abs(moved.sigma - base.sigma) <= 1e-9 * base.sigma
+        # The run moved: a frozen search would pass the above.
+        assert objective(base.mean) < objective(seed)

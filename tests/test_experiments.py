@@ -1,3 +1,6 @@
+import weakref
+
+import numpy as np
 import pytest
 
 from trotteropt import experiments, fitness
@@ -11,7 +14,7 @@ from trotteropt.experiments import (
 )
 from trotteropt.fitness import FitnessContext, evaluate, exact_propagator
 from trotteropt.model import DecompositionSpec, TermOrdering
-from trotteropt.records import generate_instance, payload_digest
+from trotteropt.records import PURPOSE_PERMS, derive_generator, generate_instance, payload_digest
 from trotteropt.trotter import S2Evaluator, suzuki_seed
 
 GROUPED = TermOrdering.grouped()
@@ -266,6 +269,20 @@ class TestGeneralize:
             assert row["baseline_error"] == evaluate(ctx, suzuki_seed(2))
             assert row["optimized_error"] == evaluate(ctx, p_opt)
 
+    def test_axis_r_builds_one_evaluator(self, tiny, tiny_run, monkeypatch):
+        built = []
+        init = S2Evaluator.__init__
+        monkeypatch.setattr(S2Evaluator, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        rows = generalize(tiny_run, "r", [25, 50, 75])["rows"]
+        assert len(built) == 1
+        # Same errors, bit for bit, as contexts that build their own evaluator.
+        monkeypatch.undo()
+        for row in rows:
+            ctx = FitnessContext.create(tiny, DecompositionSpec(2, int(row["value"]), GROUPED))
+            assert row["baseline_error"] == evaluate(ctx, suzuki_seed(2))
+            assert row["optimized_error"] == evaluate(ctx, tiny_run["p_final"])
+
     @pytest.mark.parametrize("axis,grid", [("v", [2.7]), ("n", [4, 4.5]), ("r", [5.5, 7.9]),
                                            ("r", [float("inf")]), ("n", [float("nan")])])
     def test_integer_axes_reject_fractions_before_any_work(self, tiny_run, monkeypatch, axis, grid):
@@ -340,6 +357,68 @@ class TestPerms:
             if row["ordering"] in orderings:
                 ctx = FitnessContext.create(tiny, DecompositionSpec(2, row["r"], orderings[row["ordering"]]))
                 assert row["error"] == evaluate(ctx, suzuki_seed(2))
+
+    @pytest.mark.parametrize("n,k,r_grid,n_random,stacks", [
+        # Three r of two phases each: one 6-phase stack per ordering (8 fit).
+        (5, 2, [25, 75, 125], 20, [6]),
+        # Two stacks per ordering: four r fill one, the fifth is scored alone.
+        (5, 2, [5, 10, 15, 20, 25], 3, [8, 2]),
+        # Four phases per r at k = 3: two r per stack, then a lone r.
+        (5, 3, [3, 5, 7], 2, [8, 4]),
+        # Two phases per stack at n=6: every r is scored alone.
+        (6, 2, [10, 20], 2, [2, 2]),
+    ])
+    def test_one_stack_per_run_of_r(self, monkeypatch, n, k, r_grid, n_random, stacks):
+        instance = generate_instance(n, None, master_seed=50 + n)
+        sizes, stack_refs, evaluator_refs = [], [], []
+        calls = {"evaluate": 0, "create": 0, "merged_gate_count": 0}
+        s2_stack, init, create = S2Evaluator.s2_stack, S2Evaluator.__init__, FitnessContext.create
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def recording_s2_stack(self, phases):
+            # No earlier stack is alive when the next is built.
+            assert all(ref() is None for ref in stack_refs)
+            stack = s2_stack(self, phases)
+            sizes.append(len(phases))
+            stack_refs.append(weakref.ref(stack))
+            return stack
+
+        def recording_init(self, *args):
+            # The last ordering's evaluator is gone before the next is made.
+            assert all(ref() is None for ref in evaluator_refs)
+            init(self, *args)
+            evaluator_refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(S2Evaluator, "s2_stack", recording_s2_stack)
+        monkeypatch.setattr(S2Evaluator, "__init__", recording_init)
+        monkeypatch.setattr(FitnessContext, "create", counted("create", create))
+        monkeypatch.setattr(experiments, "evaluate", counted("evaluate", evaluate))
+        monkeypatch.setattr(experiments, "merged_gate_count",
+                            counted("merged_gate_count", experiments.merged_gate_count))
+        payload = perms_study(instance, k, r_grid, n_random=n_random, master_seed=9)
+        orderings = 2 + n_random
+        assert sizes == stacks * orderings
+        assert calls == dict.fromkeys(calls, orderings * len(r_grid))
+        assert len(evaluator_refs) == orderings
+        assert all(ref() is None for ref in stack_refs + evaluator_refs)
+        monkeypatch.undo()
+        # Every row as fresh contexts give it, bit for bit, random means included.
+        rng = derive_generator(9, PURPOSE_PERMS)
+        randoms = [TermOrdering.explicit(rng.permutation(4 * n)) for _ in range(n_random)]
+        expected = []
+        for r in r_grid:
+            def error(ordering):
+                ctx = FitnessContext.create(instance, DecompositionSpec(k, r, ordering))
+                return evaluate(ctx, suzuki_seed(k))
+
+            expected += [("grouped", r, error(GROUPED)), ("canonical", r, error(TermOrdering.canonical())),
+                         ("random", r, float(np.mean([error(o) for o in randoms])))]
+        assert [(row["ordering"], row["r"], row["error"]) for row in payload["rows"]] == expected
 
     def test_exact_propagator_built_once(self, tiny, monkeypatch):
         calls = []

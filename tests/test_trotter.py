@@ -642,6 +642,30 @@ class TestBuildApproximation:
             assert approx.flags.writeable
             refs.clear()
 
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("ordering", ["grouped", "explicit"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_held_blocks_give_the_same_product(self, n, ordering, k, monkeypatch):
+        # The caller holds every other distinct phase of the slice, and one
+        # phase outside it: only the phases it lacks are built, its dict is
+        # left as it was, and the product is the plain call's, byte for byte.
+        # At k = 3 the 25 phases are all distinct.
+        inst = small_instance(seed=n, n=n, t=2.0 * n)
+        spec = DecompositionSpec(k, 3, ORDERINGS[ordering](n))
+        p = self.distinct_k3() if k == 3 else suzuki_seed(k)
+        ev = S2Evaluator.for_instance(inst, spec.ordering)
+        plain = build_approximation(ev, spec, p)
+        distinct = list(dict.fromkeys((slice_phases(p) / spec.r).tolist()))
+        kept = [*distinct[::2], 0.123]
+        held = dict(zip(kept, ev.s2_stack(kept)))
+        before = dict(held)
+        built = self.count_builds(monkeypatch)
+        got = build_approximation(ev, spec, p, held)
+        assert sorted(built) == sorted(distinct[1::2])
+        assert held.keys() == before.keys()
+        assert all(held[x] is before[x] for x in held)
+        assert got.tobytes() == plain.tobytes()
+
     def test_s2_block_is_read_only_and_held_only_by_the_caller(self):
         ev = S2Evaluator.for_instance(small_instance(), GROUPED)
         block = ev.s2(0.25)
