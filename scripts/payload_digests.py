@@ -10,8 +10,8 @@ file, ``name sha256[:16]``: the stored payload digest of a record, or the
 digest of the file's bytes for an instance. Then, so that those lines stay
 comparable with older trees, one ``name.csv sha256[:16]`` line per CSV twin,
 the digest of its bytes. ``LATER_COMMANDS``, ``DEFAULT_COMMANDS``,
-``EXPLICIT_RECORD_COMMANDS``, ``RUN_RULE_COMMANDS`` and ``SPLIT_GRID_COMMANDS``
-follow in the same way, each after all of the lines before it. Two trees
+``EXPLICIT_RECORD_COMMANDS``, ``RUN_RULE_COMMANDS``, ``SPLIT_GRID_COMMANDS``
+and ``THRESHOLD_COMMANDS`` follow in the same way, each after all of the lines before it. Two trees
 whose outputs agree print the same lines, so a change meant to keep every
 output can be checked with ``diff`` against the lines of its parent commit.
 
@@ -143,6 +143,14 @@ SPLIT_GRID_COMMANDS = [
                          "--r-grid", "10,20", "--n-random", "2"]),
 ]
 
+# Printed after the 59 lines above: an r sweep with a threshold at which the
+# baseline readout (r=125) and the optimized one (r=100) are both found.
+THRESHOLD_COMMANDS = [
+    ("sweep_r_threshold", ["sweep-r", "--instance", "{dir}/instance_n5.json",
+                           "--r-grid", "50,100,125", "--mode", "evaluate",
+                           "--record", "{dir}/optimize_n5.json", "--threshold", "1.21e-3"]),
+]
+
 
 def fingerprint() -> dict:
     """What the last bits of the payloads depend on besides the tree: the
@@ -208,7 +216,7 @@ def main(argv: list) -> int:
     lines: list = []
     with tempfile.TemporaryDirectory(prefix="payload_digests_") as tmp:
         groups = (COMMANDS, LATER_COMMANDS, DEFAULT_COMMANDS, EXPLICIT_RECORD_COMMANDS,
-                  RUN_RULE_COMMANDS, SPLIT_GRID_COMMANDS)
+                  RUN_RULE_COMMANDS, SPLIT_GRID_COMMANDS, THRESHOLD_COMMANDS)
         ok = all(run(group, tmp, lines) for group in groups)
     if ok and argv:
         GOLDEN_LINES.parent.mkdir(exist_ok=True)

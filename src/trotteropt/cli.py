@@ -4,13 +4,11 @@ Subcommands: generate-instance, baseline, optimize, sample, sweep-r,
 generalize, perms. Every command is deterministic given --seed; results go
 to --out as a JSON record plus a flat CSV twin next to it (see FORMATS.md).
 
-Each command loads only the modules it runs: the parser needs none of the
-numerics, and a handler imports ``experiments`` or ``sampler`` where it
-uses them. ``generate-instance`` loads ``records`` and ``model``
-alone, only ``sample`` loads ``sampler`` (and neither ``experiments`` nor
-``cmaes``: ``--ordering`` names resolve here), and only ``sweep-r --jobs``
-above 1 loads the process pool. An option left out parses to ``None`` where
-the default needs numerics; ``experiments`` or ``sampler`` fills it in.
+Each command loads only the modules it runs. The parser needs no numerics,
+so an option whose default needs them parses to ``None`` and the driver
+(``experiments`` or ``sampler``) fills it in; ``--ordering`` names resolve
+here, so ``sample`` loads neither ``experiments`` nor ``cmaes``; and only
+``sweep-r --jobs`` above 1 loads the process pool.
 """
 
 from __future__ import annotations
@@ -256,19 +254,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc malloc thresholds for a CLI process (mallopt's M_MMAP_THRESHOLD and
-# M_TRIM_THRESHOLD). Sector stacks are 128 KiB at n=7 and 512 KiB at n=8; at
-# the default 128 KiB mmap threshold each is mapped and faulted in afresh
-# (about 1,700 minor faults per grouped n=8 evaluate). At 1 MiB, with 8 MiB
-# of heap top kept, they are reused from the heap; n >= 9 stacks (2 MiB and
-# up) stay mapped. Either threshold alone raised the faults.
+# mallopt's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and the values that
+# ``_keep_blocks_on_heap`` gives them.
 _M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES = -3, 1 << 20
 _M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES = -1, 8 << 20
 
 
 @functools.cache
 def _keep_blocks_on_heap() -> None:
-    """Set the thresholds above, once per process, under glibc only."""
+    """Under glibc only, once per process: raise malloc's mmap threshold to
+    1 MiB and its trim threshold to 8 MiB. Sector stacks pass the default
+    128 KiB mmap threshold from n=7 on (512 KiB at n=8), and each would be
+    mapped and page-faulted afresh; with both thresholds raised (either
+    alone is not enough) freed n=7 and n=8 blocks are reused from the heap,
+    and blocks from n=9 on (2 MiB and up) stay mapped. Only ``main`` calls
+    it, so a library caller keeps glibc's defaults and relies on
+    ``trotter._STACK_BYTES`` instead. Measurements: README."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return
@@ -290,7 +291,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         print(args.func(args))
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -2,10 +2,9 @@
 r sweeps with threshold readouts, generalization studies, and the ordering
 trade-off table.
 
-Every driver returns a plain-dict payload (see FORMATS.md) that is fully
-determined by its inputs and master seed. Independent cells of a sweep may
-fan out across worker processes; results are collected in cell order, so
-parallelism never changes the output.
+Every driver checks its arguments before any work and returns a plain-dict
+payload (FORMATS.md) fixed by its inputs and master seed: sweep cells that
+fan out across processes are collected in cell order.
 """
 
 from __future__ import annotations
@@ -46,20 +45,16 @@ __all__ = [
     "sweep_r",
 ]
 
-# Each added site multiplies matmul work by ~8 and memory by ~4 (dense
-# 2^(n-1)-row sector blocks). An n=8 grid point takes well under a second;
-# beyond that the reach is opt-in: --n-cap 10 scores n=10 in a few seconds
-# and ~100 MB. --n-cap goes no further than model.CHAIN_N_CAP.
+# The default reach of generalize --axis n: each added site multiplies
+# matmul work by ~8 and memory by ~4, so beyond n=8 it is opt-in (--n-cap,
+# at most model.CHAIN_N_CAP).
 GENERALIZE_N_CAP = 8
 
 
 def pmap(fn, items, jobs: int = 1) -> list:
     """Map preserving item order; jobs > 1 fans out across processes, at
-    most one per item (a fork pool starts all its workers up front).
-
-    The process pool is imported only when it fans out, so a serial command
-    never loads ``concurrent.futures.process`` or ``multiprocessing``.
-    """
+    most one per item (a fork pool starts all its workers up front). The
+    pool is imported only when it fans out."""
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -198,8 +193,7 @@ def sweep_r(
 
     ``mode`` is one of baseline / optimize / evaluate; "evaluate" scores the
     optimized vector of ``run_payload``, an optimize record, at every r. A
-    threshold adds the smallest grid r whose error beats it, for the
-    gate-saving readout. Every argument is checked before any cell runs.
+    threshold adds the smallest grid r whose error beats it.
     """
     _check_grid(r_grid, "r", least=1)
     if jobs < 1:
@@ -252,15 +246,13 @@ def generalize(
     n_cap: int | None = None,
 ) -> dict:
     """Score a run's optimized vector and the Suzuki seed over a grid of one
-    parameter (v / n / t / r), everything else frozen from the run.
+    parameter (v / n / t / r), everything else frozen from the run; hold-out
+    and appended disorder derive from the run's seed.
 
-    Hold-out disorder vectors and appended components derive from the run's
-    seed lineage, so the study is reproducible from the record alone. The v,
-    n and r grids count things and must hold integers; only t is real. The
-    v grid is a single hold-out count N, giving hold-outs 1..N; the n, t and
-    r grids must be non-empty and strictly increasing. The n grid stops at
-    ``n_cap``, ``GENERALIZE_N_CAP`` when it is ``None``, and ``n_cap`` at
-    ``model.CHAIN_N_CAP``.
+    The v grid is one hold-out count N (hold-outs 1..N); the n, t and r
+    grids must be non-empty and strictly increasing, and only t's may hold
+    non-integers. The n grid stops at ``n_cap`` (``GENERALIZE_N_CAP`` when
+    ``None``), which stops at ``model.CHAIN_N_CAP``.
     """
     if n_cap is not None and n_cap > CHAIN_N_CAP:
         raise ValueError(f"--n-cap must be at most {CHAIN_N_CAP}, got {n_cap}")
@@ -353,10 +345,9 @@ def perms_study(
     master_seed: int = 0,
 ) -> dict:
     """Gate count vs Suzuki-seed error for grouped, canonical, and averaged
-    random term orderings, per r. Ordering by ordering, from one evaluator
-    each, the r grid taken in runs whose distinct Suzuki phases fit one S2
-    stack: a run of several r is scored from one stack (``evaluate``'s
-    ``held``), a lone r as any evaluation. The rows come r-major."""
+    random term orderings, per r, in rows r-major. Each ordering gets one
+    evaluator, and each run of r whose distinct Suzuki phases fit one S2
+    stack is scored from one stack (``build_approximation``'s ``held``)."""
     _check_grid(r_grid, "r", least=1)
     if n_random < 1:
         raise ValueError("n_random must be >= 1")

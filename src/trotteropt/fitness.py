@@ -1,21 +1,8 @@
-"""The optimization objective: spectral-norm distance between the exact
-propagator exp(-i t H) and the product-formula circuit.
-
-Both operators are unitary, so every fitness value lies in [0, 2]. The exact
-propagator depends only on the instance and is computed once per context,
-or shared by the callers that score one instance many ways, never inside an
-optimization loop. H also conserves the popcount, so it is diagonalized
-in blocks of at most C(n, n/2) rows (70 at n=8).
-
-A coefficient vector is any sequence of floats (an optimizer's array row,
-the Suzuki seed's tuple, a record's list), and ``evaluate`` scores it as it is.
-
-Every chain term commutes with the parity Z^n, so H, exp(-i t H), the
-circuit and their difference are block-diagonal in the even- and
-odd-popcount sectors. Both operators are held as ``(2, 2^(n-1), 2^(n-1))``
-stacks of those blocks, and the spectral norm of the difference is the
-larger of the two block norms: the same value as at full dimension, for a
-quarter of the arithmetic.
+"""The optimization objective: the spectral-norm distance between the
+exact propagator exp(-i t H) and the product-formula circuit, both held as
+sector stacks (``model._sector_index``). Both are unitary, so every fitness
+value lies in [0, 2]. The exact propagator depends only on the instance and
+is never computed inside an optimization loop.
 """
 
 from __future__ import annotations
@@ -37,13 +24,10 @@ __all__ = [
 
 
 def exact_propagator(instance: ChainInstance) -> np.ndarray:
-    """exp(-i t H) as its two sector blocks.
-
-    XX + YY on a bond swaps its two spins and Z strings are diagonal, so H
-    also conserves the popcount: each sector block of H splits into the
-    blocks of the popcounts of its parity, at most C(n, n/2) rows each (70
-    at n=8). Each one is exponentiated through its own eigendecomposition.
-    """
+    """exp(-i t H) as its sector stack. XX + YY on a bond swaps its two
+    spins and Z strings are diagonal, so H also conserves the popcount:
+    each sector block splits into popcount blocks of at most C(n, n/2)
+    rows, each exponentiated through its own eigendecomposition."""
     h = hamiltonian(instance)
     out = np.zeros(h.shape, dtype=complex)
     weight = _popcount(_sector_index(instance.n)[0], instance.n)
@@ -57,12 +41,10 @@ def exact_propagator(instance: ChainInstance) -> np.ndarray:
 @dataclass
 class FitnessContext:
     """Everything reused across evaluations on one (instance, spec) pair:
-    ``exact`` is the sector stack of ``exact_propagator``, and ``evaluator``
-    builds the S2 blocks. ``create`` builds whichever it is not given, and
-    one context serves every score of a pair (a baseline, a CMA-ES run, its
-    seed). Neither depends on r, so a caller that scores one instance at
-    several r may build them once and pass them to ``create``; the
-    evaluator must be built for ``spec.ordering``."""
+    ``exact`` is the stack of ``exact_propagator``, and ``evaluator`` builds
+    the S2 blocks. ``create`` builds whichever it is not given. Neither
+    depends on r, so a caller that scores one instance at several r may
+    pass them in; the evaluator must be made for ``spec.ordering``."""
 
     instance: ChainInstance
     spec: DecompositionSpec
@@ -85,16 +67,10 @@ class FitnessContext:
 
 
 def evaluate(ctx: FitnessContext, p, held: dict | None = None) -> float:
-    """Spectral-norm error of the circuit built from coefficients ``p``.
-
-    Deterministic: the same floats give bit-identical values, whatever
-    sequence holds them. No S2 block is kept from one evaluation to the
-    next; within one, a block reused for a repeated phase is the block a
-    rebuild would give, as is a block of ``ctx.evaluator`` that the caller
-    passes in ``held`` (see ``build_approximation``). A vector of the wrong
-    length, or one that a diverged search left non-finite or too large,
-    raises ``ValueError``.
-    """
+    """Spectral-norm error of the circuit built from coefficients ``p``,
+    any sequence of floats: the same floats give the same bits, whatever
+    holds them and whatever ``held`` holds (``build_approximation``, which
+    also states what is refused)."""
     approx = build_approximation(ctx.evaluator, ctx.spec, p, held)
     return spectral_norm(ctx.exact - approx)
 

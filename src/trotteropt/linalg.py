@@ -10,14 +10,8 @@ For purely imaginary ``c`` this is unitary up to roundoff, which matters
 because fitness values are spectral-norm distances between unitaries.
 
 Every function takes a square matrix or a ``(..., m, m)`` stack of them and
-acts block by block. The fitness path carries each operator as the stack
-of its two parity-sector blocks (every chain term commutes with Z^n), so a
-stack stands for the block-diagonal operator: products and powers act per
-block, and the spectral norm of a stack is the largest over its blocks,
-which is the norm of that operator. At the chain sizes used here (n <= 8)
-a sector block has at most 128 rows, so dense eigensolvers are cheap and
-deterministic. Kronecker and plain matrix products need no wrapper:
-callers use ``np.kron`` and ``@``.
+acts block by block: a stack stands for the block-diagonal operator, whose
+spectral norm is the largest over its blocks (``model._sector_index``).
 """
 
 from __future__ import annotations

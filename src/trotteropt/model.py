@@ -1,29 +1,19 @@
-"""Disordered Heisenberg chain on a ring of n qubits.
+"""The disordered Heisenberg ring and the problem's types.
 
-The Hamiltonian is the sum of 4n local terms: XX, YY and ZZ couplings on each
-bond (j, j+1) — indices wrap, so qubit n couples back to qubit 1 — plus a Z
-field of strength v_j on each site. Sites are 1-based throughout.
+H is the sum of 4n local terms on a ring of n qubits, sites 1-based and
+site n coupling back to site 1: XX, YY and ZZ on each bond (j, j+1) with
+coefficient 1, and Z on each site j with coefficient v_j. Every term is a
+Pauli string, held as its row of the generator table (``_generators``,
+built once per n): rows in per-site reading order (XX, YY, ZZ, Z of site 1,
+then of site 2, ...), ``ChainInstance.coefficients`` in that order, and an
+ordering is a permutation of the rows (``TermOrdering.rows``). Operators
+are held in the parity-sector layout that this module owns
+(``_sector_index``). ``LocalTerm`` and ``term_matrix`` are a second, dense
+form of a term, kept for the oracles that check the first.
 
-Every term is a Pauli string, and a term is its row of the generator
-table (``_generators``, built once per n), which holds each string as (x, z)
-bit masks; ``_strings`` turns masks into signed permutations. The rows are
-in per-site reading order (XX, YY, ZZ, Z on site 1, then site 2, ...),
-``ChainInstance.coefficients`` gives each row's coefficient, and an
-ordering is a permutation of the rows (``TermOrdering.rows``). Every term
-flips an even number of spins, so the fitness path restricts operators to
-the two parity sectors. This module owns that sector layout
-(``_sector_index``, built once per n) and the table, whose rows also hold
-each string restricted to the sectors and the generators it anticommutes
-with. From the table ``hamiltonian`` builds H as its two real sector
-blocks, never at the full dimension, and the S2 kernels of ``trotter``
-build every circuit operator. ``LocalTerm`` and ``term_matrix`` are a
-second, dense form of a term, kept for the oracles that check the first.
-
-This module also owns the problem's types and their record forms
-(``to_dict``; ``from_dict`` refuses a missing or mistyped field by name):
-instances, term orderings (the order of exponential gates in a product
-formula is a free choice) and the ``DecompositionSpec`` (k, r, an ordering)
-that fixes a circuit's shape and its gate counts, before and after merging.
+``ChainInstance`` and ``DecompositionSpec`` (k, r and an ordering: a
+circuit's shape and gate counts) refuse a bad value when made, and every
+``from_dict`` a missing or mistyped record field, by name.
 """
 
 from __future__ import annotations
@@ -50,16 +40,12 @@ __all__ = [
 ]
 
 
-# The largest chain: one (2, 2^(n-1), 2^(n-1)) complex sector stack takes
-# 2^(2n+3) bytes, 128 MiB at n=12, and a scoring run holds several; at
-# n=40 the 2^n-entry sector index alone asks for 8 TiB.
-# ``experiments.GENERALIZE_N_CAP`` is the default reach of generalize
-# --axis n below it.
+# The largest chain: one complex sector stack takes 2^(2n+3) bytes, 128 MiB
+# at n=12, and a scoring run holds several.
 CHAIN_N_CAP = 12
 
-# The most S2 phases per time slice, 5^(k-1), that a spec may ask for:
-# k = 8 has 78,125 (1.9 M gates at n=3, r=1); k = 12 would have 48.8 M,
-# and its phase array and list alone would take gigabytes.
+# The most S2 phases per time slice, 5^(k-1), that a spec may ask for
+# (k <= 8); at k = 12 the phase array and list alone would take gigabytes.
 SLICE_PHASES_CAP = 100_000
 
 # The 2x2 Pauli matrices by letter, for ``term_matrix``.
@@ -115,12 +101,8 @@ def _fields(d, name: str, *keys: str) -> list:
 
 @dataclass(frozen=True)
 class LocalTerm:
-    """One summand of the chain Hamiltonian, in the dense form that
-    ``term_matrix`` reads (the scoring path uses generator-table rows).
-
-    Couplings act on the bond (site, site % n + 1) with coefficient 1; the
-    field term acts on ``site`` alone with coefficient v_site.
-    """
+    """One summand of H in the dense form that ``term_matrix`` reads: a
+    coupling acts on the bond (site, site % n + 1), a field on ``site``."""
 
     kind: TermKind
     site: int
@@ -131,9 +113,9 @@ class LocalTerm:
 class ChainInstance:
     """A concrete problem: qubit count n, disorder vector v, simulation time t.
 
-    n >= 3 is required: on a 2-site ring the periodic couplings would be
-    double-counted. n above ``CHAIN_N_CAP`` is refused before anything is
-    built.
+    Refuses an n below 3 (a 2-site ring would count its couplings twice) or
+    above ``CHAIN_N_CAP``, a v of another length or outside [-1, 1], and a
+    t that is not positive or whose 4n t (a bound on ||H|| t) overflows.
     """
 
     n: int
@@ -217,13 +199,10 @@ class TermOrdering:
         return cls(OrderingMode.EXPLICIT, tuple(int(i) for i in permutation))
 
     def rows(self, n: int) -> np.ndarray:
-        """The generator-table rows of an n-site chain in this order.
-
-        Canonical is the table's own, per-site reading order; grouped lists
-        every XX coupling, then every YY, ZZ and field term (kind-major);
-        explicit is the stored permutation (0-based indices into the
-        canonical list), which must be a bijection on the 4n rows.
-        """
+        """The generator-table rows of an n-site chain in this order:
+        canonical is the table's own order, grouped lists every XX, then
+        every YY, ZZ and Z term, and explicit is the stored permutation,
+        which must be a bijection on the 4n rows."""
         if self.mode is OrderingMode.CANONICAL:
             return np.arange(4 * n)
         if self.mode is OrderingMode.GROUPED:
@@ -257,8 +236,9 @@ class TermOrdering:
 @dataclass(frozen=True)
 class DecompositionSpec:
     """Order parameter k, slice count r, and term ordering: together these
-    fix the circuit shape and gate count. A k whose 5^(k-1) S2 phases per
-    slice pass ``SLICE_PHASES_CAP`` is refused."""
+    fix the circuit shape and gate count. Refuses a k below 1 or one whose
+    5^(k-1) S2 phases per slice pass ``SLICE_PHASES_CAP``, and an r below 1
+    or beyond the float range, which the phases divide by."""
 
     k: int
     r: int
@@ -273,6 +253,11 @@ class DecompositionSpec:
                 f"k={self.k} needs 5^{self.k - 1} S2 phases per slice, more than {SLICE_PHASES_CAP:,}")
         if not isinstance(self.r, int) or self.r < 1:
             raise ValueError("r must be an integer >= 1")
+        try:
+            float(self.r)
+        except OverflowError:
+            raise ValueError(f"r is too large: an integer of {self.r.bit_length()} bits, "
+                             "beyond the float range (1.8e308)") from None
 
     def to_dict(self) -> dict:
         return {"k": self.k, "r": self.r, "ordering": self.ordering.to_dict()}
@@ -284,14 +269,9 @@ class DecompositionSpec:
 
 
 def term_matrix(term: LocalTerm, n: int) -> np.ndarray:
-    """The 2^n-dimensional Hermitian matrix for one local term, as a
-    Kronecker chain of 2x2 factors with qubit 1 leftmost.
-
-    Wrap-around couplings (site = n) put operators at tensor positions n
-    and 1 of the chain. This is independent of the signed-permutation form
-    that ``hamiltonian`` and the S2 kernels use, so tests check one
-    against the other.
-    """
+    """The 2^n-dimensional Hermitian matrix of one local term, as a
+    Kronecker chain of 2x2 factors with qubit 1 leftmost: independent of
+    the generator table, so tests check one against the other."""
     factors = [np.eye(2, dtype=complex)] * n
     for site, letter in _pauli_sites(term, n).items():
         factors[site - 1] = _PAULI_MATS[letter]
@@ -300,15 +280,18 @@ def term_matrix(term: LocalTerm, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The basis states split by parity, shape (2, 2^(n-1)): the states of
-    even popcount, then those of odd popcount, each ascending; and the row
-    of each basis state in the (2M, M) stack of the two sectors (the states
-    flattened, inverted). Built once per n and read-only.
+    """The parity-sector layout of n sites, built once per n and read-only.
 
-    Every chain term flips an even number of bits (XX and YY two, ZZ and Z
+    Every chain term flips an even number of spins (XX and YY two, ZZ and Z
     none), so it commutes with the parity Z^n and never maps a state of one
-    sector into the other: every operator built from the terms is
-    block-diagonal in these two sectors.
+    sector into the other. So H, every S2 block, a slice, its r-th power
+    and exp(-i t H) are exactly block-diagonal in the even- and odd-popcount
+    states, and each is held as the ``(2, M, M)`` stack of its two blocks,
+    M = 2^(n-1): a quarter of the matmul and eigensolver work, and the same
+    spectral norm, the larger of the two block norms.
+
+    Returns the states, shape (2, M), even then odd, each ascending; and
+    the row of each basis state in the (2M, M) stack of both sectors.
     """
     states = np.argsort(_popcount(np.arange(2**n), n) & 1, kind="stable").reshape(2, -1)
     rows = np.empty(2**n, dtype=np.int64)
@@ -319,14 +302,11 @@ def _sector_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _GeneratorTable(NamedTuple):
-    """The 4n generators of an n-site chain, one row each in per-site
-    reading order: row 4(j-1) + i is kind i of site j, the kinds in order
-    XX, YY, ZZ, Z (``TermKind``); see ``_generators``.
-
-    ``perms`` and ``signs`` hold each string restricted to the two parity
-    sectors laid one above the other: with ``states`` the flattened sector
-    states of ``_sector_index(n)``, P|states[i]> = sign[i] |states[perm[i]]>,
-    and each row of ``perms`` maps a sector into itself.
+    """The 4n generators of an n-site chain: row 4(j-1) + i is kind i of
+    site j, the kinds in order XX, YY, ZZ, Z (``TermKind``). ``perms`` and
+    ``signs`` hold each string on the two sectors laid one above the other:
+    with ``states`` the flattened states of ``_sector_index(n)``,
+    P|states[i]> = sign[i] |states[perm[i]]>, each sector mapped into itself.
     """
 
     x: np.ndarray  # (4n,) X bit mask of each row's string
@@ -338,15 +318,13 @@ class _GeneratorTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _generators(n: int) -> _GeneratorTable:
-    """The generator table of n sites, built once per n and read-only. It
+    """The generator table of n sites, built once per n and read-only; it
     depends on kinds and sites only, never on coefficients or orderings.
 
-    Each generator is held as the (x, z) bit masks of its Pauli string:
-    X sets its qubit's bit in x, Z in z, and Y = iXZ in both, qubit 1 being
-    the most significant bit as in ``term_matrix``. The sector strings come
-    from the masks through ``_strings``. Two strings anticommute iff they
-    carry different non-identity letters on an odd number of qubits, that
-    is iff popcount((x_g & z_h) ^ (z_g & x_h)) is odd. Each sector string is
+    Each generator is the (x, z) bit masks of its Pauli string: X sets its
+    qubit's bit in x, Z in z, and Y = iXZ both, qubit 1 being the most
+    significant bit. Two strings anticommute iff
+    popcount((x_g & z_h) ^ (z_g & x_h)) is odd. Each sector string is
     checked to be symmetric, as the S2 kernels of ``trotter`` need.
     """
     x, z = [], []
@@ -394,15 +372,10 @@ def _popcount(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def hamiltonian(instance: ChainInstance) -> np.ndarray:
-    """H as the real ``(2, 2^(n-1), 2^(n-1))`` stack of its two
-    parity-sector blocks (``_sector_index``).
-
-    Each table row adds its coefficient times the signed permutation of
-    its Pauli string (``_GeneratorTable``), one entry per column, with no
-    Kronecker chain. The entries are summed in row order from +0, so each
-    block is bit-identical to the real part of the summed ``term_matrix``
-    on its sector, whose imaginary part is zero.
-    """
+    """H as the real stack of its two sector blocks: each table row adds
+    its coefficient times its signed permutation, one entry per column,
+    summed in row order from +0. So each block is bit-identical to the
+    real part of the summed ``term_matrix`` on its sector."""
     n = instance.n
     table = _generators(n)
     half = 2 ** (n - 1)
@@ -445,11 +418,8 @@ def merged_gate_count(instance: ChainInstance, spec: DecompositionSpec) -> int:
     being the generators that commute with every term and C the set one
     block leaves from empty. That map is idempotent, so every block after
     the first starts and ends at C and appends the same number of gates:
-    two blocks give the count for any r and k.
-
-    The bits are the rows of the generator table (``_generators``), whose
-    anticommutation masks do not depend on the ordering: the ordering only
-    fixes the order in which a block visits the rows.
+    two blocks give the count for any r and k. The bits are the rows of the
+    generator table; the ordering only fixes the order a block visits them.
     """
     rows = spec.ordering.rows(instance.n).tolist()
     anti = _generators(instance.n).anti

@@ -2,11 +2,8 @@
 
 Two schemes (``SCHEMES``): draw coefficient vectors from an isotropic
 normal centred on the uniform vector (every component 1/d, so the expected
-component sum is one), or centred on the Suzuki seed. Each standard
-deviation gets the same number of i.i.d. samples, drawn as array rows that
-are scored as they are; ``sampling_report`` returns the sample payload,
-with one row per scale holding the mean, min and max fitness. Only the
-``sample`` command loads this module.
+component sum is one), or centred on the Suzuki seed. Only the ``sample``
+command loads this module.
 """
 
 from __future__ import annotations
@@ -18,12 +15,15 @@ from .model import ChainInstance, DecompositionSpec
 from .records import PURPOSE_SAMPLING, derive_generator
 from .trotter import suzuki_seed
 
-__all__ = ["DEFAULT_SCALES", "SCHEMES", "sampling_report"]
+__all__ = ["DEFAULT_SCALES", "SAMPLE_DRAW_BYTES_CAP", "SCHEMES", "sampling_report"]
 
 # Powers of ten spanning "essentially at the centre" to "all structure lost".
 DEFAULT_SCALES = tuple(10.0**e for e in range(-9, 1))
 
 SCHEMES = ("around-uniform", "around-suzuki")
+
+# The largest array of one scale's draws, samples x d float64 values.
+SAMPLE_DRAW_BYTES_CAP = 64 << 20
 
 
 def sampling_report(
@@ -34,12 +34,14 @@ def sampling_report(
     samples_per_scale: int,
     master_seed: int,
 ) -> dict:
-    """Draw, evaluate and aggregate from the master seed's sampling stream;
-    deterministic given the seed. Every argument is checked before any work;
+    """The sample payload: per scale, the mean, min and max fitness of
+    ``samples_per_scale`` vectors drawn as one batch from the master seed's
+    sampling stream and scored in row order, so it is fixed by the seed.
     ``std_devs`` of ``None`` samples at ``DEFAULT_SCALES``.
 
-    Samples for each scale are drawn in one fixed-order batch and aggregated
-    in index order, so results do not depend on evaluation scheduling.
+    Refuses, before any work, an unknown scheme, k < 2, a scale that is not
+    finite and positive, and a sample count below 1 or whose draws pass
+    ``SAMPLE_DRAW_BYTES_CAP``.
     """
     rng = derive_generator(master_seed, PURPOSE_SAMPLING)
     if scheme not in SCHEMES:
@@ -51,8 +53,12 @@ def sampling_report(
         raise ValueError("standard deviations must be finite and positive")
     if spec.k < 2:
         raise ValueError("sampling requires k >= 2 (k = 1 has no coefficients)")
-    ctx = FitnessContext.create(instance, spec)
     d = 5 * (spec.k - 1)
+    if samples_per_scale * d * 8 > SAMPLE_DRAW_BYTES_CAP:
+        raise ValueError(f"samples per scale must be at most {SAMPLE_DRAW_BYTES_CAP // (8 * d):,} "
+                         f"at k={spec.k} ({SAMPLE_DRAW_BYTES_CAP >> 20} MiB of draws), "
+                         f"got {samples_per_scale:,}")
+    ctx = FitnessContext.create(instance, spec)
     center = np.full(d, 1.0 / d) if scheme == "around-uniform" else np.array(suzuki_seed(spec.k))
     rows = []
     for scale in std_devs:

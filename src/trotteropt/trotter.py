@@ -1,48 +1,16 @@
-"""Suzuki product formulas, from coefficient vectors to operators (the
-``DecompositionSpec`` and every other type live in ``model``).
+"""Suzuki product formulas, from a coefficient vector to the approximate
+propagator (the types live in ``model``).
 
-The order-2k formula is built recursively from the symmetric second-order
-block S2. A coefficient vector is a plain sequence of 5(k-1) floats (a
-tuple, a list or an array row), one 5-entry block per recursion level
-(levels 2..k), the Suzuki values being (p, p, 1-4p, p, p); it carries no k
-of its own and is checked against the k of the spec it is scored under.
-Expanding the levels turns a coefficient vector into per-slice S2 phases
-(``slice_phases``); ``build_approximation`` divides them by r, multiplies
-the S2 blocks that the ``S2Evaluator`` it is given builds, and raises the
-product to the r-th power. It builds each distinct phase of a slice once,
-several at a time: when a phase that it does not hold comes up, it builds
-that phase and the next distinct ones, in order of first use, as one stack
-(``S2Evaluator.s2_stack``) of at most ``_STACK_BYTES`` of blocks. It holds
-each block until its phase's last use and passes what it holds to
-``S2Evaluator.s2``, which returns a held block rather than build it again;
-a caller may hand it blocks it already holds (``perms`` builds one stack
-for several r), and only the other phases are built. The evaluator holds
-no block. That is the only path from coefficients to an approximation.
-The order parameter k = 1 is admitted as the degenerate case with an
-empty coefficient vector, meaning plain S2 slicing.
-
-The evolution parameter is factored as -i * t: phases are stored as real
-fractions and the -i * t is applied at exponentiation time.
-
-Every chain term is a Pauli string, so S2 comes from closed forms, not from
-numerical exponentials: a grouped-basis kernel when the term kinds come as
-XX, YY, then ZZ and Z, and a Pauli-rotation product otherwise, in which each
-run of diagonal (Z, ZZ) terms is one row scaling and each XX or YY term one
-signed row permutation. Every chain coupling has coefficient 1, so the XX and
-the YY group have one and the same diagonal, and the grouped kernel takes
-one Walsh product for both. Both kernels end in S2 = F F^T, which runs as
-gemm on blocks of up to 16 rows (n <= 5), where it is faster than syrk,
-and as syrk above; the two give the same bits.
-
-Every term also flips an even number of spins, so it commutes with the
-parity Z^n, and so do S2, the slice and its r-th power. They are exactly
-block-diagonal in the even- and odd-popcount sectors, and are built and
-carried as ``(2, 2^(n-1), 2^(n-1))`` stacks of those two blocks, never at
-the full dimension 2^n. The sector layout and the Pauli strings restricted
-to it come from ``model``'s per-n tables, in which a term is a row: an
-evaluator takes the rows of its term sequence and the rows' coefficients,
-and builds its kernel tables once, when it is made. The Pauli kernel's
-identity stack depends only on n and is built once per n.
+A coefficient vector is a plain sequence of 5(k-1) floats, one block per
+recursion level 2..k, Suzuki's values being (p, p, 1-4p, p, p); it carries
+no k of its own and is checked against the k of the spec it is scored
+under (k = 1: an empty vector, plain S2 slicing). ``slice_phases`` expands
+it into the S2 phases of one time slice, ``S2Evaluator`` builds S2 blocks
+in closed form, and ``build_approximation``, the one path from coefficients
+to an approximation, multiplies them and raises the slice to the r-th
+power. Phases are real fractions of t; -i t is applied by the evaluator.
+Every operator is the ``(2, M, M)`` stack of its parity-sector blocks,
+M = 2^(n-1) (``model._sector_index``).
 """
 
 from __future__ import annotations
@@ -99,12 +67,9 @@ def _check_coefficients(p, k: int) -> np.ndarray:
 
 
 def slice_phases(p) -> np.ndarray:
-    """Multiply the recursion out for a single time slice: 5^(k-1) S2 phases.
-
-    Each level's block entries scale the expansion of the level below (one
-    outer product per level, block entry by block entry); the base case is
-    a single unit S2 phase.
-    """
+    """The 5^(k-1) S2 phases of one time slice: each level's block scales
+    the expansion of the level below (one outer product per level), from a
+    single unit phase."""
     phases = np.array([1.0])
     for block in np.asarray(p, dtype=float).reshape(-1, 5):
         phases = np.multiply.outer(block, phases).ravel()
@@ -121,18 +86,16 @@ def _identity_stack(n: int) -> np.ndarray:
 
 
 # Bytes of the S2 blocks that one s2_stack call of build_approximation
-# builds. Kept under glibc's default 128 KiB mmap threshold: numpy
-# temporaries above it are mapped afresh and page-faulted on every call: a
-# 5-phase stack at n=8 took 1,226 minor faults per build (grouped kernel)
-# against 22 for five single builds, and 86 against 2 at n=6. 64 KiB holds
-# 8 phases at n=5 (8 KiB blocks), 2 at n=6 and 1 from n=7 on, where every
-# build stays single. ``cli.main`` raises that threshold for its own process
-# only, so the bound stays for a library caller, which keeps glibc's defaults.
+# builds: 8 phases at n=5, 2 at n=6 and 1 from n=7 on. A stack and its
+# temporaries then stay under glibc's default 128 KiB mmap threshold, above
+# which numpy maps, and page-faults, each temporary afresh on every call.
+# ``cli._keep_blocks_on_heap`` raises that threshold for a CLI process
+# only, so a library caller keeps the default and needs this bound.
 _STACK_BYTES = 64 * 1024
 
 
 # Rows of the S2 blocks up to which S2 = F F^T runs as gemm, not syrk
-# (n <= 5); the timings are in ``S2Evaluator``'s docstring.
+# (n <= 5; see ``S2Evaluator``).
 _GEMM_ROWS = 16
 
 
@@ -143,80 +106,36 @@ def _phases_per_stack(n: int) -> int:
 
 
 class S2Evaluator:
-    """Builds symmetric second-order blocks for a fixed term sequence: the
-    generator-table rows ``rows`` of n sites (``model._generators``), with
-    ``coefficients[g]`` the coefficient of row g, for time t.
+    """Builds the symmetric second-order blocks S2 of one term sequence at
+    time t: the generator-table rows ``rows`` of n sites, in product order
+    (``model._generators``), ``coefficients[g]`` being row g's coefficient.
 
-    Every term flips an even number of spins, so it commutes with the
-    parity Z^n, and so does every product of term exponentials: S2 is
-    exactly block-diagonal in the even- and odd-popcount sectors
-    (``model._sector_index``). The evaluator builds and returns only those two
-    blocks, as a ``(2, 2^(n-1), 2^(n-1))`` stack, which halves every
-    dimension and quarters every matmul.
+    Invariant: every term is a real symmetric Pauli string that flips an
+    even number of spins (``model._generators`` checks it). So each term
+    exponential is symmetric and block-diagonal in the parity sectors, the
+    reversed half-product is the transpose of the forward one F, and
+    S2 = F F^T block by block. Two kernels compute F:
 
-    Every term is a real symmetric Pauli string (``model._generators``
-    checks this once per n), so each term exponential is symmetric, the
-    reversed half-product is the transpose of the forward half-product F,
-    and S2 = F @ F^T block by block. Which kernel computes F depends on the
-    term sequence:
+    - Grouped, when the kinds come as XX, then YY, then ZZ and Z in any mix:
+      each group commutes and is diagonal in a fixed basis, so
+      F = H^n D_xx H^n . V D_yy V^dag . D_zz+z with V = (SH)^n and the
+      diagonals built from spin signs. H^n D H^n has entry g[a ^ b], g
+      being the Walsh transform of D's diagonal, and within a sector
+      a ^ b has even popcount. Equal XX and YY diagonals (every chain:
+      couplings 1) share one Walsh product.
+    - Pauli rotation, for any other sequence: the product of
+      cosh(ca) I + sinh(ca) P on both blocks laid as (2M, M) rows. Each XX
+      or YY term is one signed row permutation, and each maximal run of Z
+      and ZZ terms one row scaling exp(c sum_j a_j sign_j).
 
-    - Grouped: kinds come as XX, then YY, then ZZ and Z in any mix (the
-      grouped ordering). Each group commutes and is diagonal in a fixed
-      basis, so F = H^n D_xx H^n . V D_yy V^dag . D_zz+z with V = (SH)^n
-      and the diagonals built from spin signs. H^n D H^n has entry
-      g[a ^ b], g being the Walsh-Hadamard transform of D's diagonal;
-      within a sector a ^ b has even popcount, so only g's even-popcount
-      entries are needed. S^n is diagonal, so F costs one batched matmul.
-      An XX and a YY term on one bond have the same qubits and, in a
-      chain, the same coefficient 1, so D_xx = D_yy bit for bit: the
-      evaluator keeps only the distinct Walsh diagonals (one for a chain,
-      two for other coefficients) and the Z-basis one, and computes the
-      exponential, the Walsh product and the gather of each once.
-    - Any other sequence (canonical, explicit): the Pauli-rotation product
-      of the term exponentials cosh(ca) I + sinh(ca) P on the two blocks
-      laid one above the other. For an XX or YY term the product with P is
-      a signed permutation of the rows. A Z or ZZ term is diagonal, its
-      exponential the row scaling exp(c a sign), so a maximal run of them
-      is one row scaling by exp(c sum_j a_j sign_j); each run's summed
-      exponents are a table of the evaluator. An XX term's signs are all
-      +1, so its product is scaled by the scalar sinh(ca); only a YY term
-      needs a signed row. The cosh, sinh and scaling rows of a block each
-      come from one vector call.
+    ``s2_stack`` builds K phases at once, the phase the leading axis. Every
+    step is elementwise along that axis, a gather along the next, or one
+    BLAS call per phase and block, so each block has the bits of a build of
+    its phase alone. F F^T runs as gemm up to ``_GEMM_ROWS`` rows and as
+    syrk above; the two give the same bits (timings: README).
 
-    Both kernels build K phases at once, as a ``(K, 2, M, M)`` stack with
-    the phase as the leading axis (``s2_stack``): each numpy call of a
-    build covers all K, so at n=5 five phases cost about the numpy calls
-    of one. Every step is elementwise along that axis, a gather along the
-    next, or one BLAS call per phase and block (the Walsh products are one
-    gemv per phase, not a gemm over all of them), so each block is
-    bit-identical to a build of its phase alone.
-
-    numpy computes S2 = F @ F^T as syrk when F^T is a transposed view of F,
-    and as gemm when it is a copy; both give the same bits. syrk is the
-    slower on small blocks and the faster on large ones, so ``s2_stack``
-    takes gemm up to ``_GEMM_ROWS`` = 16 rows (n <= 5) and syrk above.
-    For 5 phases, gemm with its copy of F^T (2-core x86-64 VM, one
-    OpenBLAS thread, min of 7 repeats, three runs):
-
-    ====  ===============  ===============
-    rows  syrk             gemm
-    ====  ===============  ===============
-    16    22.1-22.5 us     17.9-18.2 us
-    32    79.5-80.8 us     74.0-77.4 us
-    64    389-399 us       479-484 us
-    128   2.40-2.44 ms     3.32-3.33 ms
-    ====  ===============  ===============
-
-    The cut sits at the n=5 blocks, where gemm gains the most; at 32 rows
-    (n=6) the two are within 10% and no perfbench workload runs there.
-    numpy tells the two apart by the operands' memory, not their
-    layout: the Pauli kernel's F is a transposed view of a contiguous
-    array, which is itself F^T, so gemm there too takes a copy of F^T.
-
-    An evaluator builds the tables of its own kernel alone, when it is
-    made, and nothing is written to it afterwards: every block is built
-    from them alone, and block reuse is the caller's
-    (``build_approximation``). So threads may share an evaluator.
+    The tables are built once, when the evaluator is made, and nothing is
+    written to it afterwards; it holds no block. So threads may share one.
     """
 
     def __init__(self, rows, coefficients, n: int, t: float):
@@ -240,7 +159,7 @@ class S2Evaluator:
             for group, row in zip(groups, weighted):
                 diagonals[group] += row
             # The Walsh diagonals, then the Z-basis one: XX and YY share one
-            # where they are equal, as for every chain (couplings 1).
+            # where they are equal.
             self._diagonals = diagonals[1:] if np.array_equal(*diagonals[:2]) else diagonals
             # Within a sector a ^ b is an even state, stored at row flat[a ^ b] < M.
             self._xor = flat[self._states[:, :, None] ^ self._states[:, None, :]]
@@ -252,20 +171,18 @@ class S2Evaluator:
             s = reduce(np.kron, [np.array([1, 1j])] * n)[self._states]  # diagonal of S^n
             self._s_rows, self._s_conj = s[:, :, None], s.conj()
             return
-        # Pauli kernel: a Z/ZZ string has the identity permutation, so a
-        # maximal run of them scales row i by exp(c sum_j a_j sign_j[i]).
+        # Pauli kernel, in term order: (None, run) scales the rows by a run's
+        # exponents, (perm, flip) rotates by a flip's signed permutation.
         perms, signs = table.perms[rows], table.signs[rows]
         diagonal = x == 0
-        unsigned = (z == 0).tolist()  # an X string's flip scales by sinh alone
-        # Steps in term order: (None, run, False) or (perm, flip, unsigned).
         steps, runs, flips = [], [], []
         for is_run, group in groupby(range(len(a)), key=diagonal.__getitem__):
             group = list(group)
             if is_run:
-                steps.append((None, len(runs), False))
+                steps.append((None, len(runs)))
                 runs.append(a[group] @ signs[group])
             else:
-                steps.extend((perms[j], len(flips) + i, unsigned[j]) for i, j in enumerate(group))
+                steps.extend((perms[j], len(flips) + i) for i, j in enumerate(group))
                 flips += group
         self._run_exponents = np.array(runs).reshape(len(runs), perms.shape[1])
         self._flip_coefficients = a[flips]
@@ -294,19 +211,17 @@ class S2Evaluator:
         # rows, since numpy gathers rows faster than columns.
         ca = c[:, None] * self._flip_coefficients
         cosh = np.cosh(ca)[:, :, None, None]
-        sinh = np.sinh(ca)
-        signed_sinh = (sinh[:, :, None] * self._flip_signs)[:, :, :, None]
-        sinh = sinh[:, :, None, None]
+        sinh = (np.sinh(ca)[:, :, None] * self._flip_signs)[:, :, :, None]
         scales = np.exp(c[:, None, None] * self._run_exponents)[:, :, :, None]
         eye = _identity_stack(self.n)
         acc = np.broadcast_to(eye, (len(c), *eye.shape)).copy()
         rotated = np.empty_like(acc)
-        for perm, i, unsigned in self._steps:
+        for perm, i in self._steps:
             if perm is None:
                 acc *= scales[:, i]
             else:
                 acc.take(perm, axis=1, out=rotated)
-                rotated *= sinh[:, i] if unsigned else signed_sinh[:, i]
+                rotated *= sinh[:, i]
                 acc *= cosh[:, i]
                 acc += rotated
         half = acc.shape[-1]
@@ -314,11 +229,12 @@ class S2Evaluator:
 
     def s2_stack(self, phases) -> np.ndarray:
         """S2 at each of the phases, as one read-only ``(K, 2, M, M)``
-        stack with the phase as the leading axis: one pass of numpy calls
-        builds all K blocks, each bit-identical to a build of its phase
-        alone."""
+        stack, each block bit-identical to a build of its phase alone."""
         forward = self._forwards(np.array([-0.5j * self.t * float(x) for x in phases]))
         transposed = forward.swapaxes(-1, -2)
+        # numpy takes syrk when both operands share memory, whatever their
+        # layout (the Pauli kernel's F is itself a transposed view), and
+        # gemm when F^T is a copy.
         if forward.shape[-1] <= _GEMM_ROWS:
             transposed = transposed.copy()
         stack = forward @ transposed
@@ -326,17 +242,8 @@ class S2Evaluator:
         return stack
 
     def s2(self, phase: float, held: dict | None = None) -> np.ndarray:
-        """S2 at the given fraction of the evolution parameter, as its two
-        sector blocks: forward half-phase product times the reversed
-        half-phase product.
-
-        ``held`` maps phases to blocks that the caller still holds: the
-        block of a held phase is returned as it is, and any other phase
-        (or one mapped to None) is built anew, as a 1-phase ``s2_stack``.
-        A built block is read-only and bit-identical to any other build of
-        the same phase, so a caller may hold it and hand it back for as
-        long as it likes.
-        """
+        """S2 at one phase: the caller's block ``held[phase]`` where it is
+        there and not None, else a new 1-phase ``s2_stack``."""
         phase = float(phase)
         block = held.get(phase) if held else None
         if block is None:
@@ -347,30 +254,23 @@ class S2Evaluator:
 def build_approximation(
     evaluator: S2Evaluator, spec: DecompositionSpec, p, held: dict | None = None
 ) -> np.ndarray:
-    """The full product-formula approximation to exp(-i t H), as the stack
-    of its two parity-sector blocks (see ``S2Evaluator``), from the blocks
-    of ``evaluator``, which must be made for ``spec.ordering``.
-
-    One time slice is the product of S2 blocks at the expanded phases
-    divided by r; the slice is then raised to the r-th power. For the Suzuki
-    seed this is exactly the order-2k formula with r slices.
+    """The product-formula approximation to exp(-i t H) as a sector stack:
+    the product of S2 blocks of ``evaluator`` (made for ``spec.ordering``)
+    at the slice phases of ``p`` divided by r, raised to the r-th power.
+    For the Suzuki seed this is the order-2k formula with r slices.
 
     A vector of the wrong length, non-finite, or large enough to overflow
     an S2 exponent raises ``ValueError`` before any kernel runs.
 
-    This call owns block reuse. When a phase that it does not hold comes
-    up, it builds the next ``_phases_per_stack(n)`` distinct phases that it
-    lacks, in order of first use, with one ``S2Evaluator.s2_stack`` call.
-    It keeps a ``held`` dict, per call, of each block from its build to its
-    phase's last use, passes it to every ``S2Evaluator.s2`` call and drops a
-    block on its phase's last use. So each distinct phase is built once (2
-    builds for the k=2 Suzuki slice, 4 for k=3), blocks are streamed a
-    stack at a time, and no block outlives the call. The evaluator is only
-    read.
-
-    A caller that holds blocks of this evaluator passes them as ``held``,
-    phase to block: those phases are not built, the dict is only read,
-    and no block that the call builds outlives it.
+    Block reuse is this call's alone. When a phase that it does not hold
+    comes up, it builds the next ``_phases_per_stack(n)`` distinct phases
+    that it lacks, in order of first use, as one ``s2_stack``, and drops
+    each block at its phase's last use: each distinct phase is built once
+    and no block that the call builds outlives it. ``held`` maps phases to
+    blocks of this evaluator that the caller already holds; those phases
+    are not built, and the dict is only read. A block is bit-identical to
+    any other build of its phase, so the result does not depend on
+    ``held`` or on how the phases are stacked.
     """
     p = _check_coefficients(p, spec.k)
     # max |phase|, bit for bit: rounding is monotone and sign-symmetric, and
@@ -381,7 +281,6 @@ def build_approximation(
         raise ValueError("coefficient vector overflows the S2 exponents")
     phases = (slice_phases(p) / spec.r).tolist()
     last = {x: i for i, x in enumerate(phases)}  # last use of each phase
-    # The caller's blocks, then each built block, until its phase's last use.
     held = dict(held) if held else {}
     unbuilt = iter([x for x in last if x not in held])  # in order of first use
     per_stack = _phases_per_stack(evaluator.n)

@@ -496,6 +496,18 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_memory_error_is_one_error_line(self, tmp_path, instance_path, capsys, monkeypatch):
+        from trotteropt import experiments
+
+        def exhausted(*_args):
+            raise MemoryError("Unable to allocate 36.4 TiB")
+
+        monkeypatch.setattr(experiments, "baseline_report", exhausted)
+        out = tmp_path / "out.json"
+        assert run(["baseline", "--instance", instance_path, "--r", "2", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 36.4 TiB\n"
+        assert not out.exists()
+
 
 def fresh_cli(warnings: str, argv) -> subprocess.CompletedProcess:
     """One CLI command in a fresh interpreter under ``-W warnings``."""
@@ -562,6 +574,31 @@ class TestResourceBounds:
         assert (done.returncode, done.stderr) == (
             1, "error: k=9 needs 5^8 S2 phases per slice, more than 100,000\n")
         assert not (tmp_path / "out.json").exists()
+
+    # An r of 401 digits: the phases divide by r as a float, and it has none.
+    @pytest.mark.parametrize("argv", [
+        ["baseline", "--r", "1" + "0" * 400],
+        ["perms", "--r-grid", "1," + "1" + "0" * 400],
+    ], ids=["baseline", "perms"])
+    def test_r_beyond_the_float_range(self, tmp_path, argv):
+        done = run_fresh(tmp_path, "error", argv)
+        assert (done.returncode, done.stderr) == (
+            1, "error: r is too large: an integer of 1329 bits, beyond the float range (1.8e308)\n")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_samples_whose_draws_pass_the_bound(self, tmp_path):
+        done = run_fresh(tmp_path, "error", ["sample", "--r", "1", "--scheme", "around-suzuki",
+                                             "--samples", "1000000000000"])
+        assert (done.returncode, done.stderr) == (
+            1, "error: samples per scale must be at most 1,677,721 at k=2 (64 MiB of draws), "
+               "got 1,000,000,000,000\n")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_default_samples_within_the_bound(self, tmp_path):
+        done = run_fresh(tmp_path, "error", ["sample", "--r", "1", "--scheme", "around-suzuki",
+                                             "--scales", "1e-3"])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert read_record(tmp_path / "out.json", "sample")["samples_per_scale"] == 100
 
     def test_n_cap_above_the_chain_cap(self, tmp_path, instance_path):
         record, out = tmp_path / "run.json", tmp_path / "out.json"

@@ -3,7 +3,7 @@ import pytest
 
 from trotteropt.fitness import FitnessContext, evaluate
 from trotteropt.model import ChainInstance, DecompositionSpec, TermOrdering
-from trotteropt.sampler import DEFAULT_SCALES, sampling_report
+from trotteropt.sampler import DEFAULT_SCALES, SAMPLE_DRAW_BYTES_CAP, sampling_report
 from trotteropt.trotter import suzuki_seed
 
 GROUPED = TermOrdering.grouped()
@@ -43,6 +43,15 @@ class TestPlanValidation:
     def test_rejects_zero_samples(self, small_instance, no_work):
         with pytest.raises(ValueError):
             sample(small_instance, "around-suzuki", [0.1], samples=0)
+
+    def test_rejects_samples_whose_draws_pass_the_bound(self, small_instance, no_work):
+        # At k=2 (d = 5) a scale's draws take 40 bytes per sample.
+        most = SAMPLE_DRAW_BYTES_CAP // 40
+        with pytest.raises(ValueError, match=f"^samples per scale must be at most {most:,} at k=2 "
+                                             rf"\(64 MiB of draws\), got {most + 1:,}$"):
+            sample(small_instance, "around-suzuki", [0.1], samples=most + 1)
+        with pytest.raises(AssertionError, match="work started"):  # the bound itself passes
+            sample(small_instance, "around-suzuki", [0.1], samples=most)
 
     def test_rejects_k1(self, small_instance, no_work):
         with pytest.raises(ValueError):

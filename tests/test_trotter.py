@@ -315,6 +315,19 @@ class TestDecompositionSpec:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 DecompositionSpec(k, 1, GROUPED)
 
+    def test_r_within_the_float_range(self):
+        # The phases are divided by r as a float, so r must convert to one:
+        # the largest float's integer does, and from 2^1024 none does.
+        largest = int(np.finfo(float).max)
+        assert DecompositionSpec(2, largest, GROUPED).r == largest
+        for r in (2**1024, 10**400, 10**5000):
+            message = (f"r is too large: an integer of {r.bit_length()} bits, "
+                       "beyond the float range (1.8e308)")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                DecompositionSpec(2, r, GROUPED)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                DecompositionSpec.from_dict({"k": 2, "r": r, "ordering": {"mode": "grouped"}})
+
 
 class TestKernels:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
